@@ -89,7 +89,8 @@ def load_wav(path) -> AudioBuffer:
     by arithmetic mean. The buffer keeps the file's native sample rate.
 
     Raises:
-        MalformedWavError: broken header or chunk bookkeeping.
+        MalformedWavError: broken header or chunk bookkeeping, or NaN/inf
+            float samples.
         UnsupportedEncodingError: any encoding other than PCM16/float32.
     """
     raw = Path(path).read_bytes()
@@ -132,6 +133,8 @@ def load_wav(path) -> AudioBuffer:
         raise MalformedWavError(f"{path}: data size not a whole number of frames")
     values = np.frombuffer(data, dtype=dtype)
     samples = values.astype(np.float32)
+    if tag == _WAVE_IEEE_FLOAT and not np.isfinite(samples).all():
+        raise MalformedWavError(f"{path}: non-finite samples in float data")
     if tag == _WAVE_PCM:
         samples = samples / np.float32(_PCM16_SCALE)
     if channels > 1:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or input error, 3 non-finite training loss.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -540,10 +541,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and shared by later calls:
+    # parsing reads the tree without changing it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,9 +10,9 @@ is all the map layer needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, rfft
 
 from .audio import AudioBuffer, resample, window
 from .exceptions import TooShortError
@@ -92,17 +92,49 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> np.ndarray:
     return bank
 
 
+def dct_ii_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """First n_out rows of the orthonormal DCT-II on n_in points, (n_out, n_in).
+
+    Row k is sqrt(2/n_in) * cos(pi * k * (2n + 1) / (2 * n_in)), with row 0
+    scaled to sqrt(1/n_in), so x @ matrix.T is the orthonormal DCT-II of x
+    truncated to its first n_out coefficients.
+    """
+    k = np.arange(n_out)[:, None]
+    n = np.arange(n_in)
+    scale = np.full((n_out, 1), np.sqrt(2.0 / n_in))
+    scale[0] = np.sqrt(1.0 / n_in)
+    return scale * np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
+
+
+@lru_cache(maxsize=16)
+def _spectral_tables(sample_rate: int, frame_size: int, n_mels: int, n_mfcc: int) -> tuple:
+    """Hann window, mel bank, rfft bin frequencies and MFCC DCT for one recipe.
+
+    Built once per recipe and shared by every call, so they are read-only.
+    """
+    tables = (
+        np.hanning(frame_size),
+        mel_filterbank(sample_rate, frame_size, n_mels),
+        np.arange(frame_size // 2 + 1) * (sample_rate / frame_size),
+        dct_ii_matrix(n_mels, n_mfcc),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """Per-frame feature matrix (N, per_frame_count): MFCCs, centroid, RMS."""
+    hann, bank, bin_freqs, dct = _spectral_tables(
+        config.sample_rate, config.frame_size, config.n_mels, config.n_mfcc
+    )
     frames = np.asarray(frames, dtype=np.float64)
-    spectra = np.abs(rfft(frames * np.hanning(config.frame_size), axis=1))
-    bank = mel_filterbank(config.sample_rate, config.frame_size, config.n_mels)
+    spectra = np.abs(np.fft.rfft(frames * hann, axis=1))
     log_mel = np.log(spectra @ bank.T + 1e-10)
-    mfcc = dct(log_mel, type=2, norm="ortho", axis=1)[:, : config.n_mfcc]
+    mfcc = log_mel @ dct.T
 
     columns = [mfcc]
     if config.include_centroid:
-        bin_freqs = np.arange(spectra.shape[1]) * (config.sample_rate / config.frame_size)
         total = spectra.sum(axis=1)
         # silent frames have no spectral mass; define their centroid as 0
         centroid = np.divide(

@@ -132,7 +132,19 @@ def train_som(
     prototypes = standardized[rng.integers(0, n, size=width * height)].reshape(
         height, width, dim
     ).copy()
-    grid_y, grid_x = np.mgrid[0:height, 0:width]
+    # squared grid offsets, dy2[by] = (y - by)**2 as a column and
+    # dx2[bx] = (x - bx)**2 as a row: their sum is each unit's squared grid
+    # distance to the BMU, which indexes a per-epoch table of pulls
+    rows, cols = np.arange(height), np.arange(width)
+    dy2 = ((rows[:, None] - rows) ** 2)[:, :, None]
+    dx2 = (cols[:, None] - cols) ** 2
+    grid_d2 = np.arange((height - 1) ** 2 + (width - 1) ** 2 + 1)
+    diff = np.empty_like(prototypes)
+    squares = np.empty_like(prototypes)
+    sample_d2 = np.empty((height, width))
+    unit_d2 = np.empty((height, width), dtype=grid_d2.dtype)
+    pull = np.empty((height, width))
+    pull_per_feature = pull[:, :, None]
 
     denominator = max(epochs - 1, 1)
     qe_history = np.zeros(epochs)
@@ -142,13 +154,16 @@ def train_som(
         radius = radius0 * (_RADIUS_FLOOR / radius0) ** fraction
         sigma = radius / 2.0
         gauss_denom = 2.0 * sigma * sigma
+        pull_by_d2 = lr * np.exp(-grid_d2 / gauss_denom)
         for idx in rng.permutation(n):
-            sample = standardized[idx]
-            d2 = np.sum((prototypes - sample) ** 2, axis=2)
-            flat = int(np.argmin(d2))  # row-major: smallest (y, x) wins ties
+            np.subtract(standardized[idx], prototypes, out=diff)
+            np.add.reduce(np.square(diff, out=squares), axis=2, out=sample_d2)
+            flat = int(sample_d2.argmin())  # row-major: smallest (y, x) wins ties
             by, bx = divmod(flat, width)
-            reach = np.exp(-((grid_y - by) ** 2 + (grid_x - bx) ** 2) / gauss_denom)
-            prototypes += (lr * reach)[:, :, None] * (sample - prototypes)
+            np.add(dy2[by], dx2[bx], out=unit_d2)
+            pull_by_d2.take(unit_d2, out=pull)
+            diff *= pull_per_feature
+            prototypes += diff
         qe_history[epoch] = _quantization_error(prototypes, standardized)
 
     return SomMap(

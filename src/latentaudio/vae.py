@@ -13,7 +13,7 @@ persist float32, which is also the inference dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ _LEAKY_SLOPE = 0.01
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_ADAM_BLOCK = 16384  # two float64 scratch blocks of this size stay in L2
 
 
 def _leaky(pre: np.ndarray) -> np.ndarray:
@@ -342,11 +343,16 @@ def backward(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> list:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    The state also owns adam_step's two block-sized scratch arrays, made
+    on first use, so a training run allocates them once.
+    """
 
     m: list
     v: list
     step: int = 0
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros_like(cls, params: list) -> "AdamState":
@@ -355,22 +361,57 @@ class AdamState:
             v=[np.zeros_like(p) for p in params],
         )
 
+    def scratch(self, dtype) -> tuple:
+        """Two work arrays of _ADAM_BLOCK elements of dtype."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._scratch:
+            self._scratch[dtype] = (
+                np.empty(_ADAM_BLOCK, dtype=dtype),
+                np.empty(_ADAM_BLOCK, dtype=dtype),
+            )
+        return self._scratch[dtype]
+
+
+def _flat_view(a: np.ndarray) -> np.ndarray:
+    if not a.flags.c_contiguous:
+        raise ValueError("adam_step updates arrays in place and needs them C-contiguous")
+    return a.reshape(-1)
+
 
 def adam_step(params: list, grads: list, state: AdamState, learning_rate: float):
-    """One bias-corrected Adam update, in place; increments state.step once."""
+    """One bias-corrected Adam update, in place; increments state.step once.
+
+    Each tensor is walked in blocks of _ADAM_BLOCK elements through the
+    state's two scratch arrays, so no parameter-sized temporary is made.
+    Every element still gets the textbook operations in the textbook
+    order, with no scalars folded together, so the result equals the
+    unblocked update bit for bit. Params and moments must be C-contiguous;
+    grads are read in the parameter dtype.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params/grads/state length mismatch")
     state.step += 1
     correction1 = 1.0 - _ADAM_BETA1 ** state.step
     correction2 = 1.0 - _ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= _ADAM_BETA1
-        m += (1.0 - _ADAM_BETA1) * g
-        v *= _ADAM_BETA2
-        v += (1.0 - _ADAM_BETA2) * (g * g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        g = np.asarray(g, dtype=p.dtype)
+        if g.shape != p.shape:
+            raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        work_a, work_b = state.scratch(p.dtype)
+        p, g, m, v = _flat_view(p), g.reshape(-1), _flat_view(m), _flat_view(v)
+        for start in range(0, p.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+            a, b = work_a[: pb.size], work_b[: pb.size]
+            mb *= _ADAM_BETA1
+            mb += np.multiply(1.0 - _ADAM_BETA1, gb, out=a)
+            vb *= _ADAM_BETA2
+            np.multiply(gb, gb, out=a)
+            vb += np.multiply(1.0 - _ADAM_BETA2, a, out=a)
+            m_hat = np.divide(mb, correction1, out=a)
+            v_hat = np.divide(vb, correction2, out=b)
+            denom = np.add(np.sqrt(v_hat, out=b), _ADAM_EPS, out=b)
+            pb -= np.divide(np.multiply(learning_rate, m_hat, out=a), denom, out=a)
     return params, state
 
 

@@ -60,6 +60,14 @@ class TestWavCodec:
         assert back.sample_rate == buf.sample_rate
         assert np.array_equal(back.samples, buf.samples)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_samples_rejected(self, tmp_path, bad):
+        payload = np.array([0.1, bad, -0.2], dtype="<f4").tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(3, 1, 8000, 32, payload))
+        with pytest.raises(MalformedWavError, match="non-finite"):
+            load_wav(path)
+
     def test_pcm16_round_trip_quantizes(self, tmp_path):
         buf = make_sine(rate=8000, seconds=0.1)
         path = tmp_path / "x.wav"

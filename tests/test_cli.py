@@ -13,6 +13,7 @@ import pytest
 
 from helpers import write_corpus
 from latentaudio import (
+    AudioBuffer,
     SynthesisMode,
     encode_audio,
     generate_curve,
@@ -22,6 +23,7 @@ from latentaudio import (
     meso_interpolate,
     model_from_checkpoint,
     resample,
+    save_wav,
 )
 from latentaudio.cli import BenchReport, main, run_bench
 
@@ -116,6 +118,21 @@ class TestTrain:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_sample_is_input_error_not_divergence(self, corpus, tmp_path, capsys):
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        for src in corpus.glob("*.wav"):
+            (bad_dir / src.name).write_bytes(src.read_bytes())
+        samples = load_wav(bad_dir / "tone0.wav").samples.copy()
+        samples[100] = np.nan
+        save_wav(AudioBuffer(samples, RATE), bad_dir / "tone0.wav", encoding="float32")
+        code = main([
+            "train", "--dataset-dir", str(bad_dir),
+            "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS,
+        ])
+        assert code == 2
+        assert "non-finite samples" in capsys.readouterr().err
 
     def test_diverging_run_exits_3(self, corpus, tmp_path):
         with np.errstate(all="ignore"), warnings.catch_warnings():
