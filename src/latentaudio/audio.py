@@ -3,7 +3,8 @@
 Everything downstream consumes mono float32 buffers in [-1, 1], so the
 decoders here normalize channel count and sample format at the door.
 The WAV codec is deliberately minimal: RIFF/WAVE little-endian with
-"fmt " and "data" chunks, PCM16 or IEEE float32 payloads, nothing else.
+"fmt " and "data" chunks, PCM16 or IEEE float32 payloads (plain or
+WAVE_FORMAT_EXTENSIBLE), nothing else.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .exceptions import (
 
 _WAVE_PCM = 1
 _WAVE_IEEE_FLOAT = 3
+_WAVE_EXTENSIBLE = 0xFFFE
+# bytes 2-15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0-1 hold the plain tag
+_KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 _PCM16_SCALE = 32768.0
 
 
@@ -66,7 +70,6 @@ class WindowSet:
     frames: np.ndarray
     window_size: int
     hop: int
-    origin_sample_rate: int
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float32)
@@ -91,7 +94,8 @@ def load_wav(path) -> AudioBuffer:
     Raises:
         MalformedWavError: broken header or chunk bookkeeping, or NaN/inf
             float samples.
-        UnsupportedEncodingError: any encoding other than PCM16/float32.
+        UnsupportedEncodingError: any encoding other than PCM16/float32,
+            plain or as the subformat of WAVE_FORMAT_EXTENSIBLE.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -109,7 +113,7 @@ def load_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             if size < 16:
                 raise MalformedWavError(f"{path}: fmt chunk too small ({size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
             data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -117,7 +121,14 @@ def load_wav(path) -> AudioBuffer:
     if fmt is None or data is None:
         raise MalformedWavError(f"{path}: missing fmt or data chunk")
 
-    tag, channels, rate, _byte_rate, _block_align, bits = fmt
+    tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _WAVE_EXTENSIBLE:
+        # cbSize, valid bits and channel mask, then the 16-byte SubFormat GUID
+        if len(fmt) < 40:
+            raise MalformedWavError(f"{path}: extensible fmt chunk of {len(fmt)} bytes")
+        if fmt[26:40] != _KSDATAFORMAT_TAIL:
+            raise UnsupportedEncodingError(f"{path}: unknown subformat {fmt[24:40].hex()}")
+        (tag,) = struct.unpack_from("<H", fmt, 24)
     if channels < 1 or rate <= 0:
         raise MalformedWavError(f"{path}: invalid fmt fields (ch={channels}, rate={rate})")
     if (tag, bits) == (_WAVE_PCM, 16):
@@ -207,17 +218,27 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(out.astype(np.float32), target_rate, buffer.source_label)
 
 
-def window(buffer: AudioBuffer, window_size: int, hop: int) -> WindowSet:
-    """Slice a buffer into N = floor((L - window_size)/hop) + 1 frames."""
-    if window_size < 1 or hop < 1:
-        raise ValueError("window_size and hop must be >= 1")
-    if len(buffer) < window_size:
+def window_count(n_samples: int, window_size: int, hop: int) -> int:
+    """N = floor((L - window_size)/hop) + 1 frames fit in L samples.
+
+    ValueError for a size or hop below 1, TooShortError below one window.
+    """
+    if window_size < 1:
+        raise ValueError(f"window_size must be >= 1, got {window_size}")
+    if hop < 1:
+        raise ValueError(f"hop must be >= 1, got {hop}")
+    if n_samples < window_size:
         raise TooShortError(
-            f"buffer of {len(buffer)} samples is shorter than one "
-            f"{window_size}-sample window"
+            f"{n_samples} samples are shorter than one {window_size}-sample window"
         )
-    frames = sliding_window_view(buffer.samples, window_size)[::hop].copy()
-    return WindowSet(frames, window_size, hop, buffer.sample_rate)
+    return (n_samples - window_size) // hop + 1
+
+
+def window(buffer: AudioBuffer, window_size: int, hop: int) -> WindowSet:
+    """Slice a buffer into window_count(len(buffer), window_size, hop) frames."""
+    n = window_count(len(buffer), window_size, hop)
+    frames = sliding_window_view(buffer.samples, window_size)[: n * hop : hop].copy()
+    return WindowSet(frames, window_size, hop)
 
 
 def truncate_pair(a: AudioBuffer, b: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:

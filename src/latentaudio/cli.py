@@ -22,13 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioBuffer, load_wav, peak_normalize, resample, save_wav, window
+from .audio import (
+    AudioBuffer, load_wav, peak_normalize, resample, save_wav, window, window_count,
+)
 from .exceptions import (
     ConfigMismatchError,
     EmptyDatasetError,
     LatentAudioError,
     NonFiniteLossError,
-    TooShortError,
 )
 from .features import FeatureConfig, extract_thumbnail
 from .interpolate import (
@@ -38,7 +39,6 @@ from .interpolate import (
     export_latents,
     extended_interpolate,
     generate_curve,
-    meso_interpolate,
     stepwise_interpolate,
 )
 from .som import (
@@ -167,7 +167,7 @@ def _sorted_wavs(dataset_dir) -> list:
     root = Path(dataset_dir)
     if not root.is_dir():
         raise EmptyDatasetError(f"dataset directory {dataset_dir} does not exist")
-    files = sorted(root.glob("*.wav"))
+    files = sorted(p for p in root.iterdir() if p.suffix.lower() == ".wav")
     if not files:
         raise EmptyDatasetError(f"no .wav files in {dataset_dir}")
     return files
@@ -176,14 +176,6 @@ def _sorted_wavs(dataset_dir) -> list:
 def _load_input(path, sample_rate: int, normalize: bool) -> AudioBuffer:
     buf = resample(load_wav(path), sample_rate)
     return peak_normalize(buf) if normalize else buf
-
-
-def _window_count(n_samples: int, window_size: int, hop: int) -> int:
-    if n_samples < window_size:
-        raise TooShortError(
-            f"inputs give {n_samples} shared samples, need at least {window_size}"
-        )
-    return (n_samples - window_size) // hop + 1
 
 
 # ---------------------------------------------------------------- train
@@ -263,22 +255,15 @@ def _cmd_synth(args, cfg: dict) -> int:
     else:
         mode = SynthesisMode.sampled(cfg["seed"])
 
-    strategy = args.strategy
-    window_size = model.hyper.window_size
-    if strategy == "step":
+    if args.strategy == "step":
         out_buf = stepwise_interpolate(
             model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"]
         )
     else:
-        hop = window_size if strategy == "meso" else cfg["hop"]
-        count = _window_count(min(len(a), len(b)), window_size, hop)
+        hop = model.hyper.window_size if args.strategy == "meso" else cfg["hop"]
+        count = window_count(min(len(a), len(b)), model.hyper.window_size, hop)
         curve = generate_curve(cfg["curve"], count)
-        if strategy == "meso":
-            out_buf = meso_interpolate(model, a, b, curve, mode, cfg["crossfade"])
-        else:
-            out_buf = extended_interpolate(
-                model, a, b, curve, mode, hop, cfg["crossfade"]
-            )
+        out_buf = extended_interpolate(model, a, b, curve, mode, hop, cfg["crossfade"])
     save_wav(out_buf, cfg["out"], encoding="float32")
     _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
     print(f"wrote {cfg['out']}: {out_buf.duration:.2f} s at {out_buf.sample_rate} Hz")

@@ -1,7 +1,8 @@
 """Latent-path encoding and the three interpolation synthesis strategies.
 
-A recording becomes a path: one (mu, sigma) pair per window. Synthesis
-blends two paths, window by window, and decodes the blend back to audio:
+A recording becomes a path: (N, M) arrays of mu and log-variance, one
+row per window. Synthesis blends two paths, window by window, and
+decodes the blend back to audio:
 
   * stepwise: one global weight per segment, swept from 0 to r in steps
     of s, segments concatenated in sweep order;
@@ -31,39 +32,39 @@ from .exceptions import (
     EmptySpecError,
     ShapeMismatchError,
 )
-from .vae import LatentStats, VaeModel, decode_frames, encode_frames
+from .vae import VaeModel, decode_frames, encode_frames
 
 _SIGMA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class LatentPath:
-    """Ordered per-window posterior stats for one recording."""
+    """Posterior stats for one recording: row i of mu and logvar is window i."""
 
-    stats: tuple
-    window_size: int
-    hop: int
-    sample_rate: int
+    mu: np.ndarray
+    logvar: np.ndarray
 
     def __post_init__(self):
-        stats = tuple(self.stats)
-        dims = {len(s) for s in stats}
-        if len(dims) > 1:
-            raise ValueError(f"mixed latent dimensions in one path: {sorted(dims)}")
-        object.__setattr__(self, "stats", stats)
+        mu, logvar = np.asarray(self.mu), np.asarray(self.logvar)
+        if mu.ndim != 2 or mu.shape != logvar.shape:
+            raise ShapeMismatchError(
+                f"mu {mu.shape} and logvar {logvar.shape} must be equal 2-D shapes"
+            )
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "logvar", logvar)
 
     def __len__(self) -> int:
-        return len(self.stats)
+        return len(self.mu)
 
     @property
     def latent_dim(self) -> int:
-        return len(self.stats[0]) if self.stats else 0
+        return self.mu.shape[1]
 
     def means(self) -> np.ndarray:
-        return np.array([s.mu for s in self.stats])
+        return self.mu
 
     def sigmas(self) -> np.ndarray:
-        return np.array([np.exp(s.logvar / 2) for s in self.stats])
+        return np.exp(self.logvar / 2)
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,7 @@ def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int) -> LatentPath:
     owns resampling.
     """
     ws = window(buffer, model.hyper.window_size, hop)
-    mu, logvar = encode_frames(model, ws.frames)
-    stats = tuple(LatentStats(m, lv) for m, lv in zip(mu, logvar))
-    return LatentPath(stats, ws.window_size, hop, buffer.sample_rate)
+    return LatentPath(*encode_frames(model, ws.frames))
 
 
 def generate_curve(spec: str, length: int) -> InterpolationCurve:
@@ -217,11 +216,12 @@ def decode_path(
 
 
 def _blend(path_a: LatentPath, path_b: LatentPath, weights: np.ndarray):
-    """weights on a, complement on b; sigma floored after blending."""
-    w = weights[:, None]
+    """weights (N,) or per segment (S, 1) on a, complement on b; sigma floored."""
+    w = weights[..., None]
     means = w * path_a.means() + (1.0 - w) * path_b.means()
     stds = w * path_a.sigmas() + (1.0 - w) * path_b.sigmas()
-    return means, np.maximum(stds, _SIGMA_FLOOR)
+    m = path_a.latent_dim
+    return means.reshape(-1, m), np.maximum(stds, _SIGMA_FLOOR).reshape(-1, m)
 
 
 def _encode_pair(model, a: AudioBuffer, b: AudioBuffer, hop: int):
@@ -253,15 +253,9 @@ def stepwise_interpolate(
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
     path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size)
 
-    weights = np.repeat(np.arange(n_segments) * step_s, len(path_a))
-    means, stds = _blend(
-        _tile_path(path_a, n_segments), _tile_path(path_b, n_segments), weights
-    )
+    weights = (np.arange(n_segments) * step_s)[:, None]
+    means, stds = _blend(path_a, path_b, weights)
     return decode_path(model, means, stds, mode, crossfade)
-
-
-def _tile_path(path: LatentPath, reps: int) -> LatentPath:
-    return LatentPath(path.stats * reps, path.window_size, path.hop, path.sample_rate)
 
 
 def meso_interpolate(
@@ -277,7 +271,7 @@ def meso_interpolate(
     Windows are non-overlapping, so the output is as long as the
     truncated inputs rounded down to whole windows.
     """
-    return _curve_blend(model, a, b, curve, model.hyper.window_size, mode, crossfade)
+    return extended_interpolate(model, a, b, curve, mode, model.hyper.window_size, crossfade)
 
 
 def extended_interpolate(
@@ -296,10 +290,6 @@ def extended_interpolate(
     stretches by that factor (4x at the 1024/256 defaults). hop equal to
     window_size degenerates to meso_interpolate.
     """
-    return _curve_blend(model, a, b, curve, hop, mode, crossfade)
-
-
-def _curve_blend(model, a, b, curve, hop, mode, crossfade) -> AudioBuffer:
     path_a, path_b = _encode_pair(model, a, b, hop)
     if len(curve) != len(path_a):
         raise CurveLengthMismatchError(
@@ -312,8 +302,8 @@ def _curve_blend(model, a, b, curve, hop, mode, crossfade) -> AudioBuffer:
 def export_latents(path: LatentPath, file) -> None:
     """Write one CSV row per window: index, mu entries, logvar entries.
 
-    Values are float32 shortest-round-trip decimals; an empty path
-    writes just the header.
+    Values are float32 shortest-round-trip decimals; an empty (0, M)
+    path writes just the header.
     """
     if hasattr(file, "write"):
         _write_latents(path, file)
@@ -326,8 +316,7 @@ def _write_latents(path: LatentPath, fh) -> None:
     m = path.latent_dim
     columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
     fh.write(",".join(columns) + "\n")
-    for idx, stats in enumerate(path.stats):
-        mu = stats.mu.astype(np.float32)
-        lv = stats.logvar.astype(np.float32)
+    mus, lvs = path.mu.astype(np.float32), path.logvar.astype(np.float32)
+    for idx, (mu, lv) in enumerate(zip(mus, lvs)):
         fields = [str(idx)] + [str(v) for v in mu] + [str(v) for v in lv]
         fh.write(",".join(fields) + "\n")

@@ -22,11 +22,20 @@ from latentaudio import (
 )
 
 
-def _wav_bytes(fmt_tag, channels, rate, bits, payload, extra_chunk=None):
+# bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs for PCM and IEEE float
+KS_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extension(subformat, bits, guid_tail=KS_GUID_TAIL):
+    """The 24 bytes WAVE_FORMAT_EXTENSIBLE appends to the 16-byte fmt chunk."""
+    return struct.pack("<HHIH", 22, bits, 0x4, subformat) + guid_tail
+
+
+def _wav_bytes(fmt_tag, channels, rate, bits, payload, extra_chunk=None, fmt_ext=b""):
     fmt = struct.pack(
         "<HHIIHH", fmt_tag, channels, rate,
         rate * channels * bits // 8, channels * bits // 8, bits,
-    )
+    ) + fmt_ext
     chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     if extra_chunk is not None:
         chunks += extra_chunk
@@ -128,6 +137,35 @@ class TestWavCodec:
         path = tmp_path / "x.wav"
         path.write_bytes(_wav_bytes(1, 1, 8000, 24, b"\x00" * 6))
         with pytest.raises(UnsupportedEncodingError):
+            load_wav(path)
+
+    @pytest.mark.parametrize("tag, bits, payload", [
+        (1, 16, struct.pack("<4h", 1, -2, 300, -32768)),
+        (3, 32, np.array([0.5, -0.25, 1.0, 0.0], dtype="<f4").tobytes()),
+    ])
+    def test_extensible_loads_like_plain_tag(self, tmp_path, tag, bits, payload):
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(_wav_bytes(tag, 1, 8000, bits, payload))
+        ext.write_bytes(_wav_bytes(0xFFFE, 1, 8000, bits, payload, fmt_ext=_extension(tag, bits)))
+        want, got = load_wav(plain), load_wav(ext)
+        assert got.sample_rate == want.sample_rate
+        assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("bits, extension", [
+        (24, _extension(1, 24)),
+        (16, _extension(1, 16, guid_tail=bytes(14))),
+    ])
+    def test_extensible_other_subformats_rejected(self, tmp_path, bits, extension):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(0xFFFE, 1, 8000, bits, b"\x00" * 6, fmt_ext=extension))
+        with pytest.raises(UnsupportedEncodingError):
+            load_wav(path)
+
+    def test_extensible_truncated_extension(self, tmp_path):
+        path = tmp_path / "x.wav"
+        payload = struct.pack("<2h", 1, 2)
+        path.write_bytes(_wav_bytes(0xFFFE, 1, 8000, 16, payload, fmt_ext=_extension(1, 16)[:10]))
+        with pytest.raises(MalformedWavError):
             load_wav(path)
 
     def test_refuses_empty_write(self, tmp_path):

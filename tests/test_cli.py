@@ -111,6 +111,16 @@ class TestTrain:
         assert code == 0
         assert out.read_bytes() == checkpoint.read_bytes()
 
+    def test_wav_suffix_matched_in_any_case(self, corpus, checkpoint, tmp_path):
+        upper = tmp_path / "UPPER"
+        upper.mkdir()
+        for src, suffix in zip(sorted(corpus.glob("*.wav")), (".WAV", ".wav", ".Wav", ".WAV")):
+            (upper / (src.stem + suffix)).write_bytes(src.read_bytes())
+        out = tmp_path / "upper.ckpt"
+        code = main(["train", "--dataset-dir", str(upper), "--out", str(out), *TRAIN_FLAGS])
+        assert code == 0
+        assert out.read_bytes() == checkpoint.read_bytes()  # same files, same order
+
     def test_missing_dataset_dir(self, tmp_path, capsys):
         code = main([
             "train", "--dataset-dir", str(tmp_path / "nowhere"),
@@ -189,6 +199,12 @@ class TestSynth:
         code = main(["synth", "extend", "--config", str(out1) + ".cfg", "--out", str(out2)])
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("hop", ["0", "-5"])
+    def test_non_positive_hop_is_usage_error(self, checkpoint, corpus, tmp_path, capsys, hop):
+        code = _synth("extend", checkpoint, corpus, tmp_path / "x.wav", "--hop", hop)
+        assert code == 2
+        assert f"hop must be >= 1, got {hop}" in capsys.readouterr().err
 
     def test_bad_mode_rejected(self, checkpoint, corpus, tmp_path, capsys):
         code = _synth("step", checkpoint, corpus, tmp_path / "x.wav", "--mode", "zig")

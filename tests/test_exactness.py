@@ -1,9 +1,10 @@
-"""The corpus kernels against verbatim copies of their straightforward loops.
+"""Kernels against verbatim copies of the straightforward code they replaced.
 
-adam_step and train_som avoid per-call temporaries, and the feature
-constants are built once per recipe. None of that may change a single
-bit: each reference below is the plain numpy loop the kernel replaced,
-and results must be np.array_equal, not merely close.
+adam_step and train_som avoid per-call temporaries, the feature
+constants are built once per recipe, and the latent blend works on
+(N, M) arrays instead of tuples of per-window stats. None of that may
+change a single bit: each reference below is the plain numpy code the
+kernel replaced, and results must be np.array_equal, not merely close.
 """
 
 import numpy as np
@@ -13,12 +14,17 @@ from helpers import make_noise
 from latentaudio import (
     AdamState,
     FeatureConfig,
+    InterpolationCurve,
+    LatentPath,
+    LatentStats,
+    ShapeMismatchError,
     Thumbnail,
     adam_step,
     extract_thumbnail,
     train_som,
 )
 from latentaudio.features import _spectral_tables, dct_ii_matrix
+from latentaudio.interpolate import _SIGMA_FLOOR, _blend
 from latentaudio.som import _LR_FLOOR_FACTOR, _RADIUS_FLOOR, _quantization_error
 from latentaudio.vae import _ADAM_BETA1, _ADAM_BETA2, _ADAM_BLOCK, _ADAM_EPS
 
@@ -67,6 +73,30 @@ def reference_train_som(data, width, height, epochs, lr0, radius0, seed):
             prototypes += (lr * reach)[:, :, None] * (sample - prototypes)
         qe_history[epoch] = _quantization_error(prototypes, standardized)
     return prototypes, qe_history
+
+
+class ReferencePath:
+    """The tuple-of-LatentStats path, reduced to what blending reads."""
+
+    def __init__(self, stats):
+        self.stats = tuple(stats)
+
+    def means(self):
+        return np.array([s.mu for s in self.stats])
+
+    def sigmas(self):
+        return np.array([np.exp(s.logvar / 2) for s in self.stats])
+
+
+def reference_tile_path(path, reps):
+    return ReferencePath(path.stats * reps)
+
+
+def reference_blend(path_a, path_b, weights):
+    w = weights[:, None]
+    means = w * path_a.means() + (1.0 - w) * path_b.means()
+    stds = w * path_a.sigmas() + (1.0 - w) * path_b.sigmas()
+    return means, np.maximum(stds, _SIGMA_FLOOR)
 
 
 class TestAdamMatchesReference:
@@ -139,3 +169,42 @@ class TestFeatureTables:
         x = np.random.default_rng(2).standard_normal((17, n_in))
         want = fft.dct(x, type=2, norm="ortho", axis=1)[:, :n_out]
         assert np.max(np.abs(x @ dct_ii_matrix(n_in, n_out).T - want)) < 1e-12
+
+
+class TestBlendMatchesReference:
+    N_WINDOWS = 13
+
+    def _paths(self, m):
+        rng = np.random.default_rng(m)
+        mu_a, lv_a, mu_b, lv_b = rng.standard_normal((4, self.N_WINDOWS, m)).astype(np.float32)
+        ref_a = ReferencePath(LatentStats(mu, lv) for mu, lv in zip(mu_a, lv_a))
+        ref_b = ReferencePath(LatentStats(mu, lv) for mu, lv in zip(mu_b, lv_b))
+        return LatentPath(mu_a, lv_a), LatentPath(mu_b, lv_b), ref_a, ref_b
+
+    @pytest.mark.parametrize("m", [8, 256])
+    @pytest.mark.parametrize("segments", [1, 2, 21])
+    def test_stepwise_segments(self, m, segments):
+        path_a, path_b, ref_a, ref_b = self._paths(m)
+        sweep = np.arange(segments) * 0.05
+        means, stds = _blend(path_a, path_b, sweep[:, None])
+        want_means, want_stds = reference_blend(
+            reference_tile_path(ref_a, segments), reference_tile_path(ref_b, segments),
+            np.repeat(sweep, self.N_WINDOWS),
+        )
+        assert np.array_equal(means, want_means)
+        assert np.array_equal(stds, want_stds)
+
+    @pytest.mark.parametrize("m", [8, 256])
+    def test_per_window_curve(self, m):
+        path_a, path_b, ref_a, ref_b = self._paths(m)
+        curve = InterpolationCurve(np.sin(np.arange(self.N_WINDOWS) / 2.0))
+        means, stds = _blend(path_a, path_b, curve.values)
+        want_means, want_stds = reference_blend(ref_a, ref_b, curve.values)
+        assert np.array_equal(means, want_means)
+        assert np.array_equal(stds, want_stds)
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            LatentPath(np.zeros((3, 8)), np.zeros((3, 9)))
+        with pytest.raises(ShapeMismatchError):
+            LatentPath(np.zeros(8), np.zeros(8))

@@ -13,7 +13,6 @@ from latentaudio import (
     EmptySpecError,
     InterpolationCurve,
     LatentPath,
-    LatentStats,
     ShapeMismatchError,
     SynthesisMode,
     VaeHyperParams,
@@ -64,9 +63,9 @@ class TestEncodeAudio:
     def test_deterministic(self, model, pair):
         p1 = encode_audio(model, pair[0], 64)
         p2 = encode_audio(model, pair[0], 64)
-        for a, b in zip(p1.stats, p2.stats):
-            assert np.array_equal(a.mu, b.mu)
-            assert np.array_equal(a.logvar, b.logvar)
+        for i in range(len(p1)):
+            assert np.array_equal(p1.mu[i], p2.mu[i])
+            assert np.array_equal(p1.logvar[i], p2.logvar[i])
 
     def test_order_matches_per_window_encoding(self, model, pair):
         from latentaudio import encoder_forward, window
@@ -74,7 +73,7 @@ class TestEncodeAudio:
         path = encode_audio(model, pair[0], 32)
         ws = window(pair[0], 64, 32)
         probe = encoder_forward(model, ws.frames[3])
-        assert np.allclose(path.stats[3].mu, probe.mu)
+        assert np.allclose(path.mu[3], probe.mu)
 
 
 class TestGenerateCurve:
@@ -239,9 +238,9 @@ class TestMeso:
         c = 0.37
         path_a = encode_audio(model, a, 64)
         path_b = encode_audio(model, b, 64)
-        expected_mu = c * path_a.stats[0].mu + (1 - c) * path_b.stats[0].mu
-        expected_sigma = c * np.exp(path_a.stats[0].logvar / 2) + (1 - c) * np.exp(
-            path_b.stats[0].logvar / 2
+        expected_mu = c * path_a.mu[0] + (1 - c) * path_b.mu[0]
+        expected_sigma = c * np.exp(path_a.logvar[0] / 2) + (1 - c) * np.exp(
+            path_b.logvar[0] / 2
         )
         direct = decode_path(model, expected_mu[None], expected_sigma[None], MEAN)
         curved = meso_interpolate(model, a, b, InterpolationCurve([c]), MEAN)
@@ -283,13 +282,8 @@ class TestExtended:
 
 class TestExportLatents:
     def _path(self, n=4, m=8):
-        rng = np.random.default_rng(0)
-        stats = tuple(
-            LatentStats(rng.standard_normal(m).astype(np.float32),
-                        rng.standard_normal(m).astype(np.float32))
-            for _ in range(n)
-        )
-        return LatentPath(stats, 64, 64, 8000)
+        mu, logvar = np.random.default_rng(0).standard_normal((2, n, m)).astype(np.float32)
+        return LatentPath(mu, logvar)
 
     def test_row_and_field_counts(self):
         sink = io.StringIO()
@@ -301,17 +295,17 @@ class TestExportLatents:
 
     def test_empty_path_writes_header_only(self):
         sink = io.StringIO()
-        export_latents(LatentPath((), 64, 64, 8000), sink)
-        assert sink.getvalue() == "idx\n"
+        export_latents(LatentPath(np.zeros((0, 2)), np.zeros((0, 2))), sink)
+        assert sink.getvalue() == "idx,mu_0,mu_1,lv_0,lv_1\n"
 
     def test_reparse_recovers_float32_values(self, tmp_path):
         path = self._path(n=3, m=8)
         out = tmp_path / "latents.csv"
         export_latents(path, out)
         rows = out.read_text().strip().split("\n")[1:]
-        for stats, row in zip(path.stats, rows):
+        for i, row in enumerate(rows):
             fields = row.split(",")
             mu = np.array([np.float32(v) for v in fields[1:9]])
             lv = np.array([np.float32(v) for v in fields[9:]])
-            assert np.array_equal(mu, stats.mu)
-            assert np.array_equal(lv, stats.logvar)
+            assert np.array_equal(mu, path.mu[i])
+            assert np.array_equal(lv, path.logvar[i])
