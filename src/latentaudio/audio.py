@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .container import atomic_write
 from .exceptions import (
     MalformedWavError,
     RateMismatchError,
@@ -154,7 +155,7 @@ def load_wav(path) -> AudioBuffer:
 
 
 def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
-    """Write a buffer as PCM16 or IEEE float32 WAV.
+    """Write a buffer as PCM16 or IEEE float32 WAV, atomically.
 
     float32 round-trips bit-exactly through load_wav; pcm16 quantizes to
     within 1/32768 of the original sample values.
@@ -163,11 +164,12 @@ def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
         raise ValueError("refusing to write an empty buffer")
     if encoding == "float32":
         tag, bits = _WAVE_IEEE_FLOAT, 32
-        payload = buffer.samples.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
     elif encoding == "pcm16":
         tag, bits = _WAVE_PCM, 16
-        ints = np.clip(np.rint(buffer.samples * _PCM16_SCALE), -32768, 32767)
-        payload = ints.astype("<i2").tobytes()
+        scaled = buffer.samples * np.float32(_PCM16_SCALE)
+        np.rint(scaled, out=scaled)
+        payload = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
 
@@ -176,12 +178,14 @@ def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
         "<HHIIHH", tag, 1, buffer.sample_rate, buffer.sample_rate * block_align,
         block_align, bits,
     )
-    pad = b"\x00" if len(payload) & 1 else b""
-    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + len(payload) + len(pad))
-    with open(path, "wb") as fh:
+    pad = b"\x00" if payload.nbytes & 1 else b""
+    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + payload.nbytes + len(pad))
+    with atomic_write(path) as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
-        fh.write(b"data" + struct.pack("<I", len(payload)) + payload + pad)
+        fh.write(b"data" + struct.pack("<I", payload.nbytes))
+        fh.write(payload)
+        fh.write(pad)
 
 
 def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
@@ -234,10 +238,15 @@ def window_count(n_samples: int, window_size: int, hop: int) -> int:
     return (n_samples - window_size) // hop + 1
 
 
+def frame_view(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
+    """window()'s frames as a read-only strided view of samples, no copy."""
+    n = window_count(len(samples), window_size, hop)
+    return sliding_window_view(samples, window_size)[: n * hop : hop]
+
+
 def window(buffer: AudioBuffer, window_size: int, hop: int) -> WindowSet:
     """Slice a buffer into window_count(len(buffer), window_size, hop) frames."""
-    n = window_count(len(buffer), window_size, hop)
-    frames = sliding_window_view(buffer.samples, window_size)[: n * hop : hop].copy()
+    frames = frame_view(buffer.samples, window_size, hop).copy()
     return WindowSet(frames, window_size, hop)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .audio import (
     AudioBuffer, load_wav, peak_normalize, resample, save_wav, window, window_count,
 )
+from .container import atomic_write
 from .exceptions import (
     ConfigMismatchError,
     EmptyDatasetError,
@@ -160,7 +161,8 @@ def _write_sidecar(artifact_path, cmd_name: str, fields, values: dict) -> None:
     for f in fields:
         if values[f.name] is not None:
             lines.append(f"{f.name}={_to_text(values[f.name], f.ftype)}")
-    Path(str(artifact_path) + ".cfg").write_text("\n".join(lines) + "\n")
+    with atomic_write(str(artifact_path) + ".cfg", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _sorted_wavs(dataset_dir) -> list:
@@ -215,7 +217,7 @@ def _cmd_train(args, cfg: dict) -> int:
     ckpt = train(sets, hyper)
     save_checkpoint(ckpt, cfg["out"])
     loss_path = cfg["out"] + ".loss.txt"
-    with open(loss_path, "w", encoding="utf-8") as fh:
+    with atomic_write(loss_path, "w", encoding="utf-8") as fh:
         for epoch, (recon, kl) in enumerate(ckpt.loss_history, start=1):
             fh.write(f"{epoch} {recon} {kl}\n")
     _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
@@ -359,7 +361,8 @@ def _cmd_som_clusters(args, cfg: dict) -> int:
     thumbs = _corpus_thumbnails(cfg["dataset_dir"], som.feature_config)
     lines = _cluster_lines(som, thumbs)
     if cfg["out"]:
-        Path(cfg["out"]).write_text("\n".join(lines) + "\n")
+        with atomic_write(cfg["out"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
         print(f"wrote {len(lines)} clusters to {cfg['out']}")
     else:

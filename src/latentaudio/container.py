@@ -11,47 +11,103 @@ Layout, all little-endian:
 Tensors are parsed until exactly four bytes (the checksum) remain, so the
 tensor count is implicit. Readers check, in order: magic prefix, version
 byte, checksum. Payloads are always float32 regardless of in-memory dtype.
+
+atomic_write, which write_container uses, is also how every other
+artifact of the package (WAVs, sidecars, logs, listings, CSVs) is written.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
 import zlib
-from pathlib import Path
+from contextlib import contextmanager
 
 import numpy as np
 
 from .exceptions import CorruptFileError, FormatVersionMismatchError
 
 MAGIC_LEN = 7
+_PREFIX_LEN = MAGIC_LEN + 4  # magic, then the u32 header length
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temp file beside path; on a clean exit it replaces path.
+
+    If the body raises, the temp file is removed and whatever was at path
+    before stays as it was. A new file gets the mode open() would give it
+    (0o666 less the umask); a rewritten one keeps its permission bits, but
+    not its owner, group or hard links. Nothing is fsynced. A path that
+    exists but is no regular file (/dev/null, a pipe) is written in place:
+    renaming over it would replace the device or pipe with a file.
+    """
+    try:
+        old_mode = os.stat(path).st_mode
+    except OSError:
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+        return
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if old_mode is not None:
+            os.chmod(tmp, stat.S_IMODE(old_mode))
+        with open(fd, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def write_container(path, magic: bytes, header: dict, tensors) -> None:
-    """Serialize header fields and float32 tensors under the given magic."""
+    """Serialize header fields and float32 tensors under the given magic.
+
+    The file is written atomically, streaming each tensor's bytes into the
+    file and the running checksum without joining them into one body.
+    """
     if len(magic) != MAGIC_LEN:
         raise ValueError(f"magic must be {MAGIC_LEN} bytes, got {len(magic)}")
     header_text = "".join(f"{k}={v}\n" for k, v in header.items())
     header_bytes = header_text.encode("utf-8")
-    parts = [magic, struct.pack("<I", len(header_bytes)), header_bytes]
+    with atomic_write(path) as fh:
+        crc = 0
+        for part in _container_parts(magic, header_bytes, tensors):
+            crc = zlib.crc32(part, crc)
+            fh.write(part)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+
+
+def _container_parts(magic: bytes, header_bytes: bytes, tensors):
+    yield magic + struct.pack("<I", len(header_bytes)) + header_bytes
     for tensor in tensors:
         arr = np.ascontiguousarray(tensor, dtype="<f4")
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    body = b"".join(parts)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + struct.pack("<I", crc))
+        yield struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+        yield arr.reshape(-1).view(np.uint8)
 
 
 def read_container(path, magic: bytes) -> tuple[dict, list]:
     """Read back (header dict, tensor list); tensors come out float32.
 
+    The file is read once into one byte buffer, placed so that every
+    payload starts on a 4-byte boundary; the tensors are writable,
+    C-contiguous views of that buffer, which they keep alive.
+
     Raises:
         CorruptFileError: wrong magic prefix, bad checksum, or truncation.
         FormatVersionMismatchError: right family, unknown version byte.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < MAGIC_LEN or raw[: MAGIC_LEN - 1] != magic[: MAGIC_LEN - 1]:
+    raw = _read_aligned(path)
+    if len(raw) < MAGIC_LEN or raw[: MAGIC_LEN - 1].tobytes() != magic[: MAGIC_LEN - 1]:
         raise CorruptFileError(f"{path}: magic bytes do not match")
     if raw[MAGIC_LEN - 1] != magic[MAGIC_LEN - 1]:
         raise FormatVersionMismatchError(
@@ -60,18 +116,21 @@ def read_container(path, magic: bytes) -> tuple[dict, list]:
         )
     if len(raw) < MAGIC_LEN + 8:
         raise CorruptFileError(f"{path}: file truncated")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
+    end = len(raw) - 4
+    (stored_crc,) = struct.unpack_from("<I", raw, end)
+    if zlib.crc32(raw[:end]) & 0xFFFFFFFF != stored_crc:
         raise CorruptFileError(f"{path}: checksum mismatch")
 
-    pos = MAGIC_LEN
-    (header_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    end = len(raw) - 4
+    (header_len,) = struct.unpack_from("<I", raw, MAGIC_LEN)
+    pos = _PREFIX_LEN
     if pos + header_len > end:
         raise CorruptFileError(f"{path}: header overruns file")
+    try:
+        header_text = raw[pos : pos + header_len].tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: header is not UTF-8") from exc
     header = {}
-    for line in raw[pos : pos + header_len].decode("utf-8").splitlines():
+    for line in header_text.splitlines():
         if line:
             key, _, value = line.partition("=")
             header[key] = value
@@ -87,11 +146,29 @@ def read_container(path, magic: bytes) -> tuple[dict, list]:
             raise CorruptFileError(f"{path}: tensor shape overruns file")
         shape = struct.unpack_from(f"<{rank}I", raw, pos)
         pos += 4 * rank
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        nbytes = 4 * count
+        nbytes = 4 * math.prod(shape)
         if pos + nbytes > end:
             raise CorruptFileError(f"{path}: tensor payload overruns file")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
-        tensors.append(arr.reshape(shape).copy())
+        tensors.append(raw[pos : pos + nbytes].view("<f4").reshape(shape))
         pos += nbytes
     return header, tensors
+
+
+def _read_aligned(path) -> np.ndarray:
+    """The file's bytes in a uint8 array placed so payloads are 4-aligned.
+
+    Payloads start at _PREFIX_LEN + header_len + 4k, so the array starts
+    -(_PREFIX_LEN + header_len) % 4 bytes into a fresh (16-aligned)
+    allocation. The header length comes from the file itself; a file too
+    short to hold one keeps offset 0 and fails the caller's size checks.
+    """
+    with open(path, "rb") as fh:
+        prefix = fh.read(_PREFIX_LEN)
+        shift = 0
+        if len(prefix) == _PREFIX_LEN:
+            (header_len,) = struct.unpack_from("<I", prefix, MAGIC_LEN)
+            shift = -(_PREFIX_LEN + header_len) % 4
+        raw = np.empty(shift + os.fstat(fh.fileno()).st_size, dtype=np.uint8)[shift:]
+        fh.seek(0)
+        filled = fh.readinto(raw)
+    return raw[:filled]

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, resample, window
+from .audio import AudioBuffer, frame_view, resample
 from .exceptions import TooShortError
 
 
@@ -124,12 +124,22 @@ def _spectral_tables(sample_rate: int, frame_size: int, n_mels: int, n_mfcc: int
 
 
 def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Per-frame feature matrix (N, per_frame_count): MFCCs, centroid, RMS."""
+    """Per-frame feature matrix (N, per_frame_count): MFCCs, centroid, RMS.
+
+    frames may be any (N, frame_size) array, a strided view included; it
+    is converted to float64 (one copy, none for float64) and not modified.
+    """
     hann, bank, bin_freqs, dct = _spectral_tables(
         config.sample_rate, config.frame_size, config.n_mels, config.n_mfcc
     )
     frames = np.asarray(frames, dtype=np.float64)
-    spectra = np.abs(np.fft.rfft(frames * hann, axis=1))
+    # one work buffer: the squares for the RMS, then the Hann-windowed frames
+    work = np.empty_like(frames)
+    if config.include_rms:
+        # np.mean's own steps: add.reduce, then divide by the count
+        squares = np.multiply(frames, frames, out=work)
+        rms = np.sqrt(np.add.reduce(squares, axis=1) / frames.shape[1])
+    spectra = np.abs(np.fft.rfft(np.multiply(frames, hann, out=work), axis=1))
     log_mel = np.log(spectra @ bank.T + 1e-10)
     mfcc = log_mel @ dct.T
 
@@ -142,7 +152,7 @@ def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
         )
         columns.append(centroid[:, None])
     if config.include_rms:
-        columns.append(np.sqrt(np.mean(frames**2, axis=1))[:, None])
+        columns.append(rms[:, None])
     return np.concatenate(columns, axis=1)
 
 
@@ -154,8 +164,8 @@ def extract_thumbnail(buffer: AudioBuffer, config: FeatureConfig) -> Thumbnail:
             f"need at least {config.frame_size} samples at {config.sample_rate} Hz, "
             f"got {len(buffer)}"
         )
-    ws = window(buffer, config.frame_size, config.hop)
-    feats = frame_features(ws.frames, config)
+    frames = frame_view(buffer.samples, config.frame_size, config.hop)
+    feats = frame_features(frames, config)
     # anchor on the first frame so constant features get exactly zero spread
     centered = feats - feats[0]
     offsets = centered.mean(axis=0)

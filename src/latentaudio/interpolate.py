@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, truncate_pair, window
+from .container import atomic_write
 from .exceptions import (
     BadStepError,
     CurveLengthMismatchError,
@@ -302,13 +303,14 @@ def extended_interpolate(
 def export_latents(path: LatentPath, file) -> None:
     """Write one CSV row per window: index, mu entries, logvar entries.
 
-    Values are float32 shortest-round-trip decimals; an empty (0, M)
-    path writes just the header.
+    Values are float32 printed to 9 significant digits, which parse back
+    to the same float32; an empty (0, M) path writes just the header. A
+    file path is written atomically.
     """
     if hasattr(file, "write"):
         _write_latents(path, file)
     else:
-        with open(file, "w", encoding="utf-8") as fh:
+        with atomic_write(file, "w", encoding="utf-8") as fh:
             _write_latents(path, fh)
 
 
@@ -316,7 +318,9 @@ def _write_latents(path: LatentPath, fh) -> None:
     m = path.latent_dim
     columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
     fh.write(",".join(columns) + "\n")
-    mus, lvs = path.mu.astype(np.float32), path.logvar.astype(np.float32)
-    for idx, (mu, lv) in enumerate(zip(mus, lvs)):
-        fields = [str(idx)] + [str(v) for v in mu] + [str(v) for v in lv]
-        fh.write(",".join(fields) + "\n")
+    row_format = "%d" + ",%.9g" * (2 * m) + "\n"
+    rows = np.concatenate(
+        [path.mu.astype(np.float32), path.logvar.astype(np.float32)], axis=1
+    )
+    for idx, values in enumerate(rows.tolist()):
+        fh.write(row_format % (idx, *values))

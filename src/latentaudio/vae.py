@@ -34,8 +34,20 @@ _ADAM_EPS = 1e-8
 _ADAM_BLOCK = 16384  # two float64 scratch blocks of this size stay in L2
 
 
-def _leaky(pre: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0, pre, pre.dtype.type(_LEAKY_SLOPE) * pre)
+def _leaky(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Leaky ReLU as max(x, slope*x); out=pre computes it in place.
+
+    For 0 < slope < 1 this equals where(x > 0, x, slope*x) bit for bit,
+    ±0.0, ±inf, NaN and subnormals included.
+    """
+    return np.maximum(pre, pre * pre.dtype.type(_LEAKY_SLOPE), out=out)
+
+
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h @ w + b with the bias added into the fresh matmul result."""
+    out = h @ w
+    out += b
+    return out
 
 
 def _leaky_grad(pre: np.ndarray) -> np.ndarray:
@@ -168,10 +180,9 @@ def encode_frames(model: VaeModel, frames: np.ndarray):
             f"expected (B, {model.hyper.window_size}) frames, got {h.shape}"
         )
     for w, b in model.encoder_layers:
-        h = _leaky(h @ w + b)
-    return h @ model.mu_head[0] + model.mu_head[1], (
-        h @ model.logvar_head[0] + model.logvar_head[1]
-    )
+        h = _affine(h, w, b)
+        _leaky(h, out=h)
+    return _affine(h, *model.mu_head), _affine(h, *model.logvar_head)
 
 
 def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
@@ -182,9 +193,10 @@ def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
             f"expected (B, {model.hyper.latent_dim}) latents, got {h.shape}"
         )
     for w, b in model.decoder_layers[:-1]:
-        h = _leaky(h @ w + b)
-    w, b = model.decoder_layers[-1]
-    return np.tanh(h @ w + b)
+        h = _affine(h, w, b)
+        _leaky(h, out=h)
+    h = _affine(h, *model.decoder_layers[-1])
+    return np.tanh(h, out=h)
 
 
 def encoder_forward(model: VaeModel, x: np.ndarray) -> LatentStats:
@@ -239,22 +251,22 @@ def _forward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray):
     enc_pre = []
     h = frames
     for w, b in model.encoder_layers:
-        pre = h @ w + b
+        pre = _affine(h, w, b)
         enc_pre.append((h, pre))
         h = _leaky(pre)
-    mu = h @ model.mu_head[0] + model.mu_head[1]
-    logvar = h @ model.logvar_head[0] + model.logvar_head[1]
+    mu = _affine(h, *model.mu_head)
+    logvar = _affine(h, *model.logvar_head)
     sigma = np.exp(logvar / 2)
     z = mu + sigma * eps
 
     dec_pre = []
     d = z
     for w, b in model.decoder_layers[:-1]:
-        pre = d @ w + b
+        pre = _affine(d, w, b)
         dec_pre.append((d, pre))
         d = _leaky(pre)
-    w_out, b_out = model.decoder_layers[-1]
-    x_hat = np.tanh(d @ w_out + b_out)
+    x_hat = _affine(d, *model.decoder_layers[-1])
+    np.tanh(x_hat, out=x_hat)
     return {
         "enc_pre": enc_pre, "head_in": h, "mu": mu, "logvar": logvar,
         "sigma": sigma, "z": z, "dec_pre": dec_pre, "dec_in": d, "x_hat": x_hat,
@@ -494,10 +506,16 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> VaeModel:
-    """Rebuild a float32 inference model from stored tensors."""
+    """Rebuild a float32 inference model from stored tensors.
+
+    float32 tensors are used as they are, not copied: the model's weights
+    are ckpt.params, which after load_checkpoint are views of the one
+    buffer the file was read into. Writing to either writes to both, and
+    the model keeps that whole buffer alive, the Adam moments included.
+    """
     hyper = ckpt.hyper
     enc_pairs, _, dec_pairs = _layer_dims(hyper)
-    tensors = iter(np.array(p, dtype=np.float32) for p in ckpt.params)
+    tensors = iter(np.asarray(p, dtype=np.float32) for p in ckpt.params)
 
     def take() -> list:
         return [next(tensors), next(tensors)]

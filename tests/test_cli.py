@@ -6,7 +6,9 @@ deliberately tiny model keep the module fast.
 """
 
 import math
+import os
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from latentaudio import (
     resample,
     save_wav,
 )
+from latentaudio import audio, cli, container, interpolate
 from latentaudio.cli import BenchReport, main, run_bench
 
 RATE = 8000
@@ -361,3 +364,81 @@ class TestExportLatents:
         assert len(rows) == len(path)
         got_mu0 = np.array([np.float32(r.split(",")[1]) for r in rows])
         assert np.array_equal(got_mu0, path.means()[:, 0].astype(np.float32))
+
+
+class _HalfThenFail:
+    """A file whose every write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicArtifacts:
+    """A write that fails midway keeps the previous artifact and leaves no temp file."""
+
+    @pytest.fixture
+    def failing_writes(self, monkeypatch):
+        real = container.atomic_write
+
+        @contextmanager
+        def half_then_fail(path, *args, **kwargs):
+            with real(path, *args, **kwargs) as fh:
+                yield _HalfThenFail(fh)
+
+        def install():
+            for module in (container, audio, interpolate, cli):
+                monkeypatch.setattr(module, "atomic_write", half_then_fail)
+
+        return install
+
+    def _check_unchanged(self, directory, argv, install, capsys):
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        install()
+        assert main(argv) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_train_checkpoint_loss_log_and_sidecar(self, corpus, tmp_path, failing_writes, capsys):
+        argv = ["train", "--dataset-dir", str(corpus), "--out", str(tmp_path / "m.ckpt"),
+                *TRAIN_FLAGS]
+        self._check_unchanged(tmp_path, argv, failing_writes, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "m.ckpt.cfg", "m.ckpt.loss.txt"]
+
+    def test_synth_wav_and_sidecar(self, checkpoint, corpus, tmp_path, failing_writes, capsys):
+        wavs = sorted(corpus.glob("*.wav"))
+        argv = ["synth", "meso", "--checkpoint", str(checkpoint), "--in1", str(wavs[0]),
+                "--in2", str(wavs[1]), "--out", str(tmp_path / "o.wav")]
+        self._check_unchanged(tmp_path, argv, failing_writes, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["o.wav", "o.wav.cfg"]
+
+    def test_latents_csv(self, checkpoint, corpus, tmp_path, failing_writes, capsys):
+        argv = ["export-latents", "--checkpoint", str(checkpoint),
+                "--input", str(sorted(corpus.glob("*.wav"))[0]), "--out", str(tmp_path / "l.csv")]
+        self._check_unchanged(tmp_path, argv, failing_writes, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["l.csv", "l.csv.cfg"]
+
+    def test_clusters_listing(self, som_map, corpus, tmp_path, failing_writes, capsys):
+        argv = ["som", "clusters", "--map", str(som_map), "--dataset-dir", str(corpus),
+                "--out", str(tmp_path / "c.txt")]
+        self._check_unchanged(tmp_path, argv, failing_writes, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["c.txt", "c.txt.cfg"]
+
+    @pytest.mark.filterwarnings("ignore")  # 4 x 1 s corpus sits below the duration band
+    def test_concat_wav(self, som_map, corpus, tmp_path, failing_writes, capsys):
+        main(["som", "clusters", "--map", str(som_map), "--dataset-dir", str(corpus)])
+        unit = capsys.readouterr().out.split(":", 1)[0]
+        argv = ["som", "concat", "--map", str(som_map), "--dataset-dir", str(corpus),
+                "--unit", unit, "--out", str(tmp_path / "j.wav")]
+        self._check_unchanged(tmp_path, argv, failing_writes, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["j.wav", "j.wav.cfg"]
+
+    def test_som_map(self, corpus, tmp_path, failing_writes, capsys):
+        argv = ["som", "build", "--dataset-dir", str(corpus), "--out", str(tmp_path / "m.som"),
+                *SOM_FLAGS]
+        self._check_unchanged(tmp_path, argv, failing_writes, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["m.som", "m.som.cfg"]

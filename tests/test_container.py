@@ -1,8 +1,16 @@
+import os
+import stat
+import struct
+import threading
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latentaudio import CorruptFileError, FormatVersionMismatchError
-from latentaudio.container import read_container, write_container
+from latentaudio.container import atomic_write, read_container, write_container
 
 MAGIC = b"RTEST\x00\x01"
 
@@ -85,3 +93,153 @@ def test_bad_magic_wins_over_bad_checksum(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNKJUNK")
     with pytest.raises(CorruptFileError, match="magic"):
         read_container(path, MAGIC)
+
+
+def _valid_container(tmp_path, header_text="k=v"):
+    path = tmp_path / "valid.bin"
+    write_container(path, MAGIC, {"h": header_text}, _sample_tensors())
+    return path.read_bytes()
+
+
+# hypothesis reuses tmp_path across examples; each example overwrites one file
+_FUZZ = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_any_truncation_is_a_container_error(tmp_path, data):
+    raw = _valid_container(tmp_path)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path / "cut.bin"
+    path.write_bytes(raw[:cut])
+    with pytest.raises((CorruptFileError, FormatVersionMismatchError)):
+        read_container(path, MAGIC)
+
+
+@_FUZZ
+@given(data=st.data(), header_text=st.text(max_size=9))
+def test_any_byte_flip_is_a_container_error(tmp_path, data, header_text):
+    raw = bytearray(_valid_container(tmp_path, header_text))
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    raw[pos] ^= data.draw(st.integers(1, 255))
+    path = tmp_path / "flipped.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises((CorruptFileError, FormatVersionMismatchError)):
+        read_container(path, MAGIC)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        MAGIC + struct.pack("<I", 2) + b"\xff\xfe",  # header not UTF-8
+        MAGIC + struct.pack("<I", 0xFFFFFFFF),  # header longer than the file
+        MAGIC + struct.pack("<I", 0) + struct.pack("<4I", 3, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
+        MAGIC + struct.pack("<I", 0) + struct.pack("<I", 0xFFFFFFFF),  # rank overruns
+        MAGIC + struct.pack("<I", 0) + b"\x01\x00",  # dangling bytes
+    ],
+)
+def test_checksummed_nonsense_is_a_corrupt_file(tmp_path, body):
+    path = tmp_path / "c.bin"
+    path.write_bytes(_with_crc(body))
+    with pytest.raises(CorruptFileError):
+        read_container(path, MAGIC)
+
+
+@pytest.mark.parametrize("header_len", [4, 5, 6, 7])
+def test_tensors_are_aligned_writable_views(tmp_path, header_len):
+    path = tmp_path / "c.bin"
+    # header text "k=" + value + newline, header_len bytes in all
+    write_container(path, MAGIC, {"k": "x" * (header_len - 3)}, _sample_tensors())
+    (stored_len,) = struct.unpack_from("<I", path.read_bytes(), 7)
+    assert stored_len == header_len
+    _, tensors = read_container(path, MAGIC)
+    for got, want in zip(tensors, _sample_tensors()):
+        assert got.flags.writeable and got.flags.c_contiguous and got.flags.aligned
+        assert got.ctypes.data % 4 == 0
+        assert np.array_equal(got, want)
+    tensors[0][0, 0] = 42.0  # a view, but writable
+    assert tensors[0][0, 0] == 42.0
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_atomic_write_keeps_old_file_on_error(tmp_path):
+    path = tmp_path / "artifact.txt"
+    path.write_text("old")
+    with pytest.raises(_Boom):
+        with atomic_write(path, "w") as fh:
+            fh.write("new, half written")
+            raise _Boom
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["artifact.txt"]
+
+
+def test_atomic_write_replaces_on_success(tmp_path):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(b"old")
+    with atomic_write(path) as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
+
+
+def test_atomic_write_uses_the_umask_mode(tmp_path):
+    plain, atomic = tmp_path / "plain", tmp_path / "atomic"
+    plain.write_bytes(b"x")
+    with atomic_write(atomic) as fh:
+        fh.write(b"x")
+    assert os.stat(atomic).st_mode == os.stat(plain).st_mode
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o604], ids=oct)
+def test_atomic_rewrite_keeps_the_targets_mode(tmp_path, mode):
+    path = tmp_path / "private.bin"
+    path.write_bytes(b"old")
+    os.chmod(path, mode)
+    with atomic_write(path) as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    write_container(path, MAGIC, {"k": "v"}, _sample_tensors())
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert os.listdir(tmp_path) == ["private.bin"]
+
+
+def test_atomic_write_writes_through_a_pipe(tmp_path):
+    # renaming over a pipe (or /dev/null) would replace it with a plain file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    with atomic_write(fifo) as fh:
+        fh.write(b"through")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"through"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_failed_container_write_keeps_previous_container(tmp_path):
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {"k": "v"}, _sample_tensors())
+    before = path.read_bytes()
+    # the second tensor cannot be converted, after the first is written
+    with pytest.raises(ValueError):
+        write_container(path, MAGIC, {"k": "w"}, [np.ones(3), "not a tensor"])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.bin"]

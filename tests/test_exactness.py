@@ -1,32 +1,61 @@
 """Kernels against verbatim copies of the straightforward code they replaced.
 
 adam_step and train_som avoid per-call temporaries, the feature
-constants are built once per recipe, and the latent blend works on
-(N, M) arrays instead of tuples of per-window stats. None of that may
-change a single bit: each reference below is the plain numpy code the
-kernel replaced, and results must be np.array_equal, not merely close.
+constants are built once per recipe, the latent blend works on (N, M)
+arrays instead of tuples of per-window stats, inference activations are
+computed in place, checkpoint tensors are views of one read buffer, WAV
+payloads are written without copies, and frame features square into a
+reused buffer. None of that may change a single bit: each reference
+below is the plain numpy code the kernel replaced, and results must be
+np.array_equal (or equal as bytes), not merely close.
 """
+
+import io
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import make_noise
+from helpers import float32_model, make_noise
 from latentaudio import (
     AdamState,
+    AudioBuffer,
+    CorruptFileError,
     FeatureConfig,
+    FormatVersionMismatchError,
     InterpolationCurve,
     LatentPath,
     LatentStats,
     ShapeMismatchError,
     Thumbnail,
+    VaeHyperParams,
     adam_step,
+    export_latents,
     extract_thumbnail,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+    save_wav,
+    train,
     train_som,
+    window,
 )
-from latentaudio.features import _spectral_tables, dct_ii_matrix
+from latentaudio.container import MAGIC_LEN, read_container, write_container
+from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
 from latentaudio.interpolate import _SIGMA_FLOOR, _blend
 from latentaudio.som import _LR_FLOOR_FACTOR, _RADIUS_FLOOR, _quantization_error
-from latentaudio.vae import _ADAM_BETA1, _ADAM_BETA2, _ADAM_BLOCK, _ADAM_EPS
+from latentaudio.vae import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_BLOCK,
+    _ADAM_EPS,
+    _LEAKY_SLOPE,
+    _leaky,
+    decode_frames,
+    encode_frames,
+)
 
 
 def reference_adam_step(params, grads, m_list, v_list, step, learning_rate):
@@ -86,6 +115,120 @@ class ReferencePath:
 
     def sigmas(self):
         return np.array([np.exp(s.logvar / 2) for s in self.stats])
+
+
+def reference_leaky(pre):
+    return np.where(pre > 0, pre, pre.dtype.type(_LEAKY_SLOPE) * pre)
+
+
+def reference_encode_frames(model, frames):
+    h = np.asarray(frames, dtype=model.dtype)
+    for w, b in model.encoder_layers:
+        h = reference_leaky(h @ w + b)
+    return h @ model.mu_head[0] + model.mu_head[1], (
+        h @ model.logvar_head[0] + model.logvar_head[1]
+    )
+
+
+def reference_decode_frames(model, z):
+    h = np.asarray(z, dtype=model.dtype)
+    for w, b in model.decoder_layers[:-1]:
+        h = reference_leaky(h @ w + b)
+    w, b = model.decoder_layers[-1]
+    return np.tanh(h @ w + b)
+
+
+def reference_read_container(path, magic):
+    raw = Path(path).read_bytes()
+    if len(raw) < MAGIC_LEN or raw[: MAGIC_LEN - 1] != magic[: MAGIC_LEN - 1]:
+        raise CorruptFileError(f"{path}: magic bytes do not match")
+    if raw[MAGIC_LEN - 1] != magic[MAGIC_LEN - 1]:
+        raise FormatVersionMismatchError(f"{path}: format version {raw[MAGIC_LEN - 1]}")
+    if len(raw) < MAGIC_LEN + 8:
+        raise CorruptFileError(f"{path}: file truncated")
+    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
+        raise CorruptFileError(f"{path}: checksum mismatch")
+
+    pos = MAGIC_LEN
+    (header_len,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    end = len(raw) - 4
+    if pos + header_len > end:
+        raise CorruptFileError(f"{path}: header overruns file")
+    header = {}
+    for line in raw[pos : pos + header_len].decode("utf-8").splitlines():
+        if line:
+            key, _, value = line.partition("=")
+            header[key] = value
+    pos += header_len
+
+    tensors = []
+    while pos < end:
+        if pos + 4 > end:
+            raise CorruptFileError(f"{path}: dangling bytes after last tensor")
+        (rank,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        if pos + 4 * rank > end:
+            raise CorruptFileError(f"{path}: tensor shape overruns file")
+        shape = struct.unpack_from(f"<{rank}I", raw, pos)
+        pos += 4 * rank
+        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        nbytes = 4 * count
+        if pos + nbytes > end:
+            raise CorruptFileError(f"{path}: tensor payload overruns file")
+        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
+        tensors.append(arr.reshape(shape).copy())
+        pos += nbytes
+    return header, tensors
+
+
+def reference_save_wav(buffer, path, encoding="float32"):
+    if encoding == "float32":
+        tag, bits = 3, 32
+        payload = buffer.samples.astype("<f4").tobytes()
+    else:
+        tag, bits = 1, 16
+        ints = np.clip(np.rint(buffer.samples * 32768.0), -32768, 32767)
+        payload = ints.astype("<i2").tobytes()
+    block_align = bits // 8
+    fmt_chunk = struct.pack(
+        "<HHIIHH", tag, 1, buffer.sample_rate, buffer.sample_rate * block_align,
+        block_align, bits,
+    )
+    pad = b"\x00" if len(payload) & 1 else b""
+    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + len(payload) + len(pad))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
+        fh.write(b"data" + struct.pack("<I", len(payload)) + payload + pad)
+
+
+def reference_frame_features(frames, config):
+    hann, bank, bin_freqs, dct = _spectral_tables(
+        config.sample_rate, config.frame_size, config.n_mels, config.n_mfcc
+    )
+    frames = np.asarray(frames, dtype=np.float64)
+    spectra = np.abs(np.fft.rfft(frames * hann, axis=1))
+    log_mel = np.log(spectra @ bank.T + 1e-10)
+    mfcc = log_mel @ dct.T
+
+    columns = [mfcc]
+    if config.include_centroid:
+        total = spectra.sum(axis=1)
+        centroid = np.divide(
+            spectra @ bin_freqs, total, out=np.zeros_like(total), where=total > 0
+        )
+        columns.append(centroid[:, None])
+    if config.include_rms:
+        columns.append(np.sqrt(np.mean(frames**2, axis=1))[:, None])
+    return np.concatenate(columns, axis=1)
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes()
+    )
 
 
 def reference_tile_path(path, reps):
@@ -208,3 +351,158 @@ class TestBlendMatchesReference:
             LatentPath(np.zeros((3, 8)), np.zeros((3, 9)))
         with pytest.raises(ShapeMismatchError):
             LatentPath(np.zeros(8), np.zeros(8))
+
+
+class TestInferenceMatchesReference:
+    HYPER = VaeHyperParams(window_size=48, latent_dim=12, hidden_sizes=(40, 24))
+
+    def _models(self):
+        return {"float32": float32_model(self.HYPER), "float64": init_model(self.HYPER)}
+
+    @staticmethod
+    def _with_signed_zeros(x):
+        x[0, :] = 0.0
+        x[-1, ::2] = -0.0
+        x[:, 1] = -np.abs(x[:, 1])  # large negative inputs: negative pre-activations
+        return x
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 7, 1719])
+    def test_encode_and_decode_bytes(self, dtype, batch):
+        model = self._models()[dtype]
+        rng = np.random.default_rng(batch)
+        frames = self._with_signed_zeros(
+            rng.uniform(-1.0, 1.0, (batch, self.HYPER.window_size)).astype(model.dtype)
+        )
+        z = self._with_signed_zeros(
+            3.0 * rng.standard_normal((batch, self.HYPER.latent_dim)).astype(model.dtype)
+        )
+        mu, logvar = encode_frames(model, frames)
+        want_mu, want_logvar = reference_encode_frames(model, frames)
+        assert same_bytes(mu, want_mu) and same_bytes(logvar, want_logvar)
+        assert same_bytes(decode_frames(model, z), reference_decode_frames(model, z))
+        assert (frames[0] == 0).all() and np.signbit(frames[-1, ::2]).all()  # inputs untouched
+
+    def test_zero_and_negative_zero_pre_activations(self):
+        model = float32_model(self.HYPER)
+        for w, b in model.encoder_layers + model.decoder_layers:
+            w[:, ::3] = 0.0
+            b[::3] = -0.0
+        frames = np.zeros((5, self.HYPER.window_size), dtype=np.float32)
+        frames[1:] = np.random.default_rng(1).uniform(-1, 1, (4, self.HYPER.window_size))
+        z = np.zeros((5, self.HYPER.latent_dim), dtype=np.float32)
+        z[2:] = -0.0
+        for got, want in zip(encode_frames(model, frames), reference_encode_frames(model, frames)):
+            assert same_bytes(got, want)
+        assert same_bytes(decode_frames(model, z), reference_decode_frames(model, z))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_on_special_values(self, dtype):
+        info = np.finfo(dtype)
+        values = np.array(
+            [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, info.max, -info.max,
+             info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+             3 * info.smallest_subnormal, -100 * info.smallest_subnormal],
+            dtype=dtype,
+        )
+        want = reference_leaky(values)
+        assert same_bytes(_leaky(values), want)
+        in_place = values.copy()
+        assert _leaky(in_place, out=in_place) is in_place
+        assert same_bytes(in_place, want)
+
+
+class TestReaderAndWavWriterMatchReference:
+    MAGIC = b"RTEST\x00\x01"
+
+    @pytest.mark.parametrize("header_len_mod", [0, 1, 2, 3])
+    def test_container_tensors(self, tmp_path, header_len_mod):
+        rng = np.random.default_rng(header_len_mod)
+        tensors = [
+            rng.standard_normal((5, 7)).astype(np.float32),
+            np.float32(2.5),
+            np.zeros((0, 3)),
+            rng.standard_normal(11),
+            np.array([[-0.0, np.inf], [np.nan, 1e-45]], dtype=np.float32),
+        ]
+        path = tmp_path / "c.bin"
+        write_container(path, self.MAGIC, {"k": "v" * header_len_mod}, tensors)
+        header, got = read_container(path, self.MAGIC)
+        want_header, want = reference_read_container(path, self.MAGIC)
+        assert header == want_header
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_bytes(g, w)
+
+    def test_checkpoint_tensors(self, tmp_path):
+        hyper = VaeHyperParams(window_size=32, latent_dim=4, hidden_sizes=(8,),
+                               epochs=2, batch_size=16, sample_rate=8000)
+        ckpt = train([window(make_noise(seconds=0.2, seed=3), 32, 16)], hyper)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        _, want = reference_read_container(path, b"RAVAE\x00\x01")
+        loaded = load_checkpoint(path)
+        got = [*loaded.params, *loaded.adam_m, *loaded.adam_v, loaded.loss_history]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_bytes(g, w)
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1001])
+    def test_wav_bytes(self, tmp_path, encoding, n):
+        rng = np.random.default_rng(n)
+        samples = rng.uniform(-1.3, 1.3, n).astype(np.float32)
+        samples[::5] = -0.0
+        buffers = [AudioBuffer(samples, 8000), AudioBuffer(samples[::-1], 44100)]
+        for buf in buffers:
+            got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+            save_wav(buf, got, encoding)
+            reference_save_wav(buf, want, encoding)
+            assert got.read_bytes() == want.read_bytes()
+
+
+class TestLatentExportRoundTrip:
+    def test_every_field_parses_back_to_its_float32(self):
+        info = np.finfo(np.float32)
+        rng = np.random.default_rng(9)
+        # values across the whole exponent range, with the extremes and signed zero
+        mu = (rng.standard_normal((20, 16)) * 10.0 ** rng.integers(-44, 38, (20, 16)))
+        mu = mu.astype(np.float32)
+        mu[0, :6] = [0.0, -0.0, info.max, -info.max, info.tiny, info.smallest_subnormal]
+        bits = rng.integers(0, 0x7F800000, (20, 16), dtype=np.uint32)  # random finite patterns
+        logvar = bits.view(np.float32) * np.float32(-1) ** np.arange(16, dtype=np.float32)
+        sink = io.StringIO()
+        export_latents(LatentPath(mu, logvar), sink)
+        rows = sink.getvalue().splitlines()[1:]
+        assert len(rows) == 20
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            assert fields[0] == str(i)
+            got = np.array([np.float32(float(v)) for v in fields[1:]], dtype=np.float32)
+            want = np.concatenate([mu[i], logvar[i]])
+            assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+
+
+class TestFrameFeaturesMatchReference:
+    # 300 is not a power of two, so dividing by it differs from scaling by 1/300
+    @pytest.mark.parametrize("size", [256, 300])
+    @pytest.mark.parametrize("centroid, rms", [(True, True), (False, True), (True, False)])
+    def test_strided_and_copied_frames(self, size, centroid, rms):
+        config = FeatureConfig(sample_rate=8000, frame_size=size, hop=100,
+                               include_centroid=centroid, include_rms=rms)
+        samples = make_noise(seconds=0.4, rate=8000, seed=6).samples.copy()
+        samples[:600] = 0.0  # silent frames: zero centroid mass
+        n = (len(samples) - size) // 100 + 1
+        view = np.lib.stride_tricks.sliding_window_view(samples, size)[: n * 100 : 100]
+        want = reference_frame_features(view.copy(), config)
+        assert same_bytes(frame_features(view, config), want)
+        assert same_bytes(frame_features(view.astype(np.float64), config), want)
+        wide = np.lib.stride_tricks.sliding_window_view(samples.astype(np.float64), size)
+        assert same_bytes(frame_features(wide[: n * 100 : 100], config), want)
+
+    def test_input_frames_are_not_modified(self):
+        config = FeatureConfig(sample_rate=8000, frame_size=64, hop=32)
+        frames = np.random.default_rng(2).standard_normal((9, 64))
+        before = frames.copy()
+        frame_features(frames, config)
+        assert same_bytes(frames, before)
