@@ -6,8 +6,9 @@ window to (mu, logvar) through leaky-rectified hidden layers and two
 affine heads; the decoder mirrors the chain and squashes output through
 tanh so samples stay inside (-1, 1).
 
-Training runs in float64 so gradient checks are meaningful; checkpoints
-persist float32, which is also the inference dtype.
+Training, checkpoints and inference are all float32. Only the gradient
+checker runs in float64, on a model it builds for itself, so that finite
+differences are meaningful.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _LEAKY_SLOPE = 0.01
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_ADAM_BLOCK = 16384  # two float64 scratch blocks of this size stay in L2
+_ADAM_BLOCK = 16384  # two scratch blocks of this size stay in L2
 
 
 def _leaky(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -72,6 +73,11 @@ class VaeHyperParams:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        # a numpy float64 here would promote float32 training arithmetic to
+        # float64 (NEP 50), and its numpy 2 repr would not parse back from
+        # a checkpoint header; a Python float does neither
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
         if self.latent_dim < 1 or self.window_size < 1:
             raise ValueError("latent_dim and window_size must be >= 1")
         if self.alpha < 0:
@@ -431,8 +437,8 @@ def adam_step(params: list, grads: list, state: AdamState, learning_rate: float)
 class Checkpoint:
     """Everything needed to resume or reuse a training run.
 
-    Tensors are float32; loss_history rows are per-epoch
-    (mean reconstruction, mean KL).
+    Tensors are float32, the dtype they were trained in; loss_history
+    rows are per-epoch (mean reconstruction, mean KL).
     """
 
     format_version: int
@@ -454,21 +460,25 @@ def _as_window_arrays(dataset) -> list:
 def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     """Optimize a freshly initialized model over the window collection.
 
-    One seeded generator drives initialization, the per-epoch shuffle,
-    and one fresh eps row per window per visit, so identical inputs give
-    byte-identical checkpoints.
+    Frames, parameters, Adam moments, activations and gradients are all
+    float32, the checkpoint dtype, so the trained tensors are stored as
+    they are. One seeded generator drives initialization, the per-epoch
+    shuffle, and one fresh eps row per window per visit (drawn in float64,
+    then rounded), so identical inputs give byte-identical checkpoints.
     """
     arrays = _as_window_arrays(dataset)
     if not arrays or sum(len(a) for a in arrays) == 0:
         raise EmptyDatasetError("training needs at least one window")
-    frames = np.concatenate(arrays, axis=0).astype(np.float64)
-    if frames.shape[1] != hyper.window_size:
-        raise ShapeMismatchError(
-            f"dataset windows are {frames.shape[1]} wide, hyper says {hyper.window_size}"
-        )
+    for a in arrays:
+        if a.ndim != 2 or a.shape[1] != hyper.window_size:
+            raise ShapeMismatchError(
+                f"dataset windows are {a.shape[-1]} wide (array shape {a.shape}), "
+                f"hyper says {hyper.window_size}"
+            )
+    frames = np.concatenate(arrays, axis=0, dtype=np.float32)
 
     rng = np.random.default_rng(hyper.seed)
-    model = init_model(hyper, rng=rng)
+    model = init_model(hyper, rng=rng, dtype=np.float32)
     params = model.parameters()
     state = AdamState.zeros_like(params)
     n = len(frames)
@@ -481,7 +491,7 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
         for start in range(0, n, hyper.batch_size):
             batch_idx = order[start : start + hyper.batch_size]
             batch = frames[batch_idx]
-            eps = rng.standard_normal((len(batch), hyper.latent_dim))
+            eps = rng.standard_normal((len(batch), hyper.latent_dim)).astype(np.float32)
             grads, (total, recon, kl) = _backward_batch(
                 model, batch, eps, hyper.alpha
             )
@@ -497,9 +507,9 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     return Checkpoint(
         format_version=1,
         hyper=hyper,
-        params=[p.astype(np.float32) for p in params],
-        adam_m=[m.astype(np.float32) for m in state.m],
-        adam_v=[v.astype(np.float32) for v in state.v],
+        params=params,
+        adam_m=state.m,
+        adam_v=state.v,
         adam_step_count=state.step,
         loss_history=history.astype(np.float32),
     )

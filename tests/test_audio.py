@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -175,6 +175,62 @@ class TestWavCodec:
     def test_unknown_encoding(self, tmp_path):
         with pytest.raises(ValueError):
             save_wav(make_sine(seconds=0.01), tmp_path / "x.wav", encoding="pcm24")
+
+
+def _fuzz_seeds():
+    """A valid file of each accepted layout, built from fixed samples."""
+    pcm = struct.pack("<6h", 0, 1, -2, 32767, -32768, 300)  # 3 stereo frames
+    # near the largest finite float32, one flipped bit often makes inf or NaN
+    big = np.finfo(np.float32).max
+    floats = np.array([0.5, -0.25, 1.0, 0.0, -1.0, *[big, -big] * 6], dtype="<f4").tobytes()
+    odd_chunk = b"LIST" + struct.pack("<I", 3) + b"abc\x00"  # padded to even
+    return {
+        "pcm16": _wav_bytes(1, 2, 8000, 16, pcm),
+        "float32": _wav_bytes(3, 1, 44100, 32, floats, extra_chunk=odd_chunk),
+        "extensible-pcm16": _wav_bytes(0xFFFE, 1, 8000, 16, pcm, fmt_ext=_extension(1, 16)),
+    }
+
+
+_WAV_SEEDS = _fuzz_seeds()
+# hypothesis reuses tmp_path across examples; each example overwrites one file
+_FUZZ = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _loads_finite_or_fails_cleanly(path):
+    try:
+        buf = load_wav(path)
+    except (MalformedWavError, UnsupportedEncodingError):
+        return
+    assert buf.samples.dtype == np.float32 and buf.samples.ndim == 1
+    assert np.isfinite(buf.samples).all()
+    assert buf.sample_rate > 0
+
+
+class TestWavFuzz:
+    @pytest.mark.parametrize("kind", sorted(_WAV_SEEDS))
+    def test_seeds_load(self, tmp_path, kind):
+        path = tmp_path / "seed.wav"
+        path.write_bytes(_WAV_SEEDS[kind])
+        assert len(load_wav(path)) > 0
+
+    @_FUZZ
+    @given(data=st.data(), kind=st.sampled_from(sorted(_WAV_SEEDS)))
+    def test_any_truncation_loads_or_is_a_wav_error(self, tmp_path, data, kind):
+        raw = _WAV_SEEDS[kind]
+        path = tmp_path / "cut.wav"
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        _loads_finite_or_fails_cleanly(path)
+
+    @_FUZZ
+    @given(data=st.data(), kind=st.sampled_from(sorted(_WAV_SEEDS)))
+    def test_any_byte_flip_loads_or_is_a_wav_error(self, tmp_path, data, kind):
+        raw = bytearray(_WAV_SEEDS[kind])
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        path = tmp_path / "flipped.wav"
+        path.write_bytes(bytes(raw))
+        _loads_finite_or_fails_cleanly(path)
 
 
 class TestPeakNormalize:

@@ -8,6 +8,10 @@ payloads are written without copies, and frame features square into a
 reused buffer. None of that may change a single bit: each reference
 below is the plain numpy code the kernel replaced, and results must be
 np.array_equal (or equal as bytes), not merely close.
+
+Training is the one kernel whose numbers were meant to change: it moved
+from float64 to float32. Its reference is the float64 training loop it
+replaced, and the float32 run must stay within a stated tolerance of it.
 """
 
 import io
@@ -52,6 +56,7 @@ from latentaudio.vae import (
     _ADAM_BLOCK,
     _ADAM_EPS,
     _LEAKY_SLOPE,
+    _backward_batch,
     _leaky,
     decode_frames,
     encode_frames,
@@ -69,6 +74,30 @@ def reference_adam_step(params, grads, m_list, v_list, step, learning_rate):
         m_hat = m / correction1
         v_hat = v / correction2
         p -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+
+
+def reference_train_float64(frames, hyper):
+    """The float64 training loop float32 training replaced: (params, history)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    rng = np.random.default_rng(hyper.seed)
+    model = init_model(hyper, rng=rng)
+    params = model.parameters()
+    state = AdamState.zeros_like(params)
+    n = len(frames)
+    history = np.zeros((hyper.epochs, 2), dtype=np.float64)
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(n)
+        recon_sum = 0.0
+        kl_sum = 0.0
+        for start in range(0, n, hyper.batch_size):
+            batch = frames[order[start : start + hyper.batch_size]]
+            eps = rng.standard_normal((len(batch), hyper.latent_dim))
+            grads, (_, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha)
+            adam_step(params, grads, state, hyper.learning_rate)
+            recon_sum += recon * len(batch)
+            kl_sum += kl * len(batch)
+        history[epoch] = (recon_sum / n, kl_sum / n)
+    return params, history
 
 
 def reference_train_som(data, width, height, epochs, lr0, radius0, seed):
@@ -275,6 +304,25 @@ class TestAdamMatchesReference:
         state = AdamState(m=[np.zeros((4, 3))], v=[np.zeros((4, 3))])
         with pytest.raises(ValueError):
             adam_step(params, [np.ones((4, 3))], state, 1e-3)
+
+
+class TestFloat32TrainingMatchesFloat64Reference:
+    @pytest.mark.parametrize("learning_rate", [1e-4, 1e-3])
+    def test_loss_history_and_final_parameters(self, learning_rate):
+        hyper = VaeHyperParams(
+            window_size=64, latent_dim=8, hidden_sizes=(16,), epochs=30, batch_size=16,
+            learning_rate=learning_rate, sample_rate=8000, seed=2,
+        )
+        # 74 windows: the last batch of every epoch is partial
+        windows = window(make_noise(seconds=0.3, rate=8000, seed=3), 64, 32)
+        ckpt = train(windows, hyper)
+        want_params, want_history = reference_train_float64(windows.frames, hyper)
+        assert ckpt.adam_step_count == hyper.epochs * 5
+        rel = np.abs(ckpt.loss_history - want_history) / np.abs(want_history)
+        assert rel.max() < 1e-4
+        for got, want in zip(ckpt.params, want_params):
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            assert np.abs(got - want).max() < 1e-4
 
 
 class TestSomMatchesReference:

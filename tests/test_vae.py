@@ -29,6 +29,8 @@ from latentaudio import (
     train,
     window,
 )
+from latentaudio import vae as vae_module
+from latentaudio.vae import _backward_batch, n_param_tensors
 
 ADAM_FIRST_STEP = 1e-4 * (1.0 / (1.0 + 1e-8))  # hand-computed: m_hat = v_hat = 1
 
@@ -256,6 +258,12 @@ class TestTrain:
         with pytest.raises(ShapeMismatchError):
             train(ws, small_hyper)
 
+    def test_mixed_window_widths_name_the_bad_width(self, small_hyper):
+        good = _sine_windows(size=small_hyper.window_size, hop=32)
+        bad = _sine_windows(size=48, hop=24)
+        with pytest.raises(ShapeMismatchError, match="48 wide"):
+            train([good, bad], small_hyper)
+
     def test_deterministic_loss_history(self, small_hyper):
         ws = _sine_windows()
         h1 = train(ws, small_hyper).loss_history
@@ -295,6 +303,52 @@ class TestTrain:
                 train(_sine_windows(), hyper)
 
 
+class TestFloat32Training:
+    """Training is float32 throughout; only the gradient checker is float64."""
+
+    def test_numpy_scalar_hyperparameters_do_not_promote(self, small_hyper):
+        # a numpy float64 alpha would turn float32 gradients float64 (NEP 50)
+        hyper = VaeHyperParams(
+            window_size=64, latent_dim=8, hidden_sizes=(16,), epochs=2, batch_size=8,
+            alpha=np.float64(1e-4), learning_rate=np.float64(1e-4), sample_rate=8000, seed=5,
+        )
+        assert type(hyper.alpha) is float and type(hyper.learning_rate) is float
+        assert hyper == small_hyper
+        model = init_model(hyper, dtype=np.float32)
+        x = np.zeros((1, 64), dtype=np.float32)
+        grads, _ = _backward_batch(model, x, np.ones((1, 8), dtype=np.float32), hyper.alpha)
+        assert all(g.dtype == np.float32 for g in grads)
+
+    def test_trained_tensors_are_float32(self, small_hyper, monkeypatch):
+        seen = set()
+
+        def spy(model, frames, eps, alpha):
+            grads, losses = _backward_batch(model, frames, eps, alpha)
+            seen.update(a.dtype for a in (frames, eps, *grads))
+            return grads, losses
+
+        monkeypatch.setattr(vae_module, "_backward_batch", spy)
+        ckpt = train(_sine_windows(), small_hyper)
+        assert seen == {np.dtype(np.float32)}
+        for tensors in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
+            assert len(tensors) == n_param_tensors(small_hyper)
+            assert all(t.dtype == np.float32 and t.flags.c_contiguous for t in tensors)
+        assert ckpt.loss_history.dtype == np.float32
+
+    def test_gradient_check_builds_a_float64_model(self, tiny_hyper, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            model = init_model(*args, **kwargs)
+            built.append(model.dtype)
+            return model
+
+        monkeypatch.setattr(vae_module, "init_model", spy)
+        report = gradient_check(tiny_hyper, tolerance=1e-3, n_samples=120, seed=3)
+        assert built == [np.float64]
+        assert report.passed
+
+
 class TestCheckpointPersistence:
     def _trained(self, hyper):
         return train(_sine_windows(size=hyper.window_size, hop=hyper.window_size // 2), hyper)
@@ -313,6 +367,16 @@ class TestCheckpointPersistence:
             assert theirs.dtype == np.float32
             assert np.array_equal(mine, theirs)
         assert np.array_equal(back.loss_history, ckpt.loss_history)
+
+    def test_numpy_scalar_hyperparameters_round_trip(self, tmp_path):
+        # the header stores repr(alpha); numpy 2 spells a float64 "np.float64(...)"
+        hyper = VaeHyperParams(
+            window_size=8, latent_dim=2, hidden_sizes=(4,), epochs=1, batch_size=4,
+            alpha=np.float64(1e-4), learning_rate=np.float32(1e-3), sample_rate=8000,
+        )
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._trained(hyper), path)
+        assert load_checkpoint(path).hyper == hyper
 
     def test_save_load_save_is_byte_identical(self, small_hyper, tmp_path):
         ckpt = self._trained(small_hyper)
