@@ -212,7 +212,7 @@ def _cmd_train(args, cfg: dict) -> int:
     )
     sets = []
     for path in _sorted_wavs(cfg["dataset_dir"]):
-        buf = peak_normalize(resample(load_wav(path), hyper.sample_rate))
+        buf = _load_input(path, hyper.sample_rate, True)
         sets.append(window(buf, hyper.window_size, cfg["hop"]))
     ckpt = train(sets, hyper)
     save_checkpoint(ckpt, cfg["out"])
@@ -319,8 +319,9 @@ def _cmd_som_build(args, cfg: dict) -> int:
     config = _feature_config(cfg)
     thumbs = _corpus_thumbnails(cfg["dataset_dir"], config)
     side = default_grid_side(len(thumbs))
-    cfg["width"] = cfg["width"] or side
-    cfg["height"] = cfg["height"] or side
+    for key in ("width", "height"):
+        if cfg[key] is None:
+            cfg[key] = side
     if cfg["som_radius"] is None:
         cfg["som_radius"] = max(max(cfg["width"], cfg["height"]) / 2.0, 1.0)
     som = train_som(
@@ -476,7 +477,7 @@ EXPORT_FIELDS = (
 def _cmd_export_latents(args, cfg: dict) -> int:
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
     buf = _load_input(cfg["input"], model.hyper.sample_rate, cfg["normalize"])
-    hop = cfg["hop"] or model.hyper.window_size
+    hop = model.hyper.window_size if cfg["hop"] is None else cfg["hop"]
     path = encode_audio(model, buf, hop)
     export_latents(path, cfg["out"])
     _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)

@@ -167,12 +167,13 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
 
 
 def _crossfade_join(frames: np.ndarray, k: int) -> np.ndarray:
-    """Concatenate decoded frames; k > 0 overlaps seams with linear ramps."""
+    """Concatenate decoded frames; k > 0 overlaps seams with linear ramps.
+
+    k must lie in [0, width); decode_path checks it before decoding.
+    """
     n, width = frames.shape
     if k == 0 or n < 2:
         return frames.reshape(-1)
-    if not 0 < k < width:
-        raise ValueError(f"crossfade must be in [0, {width}), got {k}")
     ramp = (np.arange(k, dtype=frames.dtype) + 1) / (k + 1)
     out = np.empty(n * width - (n - 1) * k, dtype=frames.dtype)
     out[:width] = frames[0]
@@ -206,6 +207,9 @@ def decode_path(
         )
     if np.any(stds < 0):
         raise ValueError("stds must be entrywise >= 0")
+    width = model.hyper.window_size
+    if not 0 <= crossfade < width:
+        raise ValueError(f"crossfade must be in [0, {width}), got {crossfade}")
 
     if mode.kind == "mean_only":
         z = means

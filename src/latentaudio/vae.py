@@ -205,51 +205,11 @@ def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
     return np.tanh(h, out=h)
 
 
-def encoder_forward(model: VaeModel, x: np.ndarray) -> LatentStats:
-    """Encode one window into its posterior statistics."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != model.hyper.window_size:
-        raise ShapeMismatchError(
-            f"expected a {model.hyper.window_size}-sample window, got shape {x.shape}"
-        )
-    mu, logvar = encode_frames(model, x[None, :])
-    return LatentStats(mu[0], logvar[0])
-
-
-def decoder_forward(model: VaeModel, z: np.ndarray) -> np.ndarray:
-    """Decode one latent vector into a window of samples in (-1, 1)."""
-    z = np.asarray(z)
-    if z.ndim != 1 or z.shape[0] != model.hyper.latent_dim:
-        raise ShapeMismatchError(
-            f"expected a {model.hyper.latent_dim}-dim latent, got shape {z.shape}"
-        )
-    return decode_frames(model, z[None, :])[0]
-
-
-def reparameterize(stats: LatentStats, eps) -> np.ndarray:
-    """z = mu + exp(logvar/2) * eps; eps = 0 returns mu exactly."""
-    eps = np.asarray(eps, dtype=stats.mu.dtype)
-    if eps.shape != stats.mu.shape:
-        raise ShapeMismatchError(f"eps shape {eps.shape} != mu shape {stats.mu.shape}")
-    return stats.mu + np.exp(stats.logvar / 2) * eps
-
-
 def kl_divergence(stats: LatentStats) -> float:
     """Closed-form KL(N(mu, sigma^2 I) || N(0, I)), summed over dims."""
     mu = stats.mu.astype(np.float64)
     logvar = stats.logvar.astype(np.float64)
     return float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
-
-
-def elbo_loss(x, x_hat, stats: LatentStats, alpha: float):
-    """Return (total, recon, kl): per-window MSE plus alpha * KL sum."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ShapeMismatchError(f"x shape {x.shape} != x_hat shape {x_hat.shape}")
-    recon = float(np.mean((x - x_hat) ** 2))
-    kl = kl_divergence(stats)
-    return recon + alpha * kl, recon, kl
 
 
 def _forward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray):
@@ -342,23 +302,6 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     return flat, (total, recon, kl)
 
 
-def backward(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> list:
-    """Gradients of the single-window loss w.r.t. every parameter.
-
-    eps is held fixed, so the stochastic draw is differentiated through
-    the deterministic reparameterized path. Gradient order matches
-    VaeModel.parameters().
-    """
-    x = np.asarray(x, dtype=model.dtype)
-    eps = np.asarray(eps, dtype=model.dtype)
-    if x.ndim != 1 or x.shape[0] != model.hyper.window_size:
-        raise ShapeMismatchError(f"bad window shape {x.shape}")
-    if eps.shape != (model.hyper.latent_dim,):
-        raise ShapeMismatchError(f"bad eps shape {eps.shape}")
-    grads, _ = _backward_batch(model, x[None, :], eps[None, :], model.hyper.alpha)
-    return grads
-
-
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
@@ -441,7 +384,6 @@ class Checkpoint:
     rows are per-epoch (mean reconstruction, mean KL).
     """
 
-    format_version: int
     hyper: VaeHyperParams
     params: list
     adam_m: list
@@ -505,7 +447,6 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
         history[epoch] = (recon_sum / n, kl_sum / n)
 
     return Checkpoint(
-        format_version=1,
         hyper=hyper,
         params=params,
         adam_m=state.m,
@@ -588,7 +529,6 @@ def load_checkpoint(path) -> Checkpoint:
     if loss_history.ndim != 2 or loss_history.shape[1] != 2:
         raise CorruptFileError(f"{path}: loss history has shape {loss_history.shape}")
     return Checkpoint(
-        format_version=CHECKPOINT_MAGIC[-1],
         hyper=hyper,
         params=tensors[:n_params],
         adam_m=tensors[n_params : 2 * n_params],
@@ -638,8 +578,10 @@ def gradient_check(
     if eps is None:
         eps = rng.standard_normal(hyper.latent_dim)
     eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != (hyper.latent_dim,):
+        raise ShapeMismatchError(f"eps shape {eps.shape} != ({hyper.latent_dim},)")
 
-    analytic = backward(model, x, eps)
+    analytic, _ = _backward_batch(model, x[None, :], eps[None, :], hyper.alpha)
     params = model.parameters()
     # seed one probe per tensor so biases are always covered, then fill randomly
     coords = [(t, 0) for t in range(len(params))]

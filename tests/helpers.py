@@ -2,14 +2,7 @@
 
 import numpy as np
 
-from latentaudio import (
-    AudioBuffer,
-    Checkpoint,
-    VaeHyperParams,
-    init_model,
-    model_from_checkpoint,
-    save_wav,
-)
+from latentaudio import AudioBuffer, VaeHyperParams, init_model, save_wav
 
 
 def make_sine(freq=440.0, seconds=1.0, rate=44100, amplitude=0.8, phase=0.0):
@@ -28,18 +21,7 @@ def make_noise(seconds=1.0, rate=8000, amplitude=0.5, seed=0):
 
 def float32_model(hyper: VaeHyperParams):
     """An untrained model in the float32 inference dtype."""
-    params64 = init_model(hyper).parameters()
-    params = [p.astype(np.float32) for p in params64]
-    ckpt = Checkpoint(
-        format_version=1,
-        hyper=hyper,
-        params=params,
-        adam_m=[np.zeros_like(p) for p in params],
-        adam_v=[np.zeros_like(p) for p in params],
-        adam_step_count=0,
-        loss_history=np.zeros((0, 2), dtype=np.float32),
-    )
-    return model_from_checkpoint(ckpt)
+    return init_model(hyper, dtype=np.float32)
 
 
 def write_corpus(directory, rate=8000, n_files=4, seconds=1.0):

@@ -203,11 +203,26 @@ class TestSynth:
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("hop", ["0", "-5"])
-    def test_non_positive_hop_is_usage_error(self, checkpoint, corpus, tmp_path, capsys, hop):
-        code = _synth("extend", checkpoint, corpus, tmp_path / "x.wav", "--hop", hop)
+    @pytest.mark.parametrize("command, hop", [
+        pytest.param("synth extend", "0", id="0"),
+        pytest.param("synth extend", "-5", id="-5"),
+        # an explicit 0 is a value, not "unset": it must not fall back to the window size
+        pytest.param("export-latents", "0", id="export-latents-0"),
+        pytest.param("export-latents", "-1", id="export-latents--1"),
+    ])
+    def test_non_positive_hop_is_usage_error(
+        self, checkpoint, corpus, tmp_path, capsys, command, hop
+    ):
+        out = tmp_path / "x.out"
+        if command == "synth extend":
+            code = _synth("extend", checkpoint, corpus, out, "--hop", hop)
+        else:
+            code = main(["export-latents", "--checkpoint", str(checkpoint),
+                         "--input", str(sorted(corpus.glob("*.wav"))[0]),
+                         "--out", str(out), "--hop", hop])
         assert code == 2
         assert f"hop must be >= 1, got {hop}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.out.cfg").exists()
 
     def test_bad_mode_rejected(self, checkpoint, corpus, tmp_path, capsys):
         code = _synth("step", checkpoint, corpus, tmp_path / "x.wav", "--mode", "zig")
@@ -266,6 +281,16 @@ class TestSomCommands:
         assert sidecar["command"] == "som build"
         assert sidecar["width"] == "2"
         assert float(sidecar["som_radius"]) == 1.0
+
+    @pytest.mark.parametrize("side", ["--width", "--height"])
+    def test_zero_grid_side_is_usage_error(self, corpus, tmp_path, capsys, side):
+        # an explicit 0 is a value, not "unset": it must not fall back to the corpus size
+        out = tmp_path / "zero.som"
+        code = main(["som", "build", "--dataset-dir", str(corpus), "--out", str(out),
+                     side, "0"])
+        assert code == 2
+        assert "grid sides must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_build_deterministic(self, corpus, som_map, tmp_path):
         other = tmp_path / "again.som"

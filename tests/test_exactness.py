@@ -407,6 +407,15 @@ class TestInferenceMatchesReference:
     def _models(self):
         return {"float32": float32_model(self.HYPER), "float64": init_model(self.HYPER)}
 
+    def test_float32_init_is_float64_init_rounded(self):
+        # float32_model builds its weights this way; the models it stands
+        # in for were float64 weights rounded to float32
+        got = init_model(self.HYPER, dtype=np.float32).parameters()
+        want = [p.astype(np.float32) for p in init_model(self.HYPER).parameters()]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_bytes(g, w)
+
     @staticmethod
     def _with_signed_zeros(x):
         x[0, :] = 0.0

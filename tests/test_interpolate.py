@@ -18,13 +18,16 @@ from latentaudio import (
     VaeHyperParams,
     decode_path,
     encode_audio,
+    encode_frames,
     export_latents,
     extended_interpolate,
     generate_curve,
     init_model,
     meso_interpolate,
     stepwise_interpolate,
+    window,
 )
+from latentaudio import interpolate as interpolate_module
 
 MEAN = SynthesisMode.mean_only()
 
@@ -68,12 +71,10 @@ class TestEncodeAudio:
             assert np.array_equal(p1.logvar[i], p2.logvar[i])
 
     def test_order_matches_per_window_encoding(self, model, pair):
-        from latentaudio import encoder_forward, window
-
         path = encode_audio(model, pair[0], 32)
         ws = window(pair[0], 64, 32)
-        probe = encoder_forward(model, ws.frames[3])
-        assert np.allclose(path.mu[3], probe.mu)
+        probe_mu, _ = encode_frames(model, ws.frames[3:4])
+        assert np.allclose(path.mu[3], probe_mu[0])
 
 
 class TestGenerateCurve:
@@ -170,6 +171,28 @@ class TestDecodePath:
         means = np.random.default_rng(2).standard_normal((3, 8))
         out = decode_path(model, means, np.zeros((3, 8)), MEAN, crossfade=16)
         assert len(out) == 3 * 64 - 2 * 16
+
+    @pytest.mark.parametrize("n_windows", [1, 2])
+    @pytest.mark.parametrize("crossfade", [-5, 64, 5000])
+    def test_crossfade_out_of_range_rejected_before_decoding(
+        self, model, monkeypatch, n_windows, crossfade
+    ):
+        # one window has no seam, but the width is still checked, and no
+        # decode is spent on a call that is going to fail
+        def no_decode(*args):
+            raise AssertionError("decode_frames ran")
+
+        monkeypatch.setattr(interpolate_module, "decode_frames", no_decode)
+        zeros = np.zeros((n_windows, 8))
+        with pytest.raises(ValueError, match="crossfade must be in"):
+            decode_path(model, zeros, zeros, MEAN, crossfade=crossfade)
+
+    def test_one_window_crossfade_keeps_the_frame(self, model):
+        means = np.random.default_rng(3).standard_normal((1, 8))
+        plain = decode_path(model, means, np.zeros((1, 8)), MEAN)
+        faded = decode_path(model, means, np.zeros((1, 8)), MEAN, crossfade=63)
+        assert np.array_equal(faded.samples, plain.samples)
+        assert len(faded) == 64
 
     def test_sampled_mode_requires_seed(self):
         with pytest.raises(ValueError):

@@ -15,22 +15,19 @@ from latentaudio import (
     ShapeMismatchError,
     VaeHyperParams,
     adam_step,
-    backward,
-    decoder_forward,
-    elbo_loss,
-    encoder_forward,
+    decode_frames,
+    encode_frames,
     gradient_check,
     init_model,
     kl_divergence,
     load_checkpoint,
     model_from_checkpoint,
-    reparameterize,
     save_checkpoint,
     train,
     window,
 )
 from latentaudio import vae as vae_module
-from latentaudio.vae import _backward_batch, n_param_tensors
+from latentaudio.vae import _backward_batch, _batch_losses, _forward_batch, n_param_tensors
 
 ADAM_FIRST_STEP = 1e-4 * (1.0 / (1.0 + 1e-8))  # hand-computed: m_hat = v_hat = 1
 
@@ -52,31 +49,67 @@ def _monte_carlo_kl(stats: LatentStats, n_draws: int, seed: int) -> float:
     return float(np.mean(log_q - log_p))
 
 
+def _posterior_model(mu, logvar):
+    """A model whose posterior is (mu, logvar) for every input window.
+
+    All weights are zero, so the encoder's hidden activations are zero and
+    each head outputs its bias.
+    """
+    hyper = VaeHyperParams(window_size=4, latent_dim=len(mu), hidden_sizes=(2,))
+    model = _zeroed(init_model(hyper))
+    model.mu_head[1][...] = mu
+    model.logvar_head[1][...] = logvar
+    return model
+
+
+def _sample_z(mu, logvar, eps):
+    """z from the batched forward pass on one window, for a given posterior."""
+    model = _posterior_model(mu, logvar)
+    cache = _forward_batch(model, np.zeros((1, 4)), np.asarray(eps, dtype=np.float64)[None, :])
+    return cache["z"][0], cache["mu"][0]
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves_and_single_window_api_is_gone(self):
+        import latentaudio
+
+        for name in latentaudio.__all__:
+            assert getattr(latentaudio, name) is not None
+        deleted = {"encoder_forward", "decoder_forward", "reparameterize", "elbo_loss", "backward"}
+        assert not deleted & set(latentaudio.__all__)
+        assert not any(hasattr(latentaudio, name) for name in deleted)
+        assert {"encode_frames", "decode_frames"} <= set(latentaudio.__all__)
+
+
 class TestForwardPasses:
     def test_encoder_zero_weights_gives_zero_stats(self, small_hyper):
         model = _zeroed(init_model(small_hyper))
-        stats = encoder_forward(model, np.random.default_rng(0).uniform(-1, 1, 64))
-        assert np.array_equal(stats.mu, np.zeros(8))
-        assert np.array_equal(stats.logvar, np.zeros(8))
+        mu, logvar = encode_frames(model, np.random.default_rng(0).uniform(-1, 1, (1, 64)))
+        assert np.array_equal(mu, np.zeros((1, 8)))
+        assert np.array_equal(logvar, np.zeros((1, 8)))
 
     def test_encoder_shape_mismatch(self, small_model):
         with pytest.raises(ShapeMismatchError):
-            encoder_forward(small_model, np.zeros(63))
+            encode_frames(small_model, np.zeros((1, 63)))
+        with pytest.raises(ShapeMismatchError):
+            encode_frames(small_model, np.zeros(64))
 
     def test_encoder_deterministic(self, small_hyper):
-        x = np.random.default_rng(1).uniform(-1, 1, 64)
-        s1 = encoder_forward(init_model(small_hyper), x)
-        s2 = encoder_forward(init_model(small_hyper), x)
-        assert np.array_equal(s1.mu, s2.mu)
-        assert np.array_equal(s1.logvar, s2.logvar)
+        x = np.random.default_rng(1).uniform(-1, 1, (1, 64))
+        mu1, logvar1 = encode_frames(init_model(small_hyper), x)
+        mu2, logvar2 = encode_frames(init_model(small_hyper), x)
+        assert np.array_equal(mu1, mu2)
+        assert np.array_equal(logvar1, logvar2)
 
     def test_decoder_zero_weights_gives_silence(self, small_hyper):
         model = _zeroed(init_model(small_hyper))
-        assert np.array_equal(decoder_forward(model, np.ones(8)), np.zeros(64))
+        assert np.array_equal(decode_frames(model, np.ones((1, 8))), np.zeros((1, 64)))
 
     def test_decoder_shape_mismatch(self, small_model):
         with pytest.raises(ShapeMismatchError):
-            decoder_forward(small_model, np.zeros(9))
+            decode_frames(small_model, np.zeros((1, 9)))
+        with pytest.raises(ShapeMismatchError):
+            decode_frames(small_model, np.zeros(8))
 
     @settings(max_examples=40, deadline=None)
     @given(arrays(np.float64, 8, elements=st.floats(-10, 10, allow_nan=False)))
@@ -84,27 +117,33 @@ class TestForwardPasses:
         hyper = VaeHyperParams(
             window_size=64, latent_dim=8, hidden_sizes=(16,), sample_rate=8000, seed=5
         )
-        out = decoder_forward(init_model(hyper), z)
+        out = decode_frames(init_model(hyper), z[None, :])
         assert np.all(np.abs(out) < 1.0)
 
 
 class TestReparameterize:
+    """z = mu + exp(logvar / 2) * eps in the batched forward pass."""
+
     def test_zero_eps_returns_mu_exactly(self):
-        stats = LatentStats(np.array([0.3, -1.7]), np.array([0.5, -0.2]))
-        assert np.array_equal(reparameterize(stats, np.zeros(2)), stats.mu)
+        mu = np.array([0.3, -1.7])
+        z, cache_mu = _sample_z(mu, np.array([0.5, -0.2]), np.zeros(2))
+        assert np.array_equal(z, cache_mu)
+        assert np.array_equal(z, mu)
 
     def test_unit_sigma(self):
-        stats = LatentStats(np.array([1.0, 2.0]), np.zeros(2))
-        assert np.allclose(reparameterize(stats, np.ones(2)), [2.0, 3.0])
+        z, _ = _sample_z(np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
+        assert np.allclose(z, [2.0, 3.0])
 
     def test_sigma_two(self):
-        stats = LatentStats(np.zeros(3), np.full(3, math.log(4.0)))
-        assert np.allclose(reparameterize(stats, np.full(3, 0.5)), 1.0)
+        z, _ = _sample_z(np.zeros(3), np.full(3, math.log(4.0)), np.full(3, 0.5))
+        assert np.allclose(z, 1.0)
 
-    def test_eps_length_checked(self):
-        stats = LatentStats(np.zeros(2), np.zeros(2))
-        with pytest.raises(ShapeMismatchError):
-            reparameterize(stats, np.zeros(3))
+    def test_eps_length_checked(self, tiny_hyper):
+        # gradient_check takes eps from its caller; a length-1 eps would
+        # otherwise broadcast across every latent dimension unnoticed
+        for length in (1, 3):
+            with pytest.raises(ShapeMismatchError):
+                gradient_check(tiny_hyper, n_samples=20, eps=np.zeros(length))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -112,8 +151,9 @@ class TestReparameterize:
         logvar=arrays(np.float64, 4, elements=st.floats(-3, 3, allow_nan=False)),
     )
     def test_identity_property(self, mu, logvar):
-        stats = LatentStats(mu, logvar)
-        assert np.array_equal(reparameterize(stats, np.zeros(4)), mu)
+        z, cache_mu = _sample_z(mu, logvar, np.zeros(4))
+        assert np.array_equal(z, cache_mu)
+        assert np.array_equal(z, mu)
 
 
 class TestKlDivergence:
@@ -147,42 +187,49 @@ class TestKlDivergence:
             assert kl == 0.0
 
 
+def _loss_cache(x_hat, mu, logvar):
+    """The forward-pass entries that _batch_losses reads, for one window."""
+    return {"x_hat": np.asarray(x_hat)[None, :], "mu": mu[None, :], "logvar": logvar[None, :]}
+
+
 class TestElboLoss:
+    """Per-window MSE plus alpha * KL sum, from _batch_losses on one window."""
+
     def test_perfect_reconstruction_at_prior(self):
         x = np.linspace(-0.5, 0.5, 16)
-        total, recon, kl = elbo_loss(x, x, LatentStats(np.zeros(2), np.zeros(2)), 1e-4)
+        cache = _loss_cache(x, np.zeros(2), np.zeros(2))
+        total, recon, kl = _batch_losses(x[None, :], cache, 1e-4)
         assert total == 0.0 and recon == 0.0 and kl == 0.0
 
     def test_constant_residual(self):
         x = np.zeros(1024)
-        total, recon, kl = elbo_loss(x, x + 0.1, LatentStats(np.zeros(2), np.zeros(2)), 0.0)
+        cache = _loss_cache(x + 0.1, np.zeros(2), np.zeros(2))
+        total, recon, kl = _batch_losses(x[None, :], cache, 0.0)
         assert total == pytest.approx(0.01)
         assert recon == pytest.approx(0.01)
 
     def test_alpha_weighting(self):
         # mu chosen so the KL sum is exactly 100
-        stats = LatentStats(np.array([math.sqrt(200.0)]), np.array([0.0]))
         x = np.zeros(8)
-        total, recon, kl = elbo_loss(x, x, stats, 1e-4)
+        cache = _loss_cache(x, np.array([math.sqrt(200.0)]), np.array([0.0]))
+        total, recon, kl = _batch_losses(x[None, :], cache, 1e-4)
         assert kl == pytest.approx(100.0)
         assert total == pytest.approx(0.01)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            elbo_loss(np.zeros(8), np.zeros(9), LatentStats(np.zeros(2), np.zeros(2)), 0.0)
 
 
 class TestBackward:
     def test_gradients_finite(self, tiny_hyper):
         model = init_model(tiny_hyper)
         rng = np.random.default_rng(0)
-        grads = backward(model, rng.uniform(-1, 1, 8), rng.standard_normal(2))
+        grads, _ = _backward_batch(
+            model, rng.uniform(-1, 1, (1, 8)), rng.standard_normal((1, 2)), tiny_hyper.alpha
+        )
         assert all(np.isfinite(g).all() for g in grads)
 
     def test_zero_input_zeroes_first_weight_gradient(self, tiny_hyper):
         # the first encoder weight gradient is (input activations)^T @ delta
         model = init_model(tiny_hyper)
-        grads = backward(model, np.zeros(8), np.zeros(2))
+        grads, _ = _backward_batch(model, np.zeros((1, 8)), np.zeros((1, 2)), tiny_hyper.alpha)
         assert np.array_equal(grads[0], np.zeros_like(grads[0]))
 
     def test_matches_finite_differences(self, tiny_hyper):
@@ -411,7 +458,7 @@ class TestCheckpointPersistence:
         save_checkpoint(ckpt, path)
         model = model_from_checkpoint(load_checkpoint(path))
         assert model.dtype == np.float32
-        x = np.random.default_rng(4).uniform(-1, 1, small_hyper.window_size)
-        s1 = encoder_forward(model, x)
-        s2 = encoder_forward(model_from_checkpoint(load_checkpoint(path)), x)
-        assert np.array_equal(s1.mu, s2.mu)
+        x = np.random.default_rng(4).uniform(-1, 1, (1, small_hyper.window_size))
+        mu1, _ = encode_frames(model, x)
+        mu2, _ = encode_frames(model_from_checkpoint(load_checkpoint(path)), x)
+        assert np.array_equal(mu1, mu2)
