@@ -12,10 +12,12 @@ decodes the blend back to audio:
     decoded frames are concatenated without overlap-add, stretching
     duration by window_size / hop.
 
-Blending is linear in mu and in sigma (not log-variance). Weights are
-applied to input a, complement to input b. All blend arithmetic runs in
-float64 and is cast to the model dtype afterward, so weights 0 and 1
-reproduce the endpoint encodings bit-exactly.
+Blending is linear in mu and in sigma (not log-variance), weight on a
+and complement on b. Synthesis walks the path a block of at most _BLOCK
+windows at a time: it blends the block in float64 (so weights 0 and 1
+reproduce the endpoint encodings bit-exactly), casts it to the model
+dtype and decodes it straight into one preallocated output, so memory
+beyond the output stays a few blocks in size.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .exceptions import (
 from .vae import VaeModel, decode_frames, encode_frames
 
 _SIGMA_FLOOR = 1e-6
+_BLOCK = 256  # windows blended and decoded at a time
+# the most float32 samples one WAV holds: its 32-bit RIFF size counts 36 bytes + 4 a sample
+_MAX_SAMPLES = (2**32 - 1 - 36) // 4
 
 
 @dataclass(frozen=True)
@@ -166,23 +171,44 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
     return InterpolationCurve(values)
 
 
-def _crossfade_join(frames: np.ndarray, k: int) -> np.ndarray:
-    """Concatenate decoded frames; k > 0 overlaps seams with linear ramps.
+def _check_crossfade(model: VaeModel, crossfade: int) -> None:
+    if not 0 <= crossfade < model.hyper.window_size:
+        raise ValueError(f"crossfade must be in [0, {model.hyper.window_size}), got {crossfade}")
 
-    k must lie in [0, width); decode_path checks it before decoding.
+
+def _decode_blocks(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: int):
+    """Decode the rows(i, sampled) -> (means, stds or None) of a path into one buffer.
+
+    Blocks hold 2 to _BLOCK rows: BLAS decodes a lone row through gemv, with
+    other bits, so only a 1-row path has one. Each block's eps continues one
+    generator's stream. k > 0 overlaps every seam by k samples under ramps.
     """
-    n, width = frames.shape
-    if k == 0 or n < 2:
-        return frames.reshape(-1)
-    ramp = (np.arange(k, dtype=frames.dtype) + 1) / (k + 1)
-    out = np.empty(n * width - (n - 1) * k, dtype=frames.dtype)
-    out[:width] = frames[0]
-    pos = width
-    for frame in frames[1:]:
-        out[pos - k : pos] = out[pos - k : pos] * (1 - ramp) + frame[:k] * ramp
-        out[pos : pos + width - k] = frame[k:]
-        pos += width - k
-    return out
+    width = model.hyper.window_size
+    length = n_rows * width - max(n_rows - 1, 0) * k
+    if length > _MAX_SAMPLES:
+        raise ValueError(f"{length} output samples exceed the {_MAX_SAMPLES} a float32 WAV holds")
+    out = np.empty(length, dtype=model.dtype)
+    n_blocks = max(-(-n_rows // _BLOCK), 1)
+    bounds = [n_rows * j // n_blocks for j in range(n_blocks + 1)]
+    sampled = mode.kind == "sampled"
+    # numpy.random loads on first use, about 5 MB that mean_only never needs
+    rng = np.random.default_rng(mode.seed) if sampled else None
+    ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
+    pos = 0
+    for i0, i1 in zip(bounds, bounds[1:]):
+        means, stds = rows(np.arange(i0, i1), sampled)
+        z = means + stds * rng.standard_normal(means.shape) if sampled else means
+        frames = decode_frames(model, z.astype(model.dtype, copy=False))
+        if k == 0:
+            out[i0 * width : i1 * width] = frames.reshape(-1)
+            continue
+        for frame in frames:
+            if pos:
+                out[pos - k : pos] = out[pos - k : pos] * (1 - ramp) + frame[:k] * ramp
+                frame = frame[k:]
+            out[pos : pos + len(frame)] = frame
+            pos += len(frame)
+    return AudioBuffer(out, model.hyper.sample_rate)
 
 
 def decode_path(
@@ -195,8 +221,7 @@ def decode_path(
     audio. Frames are joined end-to-end (length = count * window_size)
     unless a crossfade width is given.
     """
-    means = np.asarray(means, dtype=np.float64)
-    stds = np.asarray(stds, dtype=np.float64)
+    means, stds = np.asarray(means), np.asarray(stds)
     if means.ndim != 2 or means.shape != stds.shape:
         raise ShapeMismatchError(
             f"means {means.shape} and stds {stds.shape} must be equal 2-D shapes"
@@ -207,29 +232,28 @@ def decode_path(
         )
     if np.any(stds < 0):
         raise ValueError("stds must be entrywise >= 0")
-    width = model.hyper.window_size
-    if not 0 <= crossfade < width:
-        raise ValueError(f"crossfade must be in [0, {width}), got {crossfade}")
-
-    if mode.kind == "mean_only":
-        z = means
-    else:
-        rng = np.random.default_rng(mode.seed)
-        z = means + stds * rng.standard_normal(means.shape)
-    frames = decode_frames(model, z.astype(model.dtype, copy=False))
-    return AudioBuffer(_crossfade_join(frames, crossfade), model.hyper.sample_rate)
+    _check_crossfade(model, crossfade)
+    return _decode_blocks(model, len(means), lambda i, _: (means[i], stds[i]), mode, crossfade)
 
 
-def _blend(path_a: LatentPath, path_b: LatentPath, weights: np.ndarray):
-    """weights (N,) or per segment (S, 1) on a, complement on b; sigma floored."""
-    w = weights[..., None]
-    means = w * path_a.means() + (1.0 - w) * path_b.means()
-    stds = w * path_a.sigmas() + (1.0 - w) * path_b.sigmas()
-    m = path_a.latent_dim
-    return means.reshape(-1, m), np.maximum(stds, _SIGMA_FLOOR).reshape(-1, m)
+def _blend_rows(path_a: LatentPath, path_b: LatentPath, weight):
+    """rows for _decode_blocks: row i blends window i % N, weight(i) on a; sigma floored."""
+    sigmas_a, sigmas_b = path_a.sigmas(), path_b.sigmas()
+
+    def rows(i, sampled):
+        w = weight(i)[:, None]
+        i = i % len(path_a)
+        means = w * path_a.mu[i] + (1.0 - w) * path_b.mu[i]
+        if not sampled:
+            return means, None
+        stds = w * sigmas_a[i] + (1.0 - w) * sigmas_b[i]
+        return means, np.maximum(stds, _SIGMA_FLOOR)
+
+    return rows
 
 
-def _encode_pair(model, a: AudioBuffer, b: AudioBuffer, hop: int):
+def _encode_pair(model, a: AudioBuffer, b: AudioBuffer, hop: int, crossfade: int):
+    _check_crossfade(model, crossfade)
     a, b = truncate_pair(a, b)
     return encode_audio(model, a, hop), encode_audio(model, b, hop)
 
@@ -250,17 +274,15 @@ def stepwise_interpolate(
     as one path and concatenated in sweep order. Weights above 1 (when
     range_r > 1) extrapolate rather than clamp.
     """
-    if step_s <= 0:
-        raise BadStepError(f"step must be > 0, got {step_s}")
-    if range_r < 0:
-        raise BadStepError(f"range must be >= 0, got {range_r}")
+    if not 0 < step_s < math.inf:
+        raise BadStepError(f"step must be finite and > 0, got {step_s}")
+    if not 0 <= range_r / step_s < math.inf:
+        raise BadStepError(f"range must be >= 0 with a finite range / step, got {range_r}")
     # small epsilon so ratios like 0.8/0.2 land on their exact integer
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
-    path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size)
-
-    weights = (np.arange(n_segments) * step_s)[:, None]
-    means, stds = _blend(path_a, path_b, weights)
-    return decode_path(model, means, stds, mode, crossfade)
+    path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size, crossfade)
+    rows = _blend_rows(path_a, path_b, lambda i: i // len(path_a) * step_s)
+    return _decode_blocks(model, n_segments * len(path_a), rows, mode, crossfade)
 
 
 def meso_interpolate(
@@ -295,13 +317,13 @@ def extended_interpolate(
     stretches by that factor (4x at the 1024/256 defaults). hop equal to
     window_size degenerates to meso_interpolate.
     """
-    path_a, path_b = _encode_pair(model, a, b, hop)
+    path_a, path_b = _encode_pair(model, a, b, hop, crossfade)
     if len(curve) != len(path_a):
         raise CurveLengthMismatchError(
             f"curve has {len(curve)} values but the inputs give {len(path_a)} windows"
         )
-    means, stds = _blend(path_a, path_b, curve.values)
-    return decode_path(model, means, stds, mode, crossfade)
+    rows = _blend_rows(path_a, path_b, lambda i: curve.values[i])
+    return _decode_blocks(model, len(path_a), rows, mode, crossfade)
 
 
 def export_latents(path: LatentPath, file) -> None:

@@ -209,7 +209,8 @@ def kl_divergence(stats: LatentStats) -> float:
     """Closed-form KL(N(mu, sigma^2 I) || N(0, I)), summed over dims."""
     mu = stats.mu.astype(np.float64)
     logvar = stats.logvar.astype(np.float64)
-    return float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
+    # expm1(v) >= v holds after rounding too, so no term dips below zero
+    return float(0.5 * np.sum(mu * mu + (np.expm1(logvar) - logvar)))
 
 
 def _forward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray):

@@ -7,6 +7,8 @@ deliberately tiny model keep the module fast.
 
 import math
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
 
@@ -223,6 +225,34 @@ class TestSynth:
         assert code == 2
         assert f"hop must be >= 1, got {hop}" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "x.out.cfg").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--range", "inf"], "range must be >= 0", id="range-inf"),
+        pytest.param(["--range", "nan"], "range must be >= 0", id="range-nan"),
+        pytest.param(["--step", "nan"], "step must be finite", id="step-nan"),
+        pytest.param(["--range", "1e15", "--step", "1e-3"], "a float32 WAV holds",
+                     id="longer-than-a-wav"),
+    ])
+    def test_bad_sweep_size_is_usage_error(
+        self, checkpoint, corpus, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "x.wav"
+        assert _synth("step", checkpoint, corpus, out, *flags) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "x.wav.cfg").exists()
+
+    def test_mean_synthesis_leaves_numpy_random_unloaded(self, checkpoint, corpus, tmp_path):
+        # numpy.random loads on first use and adds about 5 MB to the peak RSS
+        # of a synth process; only sampled mode draws from it
+        wavs = sorted(corpus.glob("*.wav"))
+        argv = ["synth", "step", "--checkpoint", str(checkpoint), "--in1", str(wavs[0]),
+                "--in2", str(wavs[1]), "--out", str(tmp_path / "x.wav")]
+        code = ("import sys; from latentaudio.cli import main; "
+                f"assert main({argv!r}) == 0; print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert done.stdout.strip().splitlines()[-1] == "False"
 
     def test_bad_mode_rejected(self, checkpoint, corpus, tmp_path, capsys):
         code = _synth("step", checkpoint, corpus, tmp_path / "x.wav", "--mode", "zig")

@@ -2,10 +2,11 @@
 
 adam_step and train_som avoid per-call temporaries, the feature
 constants are built once per recipe, the latent blend works on (N, M)
-arrays instead of tuples of per-window stats, inference activations are
-computed in place, checkpoint tensors are views of one read buffer, WAV
-payloads are written without copies, and frame features square into a
-reused buffer. None of that may change a single bit: each reference
+arrays instead of tuples of per-window stats, synthesis blends, decodes
+and joins the path a block of windows at a time, inference activations
+are computed in place, checkpoint tensors are views of one read buffer,
+WAV payloads are written without copies, and frame features square into
+a reused buffer. None of that may change a single bit: each reference
 below is the plain numpy code the kernel replaced, and results must be
 np.array_equal (or equal as bytes), not merely close.
 
@@ -15,6 +16,7 @@ replaced, and the float32 run must stay within a stated tolerance of it.
 """
 
 import io
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -33,22 +35,30 @@ from latentaudio import (
     LatentPath,
     LatentStats,
     ShapeMismatchError,
+    SynthesisMode,
     Thumbnail,
     VaeHyperParams,
     adam_step,
+    decode_path,
+    encode_audio,
     export_latents,
+    extended_interpolate,
     extract_thumbnail,
     init_model,
     load_checkpoint,
+    meso_interpolate,
     save_checkpoint,
     save_wav,
+    stepwise_interpolate,
     train,
     train_som,
+    truncate_pair,
     window,
 )
+from latentaudio import interpolate as interpolate_module
 from latentaudio.container import MAGIC_LEN, read_container, write_container
 from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
-from latentaudio.interpolate import _SIGMA_FLOOR, _blend
+from latentaudio.interpolate import _SIGMA_FLOOR, _blend_rows
 from latentaudio.som import _LR_FLOOR_FACTOR, _RADIUS_FLOOR, _quantization_error
 from latentaudio.vae import (
     _ADAM_BETA1,
@@ -271,6 +281,78 @@ def reference_blend(path_a, path_b, weights):
     return means, np.maximum(stds, _SIGMA_FLOOR)
 
 
+def reference_crossfade_join(frames, k):
+    """Concatenate decoded frames; k > 0 overlaps seams with linear ramps.
+
+    k must lie in [0, width); decode_path checks it before decoding.
+    """
+    n, width = frames.shape
+    if k == 0 or n < 2:
+        return frames.reshape(-1)
+    ramp = (np.arange(k, dtype=frames.dtype) + 1) / (k + 1)
+    out = np.empty(n * width - (n - 1) * k, dtype=frames.dtype)
+    out[:width] = frames[0]
+    pos = width
+    for frame in frames[1:]:
+        out[pos - k : pos] = out[pos - k : pos] * (1 - ramp) + frame[:k] * ramp
+        out[pos : pos + width - k] = frame[k:]
+        pos += width - k
+    return out
+
+
+def reference_decode_path(model, means, stds, mode, crossfade=0):
+    """The whole-path decode_path that blockwise synthesis replaced."""
+    means = np.asarray(means, dtype=np.float64)
+    stds = np.asarray(stds, dtype=np.float64)
+    if means.ndim != 2 or means.shape != stds.shape:
+        raise ShapeMismatchError(
+            f"means {means.shape} and stds {stds.shape} must be equal 2-D shapes"
+        )
+    if means.shape[1] != model.hyper.latent_dim:
+        raise ShapeMismatchError(
+            f"latent dim {means.shape[1]} != model's {model.hyper.latent_dim}"
+        )
+    if np.any(stds < 0):
+        raise ValueError("stds must be entrywise >= 0")
+    width = model.hyper.window_size
+    if not 0 <= crossfade < width:
+        raise ValueError(f"crossfade must be in [0, {width}), got {crossfade}")
+
+    if mode.kind == "mean_only":
+        z = means
+    else:
+        rng = np.random.default_rng(mode.seed)
+        z = means + stds * rng.standard_normal(means.shape)
+    frames = decode_frames(model, z.astype(model.dtype, copy=False))
+    return AudioBuffer(reference_crossfade_join(frames, crossfade), model.hyper.sample_rate)
+
+
+def reference_array_blend(path_a, path_b, weights):
+    """weights (N,) or per segment (S, 1) on a, complement on b; sigma floored."""
+    w = weights[..., None]
+    means = w * path_a.means() + (1.0 - w) * path_b.means()
+    stds = w * path_a.sigmas() + (1.0 - w) * path_b.sigmas()
+    m = path_a.latent_dim
+    return means.reshape(-1, m), np.maximum(stds, _SIGMA_FLOOR).reshape(-1, m)
+
+
+def reference_stepwise(model, a, b, range_r, step_s, mode, crossfade):
+    n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
+    a, b = truncate_pair(a, b)
+    width = model.hyper.window_size
+    path_a, path_b = encode_audio(model, a, width), encode_audio(model, b, width)
+    weights = (np.arange(n_segments) * step_s)[:, None]
+    means, stds = reference_array_blend(path_a, path_b, weights)
+    return reference_decode_path(model, means, stds, mode, crossfade)
+
+
+def reference_extended(model, a, b, curve, mode, hop, crossfade):
+    a, b = truncate_pair(a, b)
+    path_a, path_b = encode_audio(model, a, hop), encode_audio(model, b, hop)
+    means, stds = reference_array_blend(path_a, path_b, curve.values)
+    return reference_decode_path(model, means, stds, mode, crossfade)
+
+
 class TestAdamMatchesReference:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_block_boundaries(self, dtype):
@@ -377,7 +459,8 @@ class TestBlendMatchesReference:
     def test_stepwise_segments(self, m, segments):
         path_a, path_b, ref_a, ref_b = self._paths(m)
         sweep = np.arange(segments) * 0.05
-        means, stds = _blend(path_a, path_b, sweep[:, None])
+        rows = _blend_rows(path_a, path_b, lambda i: i // self.N_WINDOWS * 0.05)
+        means, stds = rows(np.arange(segments * self.N_WINDOWS), True)
         want_means, want_stds = reference_blend(
             reference_tile_path(ref_a, segments), reference_tile_path(ref_b, segments),
             np.repeat(sweep, self.N_WINDOWS),
@@ -389,16 +472,143 @@ class TestBlendMatchesReference:
     def test_per_window_curve(self, m):
         path_a, path_b, ref_a, ref_b = self._paths(m)
         curve = InterpolationCurve(np.sin(np.arange(self.N_WINDOWS) / 2.0))
-        means, stds = _blend(path_a, path_b, curve.values)
+        rows = _blend_rows(path_a, path_b, lambda i: curve.values[i])
+        means, stds = rows(np.arange(self.N_WINDOWS), True)
         want_means, want_stds = reference_blend(ref_a, ref_b, curve.values)
         assert np.array_equal(means, want_means)
         assert np.array_equal(stds, want_stds)
+
+    def test_mean_only_rows_skip_stds(self):
+        path_a, path_b, ref_a, ref_b = self._paths(8)
+        rows = _blend_rows(path_a, path_b, lambda i: i * 0.1)
+        means, stds = rows(np.arange(self.N_WINDOWS), False)
+        assert stds is None
+        want_means, _ = reference_blend(ref_a, ref_b, np.arange(self.N_WINDOWS) * 0.1)
+        assert np.array_equal(means, want_means)
 
     def test_unequal_shapes_rejected(self):
         with pytest.raises(ShapeMismatchError):
             LatentPath(np.zeros((3, 8)), np.zeros((3, 9)))
         with pytest.raises(ShapeMismatchError):
             LatentPath(np.zeros(8), np.zeros(8))
+
+
+def _noise(n_samples, seed, rate=8000):
+    rng = np.random.default_rng(seed)
+    return AudioBuffer(rng.uniform(-1.0, 1.0, n_samples).astype(np.float32), rate)
+
+
+class TestBlockwiseSynthesisMatchesReference:
+    """Every block split against one whole-path blend, decode and join.
+
+    The split puts 2 to _BLOCK rows in each block. Test blocks are 8 rows,
+    and the totals cover 0, 1 and 2 rows past a multiple of 8, plus a
+    1-row path; the real block size gets its own cases.
+    """
+
+    HYPER = VaeHyperParams(window_size=48, latent_dim=12, hidden_sizes=(40, 24), sample_rate=8000)
+    BLOCK = 8
+    MODES = [SynthesisMode.mean_only(), SynthesisMode.sampled(3)]
+    # none, one sample, above width / 2 (seams overlap earlier seams), width - 1
+    CROSSFADES = [0, 1, 30, 47]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return float32_model(self.HYPER)
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(interpolate_module, "_BLOCK", self.BLOCK)
+
+    def _pair(self, n_windows, hop):
+        n = self.HYPER.window_size + (n_windows - 1) * hop
+        return _noise(n, 1), _noise(n + 5, 2)  # truncation keeps the head of b
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.sample_rate == want.sample_rate
+        assert same_bytes(got.samples, want.samples)
+
+    # (segments, windows): totals 1, 16, 17, 18, 16, 18, 168, 105, 42
+    @pytest.mark.parametrize(
+        "segments,windows", [(1, 1), (1, 16), (1, 17), (1, 18), (2, 8), (2, 9), (21, 8), (21, 5), (21, 2)]
+    )
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    @pytest.mark.parametrize("crossfade", CROSSFADES)
+    def test_stepwise(self, model, small_blocks, segments, windows, mode, crossfade):
+        a, b = self._pair(windows, self.HYPER.window_size)
+        range_r, step_s = {1: (0.0, 0.5), 2: (0.5, 0.5), 21: (1.0, 0.05)}[segments]
+        got = stepwise_interpolate(model, a, b, range_r, step_s, mode, crossfade)
+        want = reference_stepwise(model, a, b, range_r, step_s, mode, crossfade)
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("windows", [1, 16, 17, 18])
+    @pytest.mark.parametrize("hop", [16, 48])
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    @pytest.mark.parametrize("crossfade", CROSSFADES)
+    def test_extended_and_meso(self, model, small_blocks, windows, hop, mode, crossfade):
+        a, b = self._pair(windows, hop)
+        # weights outside [0, 1] extrapolate and drive some sigmas to the floor
+        curve = InterpolationCurve(1.5 * np.sin(np.arange(windows) * 0.7))
+        if hop == self.HYPER.window_size:
+            got = meso_interpolate(model, a, b, curve, mode, crossfade)
+        else:
+            got = extended_interpolate(model, a, b, curve, mode, hop, crossfade)
+        want = reference_extended(model, a, b, curve, mode, hop, crossfade)
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("rows", [1, 16, 17, 18])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    @pytest.mark.parametrize("crossfade", CROSSFADES)
+    def test_decode_path(self, model, small_blocks, rows, dtype, mode, crossfade):
+        rng = np.random.default_rng(rows)
+        means = (3.0 * rng.standard_normal((rows, self.HYPER.latent_dim))).astype(dtype)
+        stds = rng.uniform(0.0, 2.0, means.shape).astype(dtype)
+        stds[::2] = 0.0
+        got = decode_path(model, means, stds, mode, crossfade)
+        want = reference_decode_path(model, means, stds, mode, crossfade)
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    def test_real_block_size(self, model, extra, mode):
+        block = interpolate_module._BLOCK
+        a, b = self._pair(block + extra, self.HYPER.window_size)
+        for segments, (range_r, step_s) in ((1, (0.0, 1.0)), (2, (1.0, 1.0))):
+            got = stepwise_interpolate(model, a, b, range_r, step_s, mode, 7)
+            want = reference_stepwise(model, a, b, range_r, step_s, mode, 7)
+            self._assert_same(got, want)
+        means = np.random.default_rng(extra).standard_normal((2 * block + extra, 12))
+        stds = np.full_like(means, 0.5)
+        self._assert_same(decode_path(model, means, stds, mode),
+                          reference_decode_path(model, means, stds, mode))
+
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    def test_default_shape_one_row_past_a_block(self, mode):
+        # at this shape BLAS decodes a lone row through gemv, with other bits
+        model = float32_model(VaeHyperParams())
+        rng = np.random.default_rng(5)
+        means = rng.standard_normal((interpolate_module._BLOCK + 1, model.hyper.latent_dim))
+        stds = rng.uniform(0.0, 1.0, means.shape)
+        self._assert_same(decode_path(model, means, stds, mode, 100),
+                          reference_decode_path(model, means, stds, mode, 100))
+
+    def test_blocks_hold_two_to_block_rows(self, model, small_blocks, monkeypatch):
+        sizes = []
+
+        def record(model, z):
+            sizes.append(len(z))
+            return decode_frames(model, z)
+
+        monkeypatch.setattr(interpolate_module, "decode_frames", record)
+        for total in range(1, 60):
+            sizes.clear()
+            zeros = np.zeros((total, self.HYPER.latent_dim))
+            decode_path(model, zeros, zeros, SynthesisMode.mean_only())
+            assert sum(sizes) == total
+            assert max(sizes) <= self.BLOCK
+            assert min(sizes) >= min(total, 2)
 
 
 class TestInferenceMatchesReference:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import make_noise, make_sine
+from helpers import float32_model, make_noise, make_sine
 from latentaudio import (
     BadStepError,
     CurveLengthMismatchError,
@@ -227,11 +228,41 @@ class TestStepwise:
         with pytest.raises(BadStepError):
             stepwise_interpolate(model, pair[0], pair[1], -1.0, 0.5, MEAN)
 
+    @pytest.mark.parametrize("range_r,step_s", [
+        (np.inf, 0.5), (np.nan, 0.5), (1.0, np.inf), (1.0, np.nan), (1.0, -np.inf),
+        (1e300, 1e-300),  # both finite, but range / step is not
+    ])
+    def test_non_finite_sweep_rejected(self, model, pair, range_r, step_s):
+        with pytest.raises(BadStepError):
+            stepwise_interpolate(model, pair[0], pair[1], range_r, step_s, MEAN)
+
     def test_sampled_reproducible(self, model, pair):
         mode = SynthesisMode.sampled(5)
         a = stepwise_interpolate(model, pair[0], pair[1], 1.0, 0.5, mode)
         b = stepwise_interpolate(model, pair[0], pair[1], 1.0, 0.5, mode)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("mode", [MEAN, SynthesisMode.sampled(1)], ids=["mean", "sampled"])
+    @pytest.mark.parametrize("crossfade", [0, 16])
+    def test_traced_peak_is_the_output_plus_a_few_blocks(self, mode, crossfade):
+        # 21 segments of one block of windows each: the whole-path blend this
+        # replaced peaked at the output plus 22-36 block sizes here, the
+        # blockwise body at the output plus 3.6-4.3
+        hyper = VaeHyperParams(
+            window_size=64, latent_dim=16, hidden_sizes=(16,), sample_rate=8000, seed=5
+        )
+        model = float32_model(hyper)
+        block = interpolate_module._BLOCK
+        a, b = (make_noise(seconds=block * 64 / 8000, rate=8000, seed=s) for s in (1, 2))
+        block_bytes = block * (64 * 4 + 16 * 8)  # float32 frames and float64 latents
+        tracemalloc.start()
+        try:
+            out = stepwise_interpolate(model, a, b, 1.0, 0.05, mode, crossfade)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 21 * block * 64 - (21 * block - 1) * crossfade
+        assert peak <= out.samples.nbytes + 6 * block_bytes
 
 
 class TestMeso:
@@ -268,6 +299,48 @@ class TestMeso:
         direct = decode_path(model, expected_mu[None], expected_sigma[None], MEAN)
         curved = meso_interpolate(model, a, b, InterpolationCurve([c]), MEAN)
         assert np.array_equal(curved.samples, direct.samples)
+
+
+class TestChecksBeforeWork:
+    @pytest.fixture
+    def no_encode(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("encode_frames ran")
+
+        monkeypatch.setattr(interpolate_module, "encode_frames", fail)
+
+    @pytest.mark.parametrize("crossfade", [-1, 64, 5000])
+    def test_crossfade_checked_before_encoding(self, model, pair, no_encode, crossfade):
+        n = min(len(pair[0]), len(pair[1])) // 64
+        curve = generate_curve("lin:0:1", n)
+        calls = [
+            lambda: stepwise_interpolate(model, *pair, 1.0, 0.05, MEAN, crossfade),
+            lambda: meso_interpolate(model, *pair, curve, MEAN, crossfade),
+            lambda: extended_interpolate(model, *pair, curve, MEAN, 16, crossfade),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="crossfade must be in"):
+                call()
+
+    @pytest.mark.parametrize("mode", [MEAN, SynthesisMode.sampled(1)], ids=["mean", "sampled"])
+    def test_output_longer_than_a_wav_rejected_before_decoding(self, model, pair, monkeypatch, mode):
+        def no_decode(*args):
+            raise AssertionError("decode_frames ran")
+
+        monkeypatch.setattr(interpolate_module, "decode_frames", no_decode)
+        # 1e18 segments: nothing sized by the path may be allocated first
+        with pytest.raises(ValueError, match="a float32 WAV holds"):
+            stepwise_interpolate(model, *pair, 1e15, 1e-3, mode)
+        # a small limit stands in for the 2**30 samples an extend with a tiny hop reaches
+        n = (min(len(pair[0]), len(pair[1])) - 64) // 2 + 1
+        monkeypatch.setattr(interpolate_module, "_MAX_SAMPLES", n * 64 - 1)
+        with pytest.raises(ValueError, match="a float32 WAV holds"):
+            extended_interpolate(model, *pair, generate_curve("lin:0:1", n), mode, 2)
+
+    def test_limit_is_the_largest_float32_wav(self):
+        # 36 header bytes after the RIFF size field, 4 bytes a sample
+        assert 36 + 4 * interpolate_module._MAX_SAMPLES <= 2**32 - 1
+        assert 36 + 4 * (interpolate_module._MAX_SAMPLES + 1) > 2**32 - 1
 
 
 class TestExtended:

@@ -171,6 +171,10 @@ class TestKlDivergence:
             estimate = _monte_carlo_kl(stats, 1_000_000, seed=trial)
             assert abs(closed - estimate) / closed < 0.01
 
+    def test_tiny_logvar_is_not_negative(self):
+        # exp(v) - v - 1 cancels to -1.1e-16 at v = 1e-8
+        assert kl_divergence(LatentStats(np.zeros(3), np.full(3, 1e-8))) >= 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         mu=arrays(np.float64, 3, elements=st.floats(-4, 4, allow_nan=False)),
