@@ -30,6 +30,11 @@ _WAVE_EXTENSIBLE = 0xFFFE
 # bytes 2-15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0-1 hold the plain tag
 _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 _PCM16_SCALE = 32768.0
+_FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
+# the 32-bit RIFF size counts "WAVE", both chunk headers, the fmt body and the data
+_RIFF_OVERHEAD = 4 + 8 + _FMT.size + 8
+_RIFF_MAX = 2**32 - 1
+MAX_FLOAT32_SAMPLES = (_RIFF_MAX - _RIFF_OVERHEAD) // 4  # the most one float32 WAV holds
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def load_wav(path) -> AudioBuffer:
     if fmt is None or data is None:
         raise MalformedWavError(f"{path}: missing fmt or data chunk")
 
-    tag, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    tag, channels, rate, _byte_rate, _block_align, bits = _FMT.unpack_from(fmt)
     if tag == _WAVE_EXTENSIBLE:
         # cbSize, valid bits and channel mask, then the 16-byte SubFormat GUID
         if len(fmt) < 40:
@@ -158,34 +163,36 @@ def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
     """Write a buffer as PCM16 or IEEE float32 WAV, atomically.
 
     float32 round-trips bit-exactly through load_wav; pcm16 quantizes to
-    within 1/32768 of the original sample values.
+    within 1/32768 of the original sample values. A buffer too long for
+    the 32-bit RIFF size raises ValueError before anything is copied.
     """
     if len(buffer) == 0:
         raise ValueError("refusing to write an empty buffer")
     if encoding == "float32":
         tag, bits = _WAVE_IEEE_FLOAT, 32
-        payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
     elif encoding == "pcm16":
         tag, bits = _WAVE_PCM, 16
+    else:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    block_align = bits // 8  # mono
+    if len(buffer) > (_RIFF_MAX - _RIFF_OVERHEAD) // block_align:
+        raise ValueError(f"{len(buffer)} samples are more than one {encoding} WAV holds")
+    if tag == _WAVE_IEEE_FLOAT:
+        payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
+    else:
         scaled = buffer.samples * np.float32(_PCM16_SCALE)
         np.rint(scaled, out=scaled)
         payload = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
 
-    block_align = bits // 8  # mono
-    fmt_chunk = struct.pack(
-        "<HHIIHH", tag, 1, buffer.sample_rate, buffer.sample_rate * block_align,
-        block_align, bits,
+    fmt_chunk = _FMT.pack(
+        tag, 1, buffer.sample_rate, buffer.sample_rate * block_align, block_align, bits
     )
-    pad = b"\x00" if payload.nbytes & 1 else b""
-    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + payload.nbytes + len(pad))
+    # mono 2- or 4-byte samples leave the data chunk word-aligned: no pad byte
     with atomic_write(path) as fh:
-        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
+        fh.write(b"RIFF" + struct.pack("<I", _RIFF_OVERHEAD + payload.nbytes) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
         fh.write(b"data" + struct.pack("<I", payload.nbytes))
         fh.write(payload)
-        fh.write(pad)
 
 
 def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:

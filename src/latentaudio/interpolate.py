@@ -13,11 +13,10 @@ decodes the blend back to audio:
     duration by window_size / hop.
 
 Blending is linear in mu and in sigma (not log-variance), weight on a
-and complement on b. Synthesis walks the path a block of at most _BLOCK
-windows at a time: it blends the block in float64 (so weights 0 and 1
-reproduce the endpoint encodings bit-exactly), casts it to the model
-dtype and decodes it straight into one preallocated output, so memory
-beyond the output stays a few blocks in size.
+and complement on b. Synthesis blends a block of at most _BLOCK windows
+at a time in float64 (so weights 0 and 1 reproduce the endpoint
+encodings bit-exactly), casts it to the model dtype and decodes it into
+one preallocated output: memory beyond the output is a few blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, truncate_pair, window
+from .audio import MAX_FLOAT32_SAMPLES, AudioBuffer, truncate_pair, window
 from .container import atomic_write
 from .exceptions import (
     BadStepError,
@@ -39,8 +38,6 @@ from .vae import VaeModel, decode_frames, encode_frames
 
 _SIGMA_FLOOR = 1e-6
 _BLOCK = 256  # windows blended and decoded at a time
-# the most float32 samples one WAV holds: its 32-bit RIFF size counts 36 bytes + 4 a sample
-_MAX_SAMPLES = (2**32 - 1 - 36) // 4
 
 
 @dataclass(frozen=True)
@@ -179,19 +176,17 @@ def _check_crossfade(model: VaeModel, crossfade: int) -> None:
 def _decode_blocks(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: int):
     """Decode the rows(i, sampled) -> (means, stds or None) of a path into one buffer.
 
-    Blocks hold 2 to _BLOCK rows: BLAS decodes a lone row through gemv, with
-    other bits, so only a 1-row path has one. Each block's eps continues one
-    generator's stream. k > 0 overlaps every seam by k samples under ramps.
+    Blocks hold 2 to _BLOCK rows (BLAS decodes a lone row through gemv, with
+    other bits); eps continues one generator's stream; k > 0 ramps each seam.
     """
     width = model.hyper.window_size
     length = n_rows * width - max(n_rows - 1, 0) * k
-    if length > _MAX_SAMPLES:
-        raise ValueError(f"{length} output samples exceed the {_MAX_SAMPLES} a float32 WAV holds")
+    if length > MAX_FLOAT32_SAMPLES:
+        raise ValueError(f"{length} output samples are more than one float32 WAV holds")
     out = np.empty(length, dtype=model.dtype)
     n_blocks = max(-(-n_rows // _BLOCK), 1)
     bounds = [n_rows * j // n_blocks for j in range(n_blocks + 1)]
     sampled = mode.kind == "sampled"
-    # numpy.random loads on first use, about 5 MB that mean_only never needs
     rng = np.random.default_rng(mode.seed) if sampled else None
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
     pos = 0
@@ -241,8 +236,7 @@ def _blend_rows(path_a: LatentPath, path_b: LatentPath, weight):
     sigmas_a, sigmas_b = path_a.sigmas(), path_b.sigmas()
 
     def rows(i, sampled):
-        w = weight(i)[:, None]
-        i = i % len(path_a)
+        w, i = weight(i)[:, None], i % len(path_a)
         means = w * path_a.mu[i] + (1.0 - w) * path_b.mu[i]
         if not sampled:
             return means, None
@@ -252,8 +246,7 @@ def _blend_rows(path_a: LatentPath, path_b: LatentPath, weight):
     return rows
 
 
-def _encode_pair(model, a: AudioBuffer, b: AudioBuffer, hop: int, crossfade: int):
-    _check_crossfade(model, crossfade)
+def _encode_pair(model, a: AudioBuffer, b: AudioBuffer, hop: int):
     a, b = truncate_pair(a, b)
     return encode_audio(model, a, hop), encode_audio(model, b, hop)
 
@@ -280,7 +273,8 @@ def stepwise_interpolate(
         raise BadStepError(f"range must be >= 0 with a finite range / step, got {range_r}")
     # small epsilon so ratios like 0.8/0.2 land on their exact integer
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
-    path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size, crossfade)
+    _check_crossfade(model, crossfade)
+    path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size)
     rows = _blend_rows(path_a, path_b, lambda i: i // len(path_a) * step_s)
     return _decode_blocks(model, n_segments * len(path_a), rows, mode, crossfade)
 
@@ -317,7 +311,8 @@ def extended_interpolate(
     stretches by that factor (4x at the 1024/256 defaults). hop equal to
     window_size degenerates to meso_interpolate.
     """
-    path_a, path_b = _encode_pair(model, a, b, hop, crossfade)
+    _check_crossfade(model, crossfade)
+    path_a, path_b = _encode_pair(model, a, b, hop)
     if len(curve) != len(path_a):
         raise CurveLengthMismatchError(
             f"curve has {len(curve)} values but the inputs give {len(path_a)} windows"

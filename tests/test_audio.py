@@ -20,6 +20,8 @@ from latentaudio import (
     truncate_pair,
     window,
 )
+from latentaudio import audio
+from latentaudio.audio import MAX_FLOAT32_SAMPLES
 
 
 # bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs for PCM and IEEE float
@@ -175,6 +177,22 @@ class TestWavCodec:
     def test_unknown_encoding(self, tmp_path):
         with pytest.raises(ValueError):
             save_wav(make_sine(seconds=0.01), tmp_path / "x.wav", encoding="pcm24")
+
+    def test_float32_limit_fills_the_riff_size(self):
+        # RIFF size = "WAVE" + fmt chunk header and body + data chunk header + data
+        header = 4 + (8 + 16) + 8
+        assert header + 4 * MAX_FLOAT32_SAMPLES <= 2**32 - 1
+        assert header + 4 * (MAX_FLOAT32_SAMPLES + 1) > 2**32 - 1
+
+    @pytest.mark.parametrize("encoding, size", [("float32", 4), ("pcm16", 2)])
+    def test_refuses_more_than_one_wav_holds(self, tmp_path, monkeypatch, encoding, size):
+        # a RIFF size limit of 100 samples stands in for the 32-bit one
+        monkeypatch.setattr(audio, "_RIFF_MAX", audio._RIFF_OVERHEAD + 100 * size)
+        save_wav(AudioBuffer(np.zeros(100), 8000), tmp_path / "full.wav", encoding)
+        assert len(load_wav(tmp_path / "full.wav")) == 100
+        with pytest.raises(ValueError, match=f"more than one {encoding} WAV holds"):
+            save_wav(AudioBuffer(np.zeros(101), 8000), tmp_path / "x.wav", encoding)
+        assert not (tmp_path / "x.wav").exists()
 
 
 def _fuzz_seeds():

@@ -329,18 +329,13 @@ class TestChecksBeforeWork:
 
         monkeypatch.setattr(interpolate_module, "decode_frames", no_decode)
         # 1e18 segments: nothing sized by the path may be allocated first
-        with pytest.raises(ValueError, match="a float32 WAV holds"):
+        with pytest.raises(ValueError, match="more than one float32 WAV holds"):
             stepwise_interpolate(model, *pair, 1e15, 1e-3, mode)
         # a small limit stands in for the 2**30 samples an extend with a tiny hop reaches
         n = (min(len(pair[0]), len(pair[1])) - 64) // 2 + 1
-        monkeypatch.setattr(interpolate_module, "_MAX_SAMPLES", n * 64 - 1)
-        with pytest.raises(ValueError, match="a float32 WAV holds"):
+        monkeypatch.setattr(interpolate_module, "MAX_FLOAT32_SAMPLES", n * 64 - 1)
+        with pytest.raises(ValueError, match="more than one float32 WAV holds"):
             extended_interpolate(model, *pair, generate_curve("lin:0:1", n), mode, 2)
-
-    def test_limit_is_the_largest_float32_wav(self):
-        # 36 header bytes after the RIFF size field, 4 bytes a sample
-        assert 36 + 4 * interpolate_module._MAX_SAMPLES <= 2**32 - 1
-        assert 36 + 4 * (interpolate_module._MAX_SAMPLES + 1) > 2**32 - 1
 
 
 class TestExtended:
