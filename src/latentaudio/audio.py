@@ -65,37 +65,13 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """Fixed-size frames sliced from one buffer at a constant hop.
-
-    Row i covers source samples [i*hop, i*hop + window_size); trailing
-    samples that do not fill a frame are discarded.
-    """
-
-    frames: np.ndarray
-    window_size: int
-    hop: int
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float32)
-        if frames.ndim != 2 or frames.shape[1] != self.window_size:
-            raise ValueError(
-                f"frames must be (N, {self.window_size}), got {frames.shape}"
-            )
-        if self.hop < 1:
-            raise ValueError("hop must be >= 1")
-        object.__setattr__(self, "frames", frames)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
 def load_wav(path) -> AudioBuffer:
     """Decode a RIFF/WAVE file into a mono AudioBuffer.
 
     PCM16 samples are scaled by 1/32768; multichannel input is downmixed
-    by arithmetic mean. The buffer keeps the file's native sample rate.
+    by arithmetic mean, taken in float64 and rounded to float32 once, so
+    loud finite channels cannot sum to inf. The buffer keeps the file's
+    native sample rate.
 
     Raises:
         MalformedWavError: broken header or chunk bookkeeping, or NaN/inf
@@ -155,7 +131,8 @@ def load_wav(path) -> AudioBuffer:
     if tag == _WAVE_PCM:
         samples = samples / np.float32(_PCM16_SCALE)
     if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1, dtype=np.float32)
+        samples = samples.reshape(-1, channels).mean(axis=1, dtype=np.float64)
+        samples = samples.astype(np.float32)
     return AudioBuffer(samples, int(rate), source_label=str(path))
 
 
@@ -251,10 +228,10 @@ def frame_view(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, window_size)[: n * hop : hop]
 
 
-def window(buffer: AudioBuffer, window_size: int, hop: int) -> WindowSet:
-    """Slice a buffer into window_count(len(buffer), window_size, hop) frames."""
-    frames = frame_view(buffer.samples, window_size, hop).copy()
-    return WindowSet(frames, window_size, hop)
+def window(buffer: AudioBuffer, window_size: int, hop: int) -> np.ndarray:
+    """A float32 (N, window_size) copy of frame_view: row i holds samples
+    [i*hop, i*hop + window_size), N = window_count(len(buffer), window_size, hop)."""
+    return frame_view(buffer.samples, window_size, hop).copy()
 
 
 def truncate_pair(a: AudioBuffer, b: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:

@@ -322,8 +322,6 @@ def _cmd_som_build(args, cfg: dict) -> int:
     for key in ("width", "height"):
         if cfg[key] is None:
             cfg[key] = side
-    if cfg["som_radius"] is None:
-        cfg["som_radius"] = max(max(cfg["width"], cfg["height"]) / 2.0, 1.0)
     som = train_som(
         thumbs,
         width=cfg["width"],
@@ -334,6 +332,7 @@ def _cmd_som_build(args, cfg: dict) -> int:
         seed=cfg["seed"],
         feature_config=config,
     )
+    cfg["som_radius"] = som.radius0  # the sidecar records the radius used, default included
     save_som(som, cfg["out"])
     _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
     print(

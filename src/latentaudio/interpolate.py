@@ -116,8 +116,7 @@ def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int) -> LatentPath:
     The buffer must already be at the model's sample rate; the caller
     owns resampling.
     """
-    ws = window(buffer, model.hyper.window_size, hop)
-    return LatentPath(*encode_frames(model, ws.frames))
+    return LatentPath(*encode_frames(model, window(buffer, model.hyper.window_size, hop)))
 
 
 def generate_curve(spec: str, length: int) -> InterpolationCurve:

@@ -315,11 +315,16 @@ def load_som(path) -> SomMap:
     if len(tensors) != 4:
         raise CorruptFileError(f"{path}: expected 4 tensors, found {len(tensors)}")
     prototypes, mean, std, qe_history = tensors
-    if prototypes.ndim != 3:
-        raise CorruptFileError(f"{path}: prototype tensor has rank {prototypes.ndim}")
+    width, height = int(header["width"]), int(header["height"])
+    dim = prototypes.shape[-1:]  # (D,)
+    wanted = (("prototypes", prototypes, (height, width, *dim)),
+              ("feature mean", mean, dim), ("feature std", std, dim))
+    for name, t, shape in wanted:
+        if t.shape != shape:
+            raise CorruptFileError(f"{path}: {name} shape {t.shape}, expected {shape}")
     return SomMap(
-        width=int(header["width"]),
-        height=int(header["height"]),
+        width=width,
+        height=height,
         prototypes=prototypes,
         feature_mean=mean,
         feature_std=std,

@@ -113,69 +113,53 @@ class LatentStats:
         return len(self.mu)
 
 
+def _param_shapes(hyper: VaeHyperParams) -> list:
+    """Tensor shapes in the canonical parameter order (see VaeModel)."""
+    enc = [hyper.window_size, *hyper.hidden_sizes]
+    dec = [hyper.latent_dim, *reversed(hyper.hidden_sizes), hyper.window_size]
+    pairs = [*zip(enc[:-1], enc[1:]), (enc[-1], hyper.latent_dim),
+             (enc[-1], hyper.latent_dim), *zip(dec[:-1], dec[1:])]
+    return [shape for n_in, n_out in pairs for shape in ((n_in, n_out), (n_out,))]
+
+
 @dataclass
 class VaeModel:
     """Weights for one encoder/decoder pair.
 
-    Layers are [W, b] lists with W shaped (fan_in, fan_out); activations
-    flow as x @ W + b. The canonical parameter order (encoder hiddens,
-    mu head, logvar head, decoder layers; W before b) is shared by
-    gradients, Adam state, and the checkpoint tensor stream.
+    params is one flat list in the canonical order: encoder hidden
+    layers, mu head, logvar head, decoder layers, W before b in each.
+    Gradients, Adam moments and the checkpoint tensor stream share this
+    order, and _param_shapes gives its shapes. W is (fan_in, fan_out)
+    and activations flow as x @ W + b.
     """
 
-    encoder_layers: list
-    mu_head: list
-    logvar_head: list
-    decoder_layers: list
+    params: list
     hyper: VaeHyperParams
 
     @property
     def dtype(self):
-        return self.mu_head[0].dtype
+        return self.params[0].dtype
 
-    def parameters(self) -> list:
-        params = []
-        for w, b in self.encoder_layers:
-            params += [w, b]
-        params += [self.mu_head[0], self.mu_head[1]]
-        params += [self.logvar_head[0], self.logvar_head[1]]
-        for w, b in self.decoder_layers:
-            params += [w, b]
-        return params
-
-
-def _layer_dims(hyper: VaeHyperParams):
-    """Shape chain: encoder hidden pairs, head fan-in, decoder pairs."""
-    enc_dims = [hyper.window_size, *hyper.hidden_sizes]
-    enc_pairs = list(zip(enc_dims[:-1], enc_dims[1:]))
-    head_in = enc_dims[-1]
-    dec_dims = [hyper.latent_dim, *reversed(hyper.hidden_sizes), hyper.window_size]
-    dec_pairs = list(zip(dec_dims[:-1], dec_dims[1:]))
-    return enc_pairs, head_in, dec_pairs
-
-
-def n_param_tensors(hyper: VaeHyperParams) -> int:
-    return 4 * len(hyper.hidden_sizes) + 6
+    def layers(self) -> tuple:
+        """(encoder pairs, mu head, logvar head, decoder pairs) as [W, b]
+        lists holding the tensors of params themselves."""
+        pairs = [self.params[i : i + 2] for i in range(0, len(self.params), 2)]
+        n_hidden = len(self.hyper.hidden_sizes)
+        return pairs[:n_hidden], pairs[n_hidden], pairs[n_hidden + 1], pairs[n_hidden + 2 :]
 
 
 def init_model(hyper: VaeHyperParams, rng=None, dtype=np.float64) -> VaeModel:
     """Seeded fan-in-scaled uniform weights, zero biases."""
     if rng is None:
         rng = np.random.default_rng(hyper.seed)
-
-    def affine(n_in: int, n_out: int) -> list:
-        bound = 1.0 / math.sqrt(n_in)
-        w = rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype)
-        return [w, np.zeros(n_out, dtype=dtype)]
-
-    enc_pairs, head_in, dec_pairs = _layer_dims(hyper)
-    return VaeModel(
-        encoder_layers=[affine(i, o) for i, o in enc_pairs],
-        mu_head=affine(head_in, hyper.latent_dim),
-        logvar_head=affine(head_in, hyper.latent_dim),
-        decoder_layers=[affine(i, o) for i, o in dec_pairs],
-        hyper=hyper,
-    )
+    params = []
+    for shape in _param_shapes(hyper):
+        if len(shape) == 1:
+            params.append(np.zeros(shape, dtype=dtype))
+        else:
+            bound = 1.0 / math.sqrt(shape[0])
+            params.append(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    return VaeModel(params, hyper)
 
 
 def encode_frames(model: VaeModel, frames: np.ndarray):
@@ -185,10 +169,11 @@ def encode_frames(model: VaeModel, frames: np.ndarray):
         raise ShapeMismatchError(
             f"expected (B, {model.hyper.window_size}) frames, got {h.shape}"
         )
-    for w, b in model.encoder_layers:
+    encoder, mu_head, logvar_head, _ = model.layers()
+    for w, b in encoder:
         h = _affine(h, w, b)
         _leaky(h, out=h)
-    return _affine(h, *model.mu_head), _affine(h, *model.logvar_head)
+    return _affine(h, *mu_head), _affine(h, *logvar_head)
 
 
 def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
@@ -198,10 +183,11 @@ def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected (B, {model.hyper.latent_dim}) latents, got {h.shape}"
         )
-    for w, b in model.decoder_layers[:-1]:
+    *hidden, out = model.layers()[3]
+    for w, b in hidden:
         h = _affine(h, w, b)
         _leaky(h, out=h)
-    h = _affine(h, *model.decoder_layers[-1])
+    h = _affine(h, *out)
     return np.tanh(h, out=h)
 
 
@@ -215,24 +201,25 @@ def kl_divergence(stats: LatentStats) -> float:
 
 def _forward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray):
     """Forward pass keeping every pre-activation needed by the backward pass."""
+    encoder, mu_head, logvar_head, decoder = model.layers()
     enc_pre = []
     h = frames
-    for w, b in model.encoder_layers:
+    for w, b in encoder:
         pre = _affine(h, w, b)
         enc_pre.append((h, pre))
         h = _leaky(pre)
-    mu = _affine(h, *model.mu_head)
-    logvar = _affine(h, *model.logvar_head)
+    mu = _affine(h, *mu_head)
+    logvar = _affine(h, *logvar_head)
     sigma = np.exp(logvar / 2)
     z = mu + sigma * eps
 
     dec_pre = []
     d = z
-    for w, b in model.decoder_layers[:-1]:
+    for w, b in decoder[:-1]:
         pre = _affine(d, w, b)
         dec_pre.append((d, pre))
         d = _leaky(pre)
-    x_hat = _affine(d, *model.decoder_layers[-1])
+    x_hat = _affine(d, *decoder[-1])
     np.tanh(x_hat, out=x_hat)
     return {
         "enc_pre": enc_pre, "head_in": h, "mu": mu, "logvar": logvar,
@@ -253,27 +240,26 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     """Analytic gradients of the batch-mean loss; returns (grads, losses).
 
     The loss is mean-over-batch of (per-window MSE + alpha * KL sum), so
-    every upstream gradient carries the 1/batch factor once.
+    every upstream gradient carries the 1/batch factor once. Gradients
+    are appended back to front, bias before weight, and the list is
+    reversed once into the canonical parameter order.
     """
+    encoder, mu_head, logvar_head, decoder = model.layers()
     cache = _forward_batch(model, frames, eps)
     batch, width = frames.shape
     total, recon, kl = _batch_losses(frames, cache, alpha)
 
-    grads = {"enc": [], "dec": []}
+    grads = []
 
     # decoder output stage, through tanh
     d_xhat = 2.0 * (cache["x_hat"] - frames) / (batch * width)
     d_pre = d_xhat * (1.0 - cache["x_hat"] ** 2)
-    w_out, _ = model.decoder_layers[-1]
-    grads["dec"].append([cache["dec_in"].T @ d_pre, d_pre.sum(axis=0)])
-    upstream = d_pre @ w_out.T
-    for (layer_in, pre), (w, _) in zip(
-        reversed(cache["dec_pre"]), reversed(model.decoder_layers[:-1])
-    ):
+    grads += [d_pre.sum(axis=0), cache["dec_in"].T @ d_pre]
+    upstream = d_pre @ decoder[-1][0].T
+    for (layer_in, pre), (w, _) in zip(reversed(cache["dec_pre"]), reversed(decoder[:-1])):
         d_pre = upstream * _leaky_grad(pre)
-        grads["dec"].append([layer_in.T @ d_pre, d_pre.sum(axis=0)])
+        grads += [d_pre.sum(axis=0), layer_in.T @ d_pre]
         upstream = d_pre @ w.T
-    grads["dec"].reverse()
 
     # reparameterization split: z = mu + sigma * eps
     d_z = upstream
@@ -283,24 +269,17 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     )
 
     head_in = cache["head_in"]
-    grads["mu_head"] = [head_in.T @ d_mu, d_mu.sum(axis=0)]
-    grads["logvar_head"] = [head_in.T @ d_logvar, d_logvar.sum(axis=0)]
-    upstream = d_mu @ model.mu_head[0].T + d_logvar @ model.logvar_head[0].T
+    grads += [d_logvar.sum(axis=0), head_in.T @ d_logvar]
+    grads += [d_mu.sum(axis=0), head_in.T @ d_mu]
+    upstream = d_mu @ mu_head[0].T + d_logvar @ logvar_head[0].T
 
-    for (layer_in, pre), (w, _) in zip(
-        reversed(cache["enc_pre"]), reversed(model.encoder_layers)
-    ):
+    for (layer_in, pre), (w, _) in zip(reversed(cache["enc_pre"]), reversed(encoder)):
         d_pre = upstream * _leaky_grad(pre)
-        grads["enc"].append([layer_in.T @ d_pre, d_pre.sum(axis=0)])
+        grads += [d_pre.sum(axis=0), layer_in.T @ d_pre]
         upstream = d_pre @ w.T
 
-    flat = []
-    for w_g, b_g in reversed(grads["enc"]):
-        flat += [w_g, b_g]
-    flat += grads["mu_head"] + grads["logvar_head"]
-    for w_g, b_g in grads["dec"]:
-        flat += [w_g, b_g]
-    return flat, (total, recon, kl)
+    grads.reverse()
+    return grads, (total, recon, kl)
 
 
 @dataclass
@@ -393,15 +372,9 @@ class Checkpoint:
     loss_history: np.ndarray
 
 
-def _as_window_arrays(dataset) -> list:
-    """Accept one WindowSet or an iterable of them; return frame arrays."""
-    if hasattr(dataset, "frames"):
-        dataset = [dataset]
-    return [np.asarray(ws.frames) for ws in dataset]
-
-
 def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
-    """Optimize a freshly initialized model over the window collection.
+    """Optimize a freshly initialized model over the window collection:
+    one (N, window_size) frame array as window() returns, or an iterable of them.
 
     Frames, parameters, Adam moments, activations and gradients are all
     float32, the checkpoint dtype, so the trained tensors are stored as
@@ -409,7 +382,7 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     shuffle, and one fresh eps row per window per visit (drawn in float64,
     then rounded), so identical inputs give byte-identical checkpoints.
     """
-    arrays = _as_window_arrays(dataset)
+    arrays = [dataset] if isinstance(dataset, np.ndarray) else [np.asarray(a) for a in dataset]
     if not arrays or sum(len(a) for a in arrays) == 0:
         raise EmptyDatasetError("training needs at least one window")
     for a in arrays:
@@ -422,7 +395,7 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
 
     rng = np.random.default_rng(hyper.seed)
     model = init_model(hyper, rng=rng, dtype=np.float32)
-    params = model.parameters()
+    params = model.params
     state = AdamState.zeros_like(params)
     n = len(frames)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
@@ -465,20 +438,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> VaeModel:
     buffer the file was read into. Writing to either writes to both, and
     the model keeps that whole buffer alive, the Adam moments included.
     """
-    hyper = ckpt.hyper
-    enc_pairs, _, dec_pairs = _layer_dims(hyper)
-    tensors = iter(np.asarray(p, dtype=np.float32) for p in ckpt.params)
-
-    def take() -> list:
-        return [next(tensors), next(tensors)]
-
-    return VaeModel(
-        encoder_layers=[take() for _ in enc_pairs],
-        mu_head=take(),
-        logvar_head=take(),
-        decoder_layers=[take() for _ in dec_pairs],
-        hyper=hyper,
-    )
+    return VaeModel([np.asarray(p, dtype=np.float32) for p in ckpt.params], ckpt.hyper)
 
 
 def _hyper_to_header(hyper: VaeHyperParams) -> dict:
@@ -521,11 +481,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     header, tensors = read_container(path, CHECKPOINT_MAGIC)
     hyper = _hyper_from_header(header)
-    n_params = n_param_tensors(hyper)
+    shapes = _param_shapes(hyper)
+    n_params = len(shapes)
     if len(tensors) != 3 * n_params + 1:
         raise CorruptFileError(
             f"{path}: expected {3 * n_params + 1} tensors, found {len(tensors)}"
         )
+    for i, t in enumerate(tensors[:-1]):
+        group, k = divmod(i, n_params)
+        if t.shape != shapes[k]:
+            raise CorruptFileError(
+                f"{path}: {('params', 'adam_m', 'adam_v')[group]}[{k}] has shape "
+                f"{t.shape}, the header's hyperparameters give {shapes[k]}"
+            )
     loss_history = tensors[-1]
     if loss_history.ndim != 2 or loss_history.shape[1] != 2:
         raise CorruptFileError(f"{path}: loss history has shape {loss_history.shape}")
@@ -583,7 +551,7 @@ def gradient_check(
         raise ShapeMismatchError(f"eps shape {eps.shape} != ({hyper.latent_dim},)")
 
     analytic, _ = _backward_batch(model, x[None, :], eps[None, :], hyper.alpha)
-    params = model.parameters()
+    params = model.params
     # seed one probe per tensor so biases are always covered, then fill randomly
     coords = [(t, 0) for t in range(len(params))]
     while len(coords) < n_samples:

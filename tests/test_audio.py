@@ -100,6 +100,31 @@ class TestWavCodec:
         back = load_wav(path)
         assert np.allclose(back.samples, [0.3, 0.0, 0.25])
 
+    def test_loud_stereo_float_downmixes_finite(self, tmp_path):
+        # each channel is finite, but their float32 sum overflows
+        frames = np.array([[3e38, 3e38], [-3e38, -3e38], [3e38, -3e38]], dtype="<f4")
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(3, 2, 8000, 32, frames.tobytes()))
+        back = load_wav(path)
+        assert np.isfinite(back.samples).all()
+        assert np.array_equal(back.samples, np.float32([3e38, -3e38, 0.0]))
+
+    @pytest.mark.parametrize("tag", [1, 3])
+    def test_stereo_downmix_bits_match_float32_mean(self, tmp_path, tag):
+        # the float64 mean rounds to the bits the float32 mean gave for
+        # two channels: PCM16 sums and halvings are exact in float32
+        rng = np.random.default_rng(tag)
+        if tag == 1:
+            ints = rng.integers(-32768, 32768, (4000, 2)).astype("<i2")
+            payload, values = ints.tobytes(), ints.astype(np.float32) / np.float32(32768.0)
+        else:
+            values = rng.uniform(-1.0, 1.0, (4000, 2)).astype("<f4")
+            payload = values.tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(tag, 2, 8000, 16 if tag == 1 else 32, payload))
+        want = values.mean(axis=1, dtype=np.float32)
+        assert load_wav(path).samples.tobytes() == want.tobytes()
+
     def test_odd_sized_chunk_is_skipped_with_padding(self, tmp_path):
         extra = b"LIST" + struct.pack("<I", 3) + b"abc\x00"  # 3 bytes + pad
         payload = np.array([0.5, -0.5], dtype="<f4").tobytes()
@@ -306,8 +331,9 @@ class TestWindow:
 
     def test_frames_match_manual_slices(self):
         buf = AudioBuffer(np.arange(20, dtype=np.float32), 8000)
-        ws = window(buf, 6, 4)
-        for i, frame in enumerate(ws.frames):
+        frames = window(buf, 6, 4)
+        assert frames.dtype == np.float32 and frames.shape == (4, 6) and frames.flags.writeable
+        for i, frame in enumerate(frames):
             assert np.array_equal(frame, buf.samples[i * 4 : i * 4 + 6])
 
     def test_too_short(self):
@@ -326,10 +352,10 @@ class TestWindow:
             with pytest.raises(TooShortError):
                 window(buf, size, hop)
         else:
-            ws = window(buf, size, hop)
-            assert len(ws) == (length - size) // hop + 1
-            last = (len(ws) - 1) * hop
-            assert np.array_equal(ws.frames[-1], buf.samples[last : last + size])
+            frames = window(buf, size, hop)
+            assert len(frames) == (length - size) // hop + 1
+            last = (len(frames) - 1) * hop
+            assert np.array_equal(frames[-1], buf.samples[last : last + size])
 
 
 class TestTruncatePair:

@@ -5,6 +5,7 @@ files, and artifact bytes can all be checked. A small 8 kHz corpus and a
 deliberately tiny model keep the module fast.
 """
 
+import dataclasses
 import math
 import os
 import warnings
@@ -25,6 +26,7 @@ from latentaudio import (
     meso_interpolate,
     model_from_checkpoint,
     resample,
+    save_checkpoint,
     save_wav,
 )
 from latentaudio import audio, cli, container, interpolate
@@ -417,6 +419,19 @@ class TestExportLatents:
         assert len(rows) == len(path)
         got_mu0 = np.array([np.float32(r.split(",")[1]) for r in rows])
         assert np.array_equal(got_mu0, path.means()[:, 0].astype(np.float32))
+
+    def test_checkpoint_header_disagreeing_with_tensors_exits_2(
+        self, checkpoint, corpus, tmp_path, capsys
+    ):
+        ckpt = load_checkpoint(checkpoint)
+        ckpt.hyper = dataclasses.replace(ckpt.hyper, latent_dim=4)  # tensors hold 8
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, bad)
+        out = tmp_path / "latents.csv"
+        code = main(["export-latents", "--checkpoint", str(bad),
+                     "--input", str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "params[2] has shape (16, 8)" in capsys.readouterr().err
 
 
 class _HalfThenFail:

@@ -1,6 +1,7 @@
 """Kernels against verbatim copies of the straightforward code they replaced.
 
-adam_step and train_som avoid per-call temporaries, the feature
+adam_step and train_som avoid per-call temporaries, init_model walks
+one list of parameter shapes instead of building layers, the feature
 constants are built once per recipe, the latent blend works on (N, M)
 arrays instead of tuples of per-window stats, synthesis blends, decodes
 and joins the path a block of windows at a time, inference activations
@@ -91,7 +92,7 @@ def reference_train_float64(frames, hyper):
     frames = np.asarray(frames, dtype=np.float64)
     rng = np.random.default_rng(hyper.seed)
     model = init_model(hyper, rng=rng)
-    params = model.parameters()
+    params = model.params
     state = AdamState.zeros_like(params)
     n = len(frames)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
@@ -156,24 +157,42 @@ class ReferencePath:
         return np.array([np.exp(s.logvar / 2) for s in self.stats])
 
 
+def reference_init_params(hyper, rng, dtype):
+    """The per-layer initializer that walking _param_shapes replaced."""
+
+    def affine(n_in, n_out):
+        bound = 1.0 / math.sqrt(n_in)
+        w = rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype)
+        return [w, np.zeros(n_out, dtype=dtype)]
+
+    enc = [hyper.window_size, *hyper.hidden_sizes]
+    dec = [hyper.latent_dim, *reversed(hyper.hidden_sizes), hyper.window_size]
+    layers = [affine(i, o) for i, o in zip(enc[:-1], enc[1:])]
+    layers += [affine(enc[-1], hyper.latent_dim), affine(enc[-1], hyper.latent_dim)]
+    layers += [affine(i, o) for i, o in zip(dec[:-1], dec[1:])]
+    return [t for layer in layers for t in layer]
+
+
 def reference_leaky(pre):
     return np.where(pre > 0, pre, pre.dtype.type(_LEAKY_SLOPE) * pre)
 
 
 def reference_encode_frames(model, frames):
+    encoder, mu_head, logvar_head, _ = model.layers()
     h = np.asarray(frames, dtype=model.dtype)
-    for w, b in model.encoder_layers:
+    for w, b in encoder:
         h = reference_leaky(h @ w + b)
-    return h @ model.mu_head[0] + model.mu_head[1], (
-        h @ model.logvar_head[0] + model.logvar_head[1]
+    return h @ mu_head[0] + mu_head[1], (
+        h @ logvar_head[0] + logvar_head[1]
     )
 
 
 def reference_decode_frames(model, z):
+    decoder = model.layers()[3]
     h = np.asarray(z, dtype=model.dtype)
-    for w, b in model.decoder_layers[:-1]:
+    for w, b in decoder[:-1]:
         h = reference_leaky(h @ w + b)
-    w, b = model.decoder_layers[-1]
+    w, b = decoder[-1]
     return np.tanh(h @ w + b)
 
 
@@ -398,7 +417,7 @@ class TestFloat32TrainingMatchesFloat64Reference:
         # 74 windows: the last batch of every epoch is partial
         windows = window(make_noise(seconds=0.3, rate=8000, seed=3), 64, 32)
         ckpt = train(windows, hyper)
-        want_params, want_history = reference_train_float64(windows.frames, hyper)
+        want_params, want_history = reference_train_float64(windows, hyper)
         assert ckpt.adam_step_count == hyper.epochs * 5
         rel = np.abs(ckpt.loss_history - want_history) / np.abs(want_history)
         assert rel.max() < 1e-4
@@ -617,11 +636,27 @@ class TestInferenceMatchesReference:
     def _models(self):
         return {"float32": float32_model(self.HYPER), "float64": init_model(self.HYPER)}
 
+    @pytest.mark.parametrize(
+        "hidden_sizes", [(), (40, 24), (16, 8, 4)], ids=["0-hidden", "2-hidden", "3-hidden"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_draws_the_reference_stream(self, hidden_sizes, dtype):
+        # train seeds one generator for init, shuffles and eps: the init
+        # must take the same draws in the same order, or every checkpoint moves
+        hyper = VaeHyperParams(window_size=48, latent_dim=12, hidden_sizes=hidden_sizes)
+        got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = init_model(hyper, rng=got_rng, dtype=dtype).params
+        want = reference_init_params(hyper, want_rng, dtype)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_bytes(g, w)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_float32_init_is_float64_init_rounded(self):
         # float32_model builds its weights this way; the models it stands
         # in for were float64 weights rounded to float32
-        got = init_model(self.HYPER, dtype=np.float32).parameters()
-        want = [p.astype(np.float32) for p in init_model(self.HYPER).parameters()]
+        got = init_model(self.HYPER, dtype=np.float32).params
+        want = [p.astype(np.float32) for p in init_model(self.HYPER).params]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert same_bytes(g, w)
@@ -652,7 +687,8 @@ class TestInferenceMatchesReference:
 
     def test_zero_and_negative_zero_pre_activations(self):
         model = float32_model(self.HYPER)
-        for w, b in model.encoder_layers + model.decoder_layers:
+        encoder, _, _, decoder = model.layers()
+        for w, b in encoder + decoder:
             w[:, ::3] = 0.0
             b[::3] = -0.0
         frames = np.zeros((5, self.HYPER.window_size), dtype=np.float32)

@@ -90,8 +90,8 @@ def test_centroid_tracks_frequency():
 
     low = window(make_sine(freq=300, rate=8000, seconds=0.5), 512, 256)
     high = window(make_sine(freq=2000, rate=8000, seconds=0.5), 512, 256)
-    c_low = frame_features(low.frames, CONFIG)[:, CONFIG.n_mfcc].mean()
-    c_high = frame_features(high.frames, CONFIG)[:, CONFIG.n_mfcc].mean()
+    c_low = frame_features(low, CONFIG)[:, CONFIG.n_mfcc].mean()
+    c_high = frame_features(high, CONFIG)[:, CONFIG.n_mfcc].mean()
     assert c_low < c_high
 
 

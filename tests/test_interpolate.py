@@ -73,8 +73,7 @@ class TestEncodeAudio:
 
     def test_order_matches_per_window_encoding(self, model, pair):
         path = encode_audio(model, pair[0], 32)
-        ws = window(pair[0], 64, 32)
-        probe_mu, _ = encode_frames(model, ws.frames[3:4])
+        probe_mu, _ = encode_frames(model, window(pair[0], 64, 32)[3:4])
         assert np.allclose(path.mu[3], probe_mu[0])
 
 

@@ -283,6 +283,25 @@ class TestSomPersistence:
         save_som(som, path)
         assert load_som(path).feature_config == cfg
 
+    @pytest.mark.parametrize("index, bad", [
+        (0, lambda t: t[:, :-1]),  # one column short of the header's width
+        (0, lambda t: t[0]),  # rank 2
+        (1, lambda t: t[:-1]),  # mean shorter than the prototypes' D
+        (2, lambda t: np.ones((1, len(t)))),  # std of rank 2
+    ], ids=["narrow-grid", "rank-2-prototypes", "short-mean", "rank-2-std"])
+    def test_tensor_disagreeing_with_header_detected(self, trained, tmp_path, index, bad):
+        from latentaudio import CorruptFileError
+        from latentaudio.container import read_container, write_container
+        from latentaudio.som import SOM_MAGIC
+
+        path = tmp_path / "map.som"
+        save_som(trained, path)
+        header, tensors = read_container(path, SOM_MAGIC)
+        tensors[index] = np.ascontiguousarray(bad(tensors[index]))
+        write_container(path, SOM_MAGIC, header, tensors)
+        with pytest.raises(CorruptFileError, match="shape"):
+            load_som(path)
+
     def test_corrupt_byte_detected(self, trained, tmp_path):
         from latentaudio import CorruptFileError
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from latentaudio import (
     window,
 )
 from latentaudio import vae as vae_module
-from latentaudio.vae import _backward_batch, _batch_losses, _forward_batch, n_param_tensors
+from latentaudio.vae import _backward_batch, _batch_losses, _forward_batch, _param_shapes
 
 ADAM_FIRST_STEP = 1e-4 * (1.0 / (1.0 + 1e-8))  # hand-computed: m_hat = v_hat = 1
 
 
 def _zeroed(model):
-    for p in model.parameters():
+    for p in model.params:
         p[...] = 0.0
     return model
 
@@ -57,8 +58,9 @@ def _posterior_model(mu, logvar):
     """
     hyper = VaeHyperParams(window_size=4, latent_dim=len(mu), hidden_sizes=(2,))
     model = _zeroed(init_model(hyper))
-    model.mu_head[1][...] = mu
-    model.logvar_head[1][...] = logvar
+    _, mu_head, logvar_head, _ = model.layers()
+    mu_head[1][...] = mu
+    logvar_head[1][...] = logvar
     return model
 
 
@@ -79,6 +81,9 @@ class TestPackageExports:
         assert not deleted & set(latentaudio.__all__)
         assert not any(hasattr(latentaudio, name) for name in deleted)
         assert {"encode_frames", "decode_frames"} <= set(latentaudio.__all__)
+        # window() returns the frame array itself
+        assert "WindowSet" not in latentaudio.__all__
+        assert not hasattr(latentaudio, "WindowSet") and not hasattr(latentaudio.audio, "WindowSet")
 
 
 class TestForwardPasses:
@@ -382,7 +387,7 @@ class TestFloat32Training:
         ckpt = train(_sine_windows(), small_hyper)
         assert seen == {np.dtype(np.float32)}
         for tensors in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
-            assert len(tensors) == n_param_tensors(small_hyper)
+            assert len(tensors) == len(_param_shapes(small_hyper))
             assert all(t.dtype == np.float32 and t.flags.c_contiguous for t in tensors)
         assert ckpt.loss_history.dtype == np.float32
 
@@ -445,6 +450,29 @@ class TestCheckpointPersistence:
         with pytest.raises(CorruptFileError):
             load_checkpoint(path)
 
+    def test_header_disagreeing_with_tensors_detected(self, small_hyper, tmp_path):
+        from latentaudio import CorruptFileError
+
+        ckpt = self._trained(replace(small_hyper, latent_dim=16))
+        # a valid, checksummed file whose header claims latent_dim=8
+        ckpt.hyper = small_hyper
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        # the mu head weight is the first tensor whose shape needs latent_dim
+        with pytest.raises(CorruptFileError, match=r"params\[2\] has shape \(16, 16\)"):
+            load_checkpoint(path)
+
+    def test_moment_disagreeing_with_header_detected(self, small_hyper, tmp_path):
+        from latentaudio import CorruptFileError
+
+        ckpt = self._trained(small_hyper)
+        ckpt.adam_v[-1] = np.zeros(small_hyper.window_size + 1, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        last = len(_param_shapes(small_hyper)) - 1
+        with pytest.raises(CorruptFileError, match=rf"adam_v\[{last}\]"):
+            load_checkpoint(path)
+
     def test_version_mismatch_detected(self, small_hyper, tmp_path):
         from latentaudio import FormatVersionMismatchError
 
@@ -466,3 +494,44 @@ class TestCheckpointPersistence:
         mu1, _ = encode_frames(model, x)
         mu2, _ = encode_frames(model_from_checkpoint(load_checkpoint(path)), x)
         assert np.array_equal(mu1, mu2)
+
+
+@pytest.mark.parametrize(
+    "hidden_sizes", [(), (16,), (32, 16, 8)], ids=["0-hidden", "1-hidden", "3-hidden"]
+)
+class TestHiddenLayerCounts:
+    """Zero, one and three hidden layers: the edges of the layers() split."""
+
+    def _hyper(self, hidden_sizes):
+        return VaeHyperParams(window_size=32, latent_dim=4, hidden_sizes=hidden_sizes,
+                              epochs=2, batch_size=8, sample_rate=8000, seed=3)
+
+    def test_train_save_load_encode_decode(self, hidden_sizes, tmp_path):
+        hyper = self._hyper(hidden_sizes)
+        ckpt = train(_sine_windows(size=32, hop=16), hyper)
+        assert [p.shape for p in ckpt.params] == _param_shapes(hyper)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        model = model_from_checkpoint(load_checkpoint(path))
+        assert len(model.params) == len(_param_shapes(hyper))
+        encoder, mu_head, logvar_head, decoder = model.layers()
+        assert len(encoder) == len(hidden_sizes) and len(decoder) == len(hidden_sizes) + 1
+        assert mu_head[0].shape == logvar_head[0].shape == ((hidden_sizes or (32,))[-1], 4)
+        # layers() hands out the params tensors themselves, in canonical order
+        flat = [t for group in (encoder, [mu_head, logvar_head], decoder)
+                for layer in group for t in layer]
+        assert len(flat) == len(model.params)
+        assert all(t is p for t, p in zip(flat, model.params))
+        frames = _sine_windows(n_windows=5, size=32, hop=16)
+        mu, logvar = encode_frames(model, frames)
+        assert mu.shape == logvar.shape == (5, 4)
+        out = decode_frames(model, mu)
+        assert out.shape == (5, 32) and out.dtype == np.float32 and np.all(np.abs(out) < 1)
+
+    def test_gradients_pass_the_check(self, hidden_sizes):
+        hyper = self._hyper(hidden_sizes)
+        report = gradient_check(hyper, tolerance=1e-3, n_samples=120, seed=1)
+        assert report.passed, report.max_rel_error
+        model = init_model(hyper)
+        grads, _ = _backward_batch(model, np.zeros((2, 32)), np.ones((2, 4)), hyper.alpha)
+        assert [g.shape for g in grads] == [p.shape for p in model.params] == _param_shapes(hyper)
