@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or input error, 3 non-finite training loss.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 from .audio import (
     AudioBuffer, load_wav, peak_normalize, resample, save_wav, window, window_count,
 )
-from .container import atomic_write
+from .container import TEXT_FORMS, atomic_write
 from .exceptions import (
     ConfigMismatchError,
     EmptyDatasetError,
@@ -71,33 +72,20 @@ class Field:
     choices: tuple = ()
 
 
+# ftype -> (value to text, text to value): int, float, bool and ints values
+# are spelled as container headers spell them, str and path values as given
+_FORMS = {"int": TEXT_FORMS[int], "float": TEXT_FORMS[float], "bool": TEXT_FORMS[bool],
+          "ints": TEXT_FORMS[tuple], "str": (str, str), "path": (str, str)}
+
+
 def _convert(raw, field: Field):
-    if field.ftype == "int":
-        value = int(raw)
-    elif field.ftype == "float":
-        value = float(raw)
-    elif field.ftype == "bool":
-        value = raw if isinstance(raw, bool) else bool(int(raw))
-    elif field.ftype == "ints":
-        text = str(raw).strip()
-        value = tuple(int(part) for part in text.split(",")) if text else ()
-    else:  # str | path
-        value = str(raw)
+    # a --flag/--no-flag switch gives a bool, every other source gives text
+    value = raw if isinstance(raw, bool) else _FORMS[field.ftype][1](raw)
     if field.choices and value not in field.choices:
         raise ConfigMismatchError(
             f"{field.name} must be one of {', '.join(field.choices)}, got {value!r}"
         )
     return value
-
-
-def _to_text(value, ftype: str) -> str:
-    if ftype == "bool":
-        return str(int(value))
-    if ftype == "ints":
-        return ",".join(str(v) for v in value)
-    if ftype == "float":
-        return repr(float(value))
-    return str(value)
 
 
 def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
@@ -160,7 +148,7 @@ def _write_sidecar(artifact_path, cmd_name: str, fields, values: dict) -> None:
     lines = [f"command={cmd_name}"]
     for f in fields:
         if values[f.name] is not None:
-            lines.append(f"{f.name}={_to_text(values[f.name], f.ftype)}")
+            lines.append(f"{f.name}={_FORMS[f.ftype][0](values[f.name])}")
     with atomic_write(str(artifact_path) + ".cfg", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -185,31 +173,22 @@ def _load_input(path, sample_rate: int, normalize: bool) -> AudioBuffer:
 TRAIN_FIELDS = (
     Field("dataset_dir", "path", required=True, help="directory of training WAVs"),
     Field("out", "path", required=True, help="checkpoint output path"),
-    Field("window_size", "int", 1024),
-    Field("latent_dim", "int", 256),
-    Field("hidden_sizes", "ints", (512,), help="comma-separated hidden widths"),
-    Field("alpha", "float", 1e-4, help="KL weight"),
-    Field("learning_rate", "float", 1e-4),
-    Field("epochs", "int", 500),
-    Field("batch_size", "int", 128),
-    Field("sample_rate", "int", 44100),
+    Field("window_size", "int", VaeHyperParams.window_size),
+    Field("latent_dim", "int", VaeHyperParams.latent_dim),
+    Field("hidden_sizes", "ints", VaeHyperParams.hidden_sizes,
+          help="comma-separated hidden widths"),
+    Field("alpha", "float", VaeHyperParams.alpha, help="KL weight"),
+    Field("learning_rate", "float", VaeHyperParams.learning_rate),
+    Field("epochs", "int", VaeHyperParams.epochs),
+    Field("batch_size", "int", VaeHyperParams.batch_size),
+    Field("sample_rate", "int", VaeHyperParams.sample_rate),
     Field("hop", "int", 256, help="training window hop"),
-    Field("seed", "int", 0),
+    Field("seed", "int", VaeHyperParams.seed),
 )
 
 
 def _cmd_train(args, cfg: dict) -> int:
-    hyper = VaeHyperParams(
-        window_size=cfg["window_size"],
-        latent_dim=cfg["latent_dim"],
-        hidden_sizes=cfg["hidden_sizes"],
-        alpha=cfg["alpha"],
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        sample_rate=cfg["sample_rate"],
-        seed=cfg["seed"],
-    )
+    hyper = VaeHyperParams(**{f.name: cfg[f.name] for f in dataclasses.fields(VaeHyperParams)})
     sets = []
     for path in _sorted_wavs(cfg["dataset_dir"]):
         buf = _load_input(path, hyper.sample_rate, True)
@@ -283,26 +262,20 @@ SOM_BUILD_FIELDS = (
     Field("som_lr", "float", 0.5),
     Field("som_radius", "float", help="initial radius (default: half the longer side)"),
     Field("seed", "int", 0),
-    Field("feat_rate", "int", 44100, help="analysis sample rate"),
-    Field("frame_size", "int", 2048),
-    Field("feat_hop", "int", 1024),
-    Field("n_mfcc", "int", 13),
-    Field("n_mels", "int", 26),
-    Field("centroid", "bool", True, help="include spectral centroid"),
-    Field("rms", "bool", True, help="include RMS energy"),
+    Field("feat_rate", "int", FeatureConfig.sample_rate, help="analysis sample rate"),
+    Field("frame_size", "int", FeatureConfig.frame_size),
+    Field("feat_hop", "int", FeatureConfig.hop),
+    Field("n_mfcc", "int", FeatureConfig.n_mfcc),
+    Field("n_mels", "int", FeatureConfig.n_mels),
+    Field("centroid", "bool", FeatureConfig.centroid, help="include spectral centroid"),
+    Field("rms", "bool", FeatureConfig.rms, help="include RMS energy"),
 )
 
 
 def _feature_config(cfg: dict) -> FeatureConfig:
-    return FeatureConfig(
-        sample_rate=cfg["feat_rate"],
-        frame_size=cfg["frame_size"],
-        hop=cfg["feat_hop"],
-        n_mfcc=cfg["n_mfcc"],
-        n_mels=cfg["n_mels"],
-        include_centroid=cfg["centroid"],
-        include_rms=cfg["rms"],
-    )
+    key = {"sample_rate": "feat_rate", "hop": "feat_hop"}  # the rest share the field name
+    return FeatureConfig(**{f.name: cfg[key.get(f.name, f.name)]
+                            for f in dataclasses.fields(FeatureConfig)})
 
 
 def _corpus_thumbnails(dataset_dir, config: FeatureConfig) -> list:

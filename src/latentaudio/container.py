@@ -12,12 +12,22 @@ Tensors are parsed until exactly four bytes (the checksum) remain, so the
 tensor count is implicit. Readers check, in order: magic prefix, version
 byte, checksum. Payloads are always float32 regardless of in-memory dtype.
 
+Config records (the VAE hyperparameters, the feature recipe) are stored
+as one header field per dataclass field, keyed prefix + field name, in
+field order. The field's default picks the text: an int as written, a
+float by repr, a bool as 0 or 1, a tuple of ints comma-joined.
+record_header writes them and read_record reads them back; a missing
+key, an unparsable value or a value the record rejects is a
+CorruptFileError naming the file and the key. TEXT_FORMS holds these
+spellings, and the CLI's config files and sidecars use them too.
+
 atomic_write, which write_container uses, is also how every other
 artifact of the package (WAVs, sidecars, logs, listings, CSVs) is written.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import stat
@@ -172,3 +182,54 @@ def _read_aligned(path) -> np.ndarray:
         fh.seek(0)
         filled = fh.readinto(raw)
     return raw[:filled]
+
+
+# the type of a field's default -> (value to text, text to value)
+TEXT_FORMS = {
+    bool: (lambda v: str(int(v)), lambda t: bool(int(t))),
+    int: (str, int),
+    float: (lambda v: repr(float(v)), float),
+    tuple: (lambda v: ",".join(map(str, v)),
+            lambda t: tuple(map(int, t.split(","))) if t.strip() else ()),
+}
+
+
+def record_header(record, prefix: str = "") -> dict:
+    """Header fields for a dataclass whose fields all have defaults."""
+    return {prefix + f.name: TEXT_FORMS[type(f.default)][0](getattr(record, f.name))
+            for f in dataclasses.fields(record)}
+
+
+def read_value(path, header: dict, key: str, kind: type):
+    """header[key] in the text form of kind, one of TEXT_FORMS' types;
+    CorruptFileError if it is missing or does not parse."""
+    parse = TEXT_FORMS[kind][1]
+    if key not in header:
+        raise CorruptFileError(f"{path}: header has no {key!r}")
+    try:
+        return parse(header[key])
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: header {key}={header[key]!r}: {exc}") from None
+
+
+def read_record(path, header: dict, cls, prefix: str = ""):
+    """The cls instance record_header(instance, prefix) wrote, every field
+    through read_value. A value cls rejects is a CorruptFileError naming the
+    keys cls rejects on top of its defaults, or all its keys if none alone."""
+    values = {f.name: read_value(path, header, prefix + f.name, type(f.default))
+              for f in dataclasses.fields(cls)}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        keys = [k for k, v in values.items() if _rejects(cls, k, v)] or list(values)
+        raise CorruptFileError(
+            f"{path}: header {', '.join(prefix + k for k in keys)}: {exc}"
+        ) from None
+
+
+def _rejects(cls, name: str, value) -> bool:
+    try:
+        cls(**{name: value})
+    except ValueError:
+        return True
+    return False

@@ -31,8 +31,8 @@ class FeatureConfig:
     hop: int = 1024
     n_mfcc: int = 13
     n_mels: int = 26
-    include_centroid: bool = True
-    include_rms: bool = True
+    centroid: bool = True
+    rms: bool = True
 
     def __post_init__(self):
         if self.frame_size < 2 or self.hop < 1:
@@ -44,7 +44,7 @@ class FeatureConfig:
 
     @property
     def per_frame_count(self) -> int:
-        return self.n_mfcc + int(self.include_centroid) + int(self.include_rms)
+        return self.n_mfcc + int(self.centroid) + int(self.rms)
 
     @property
     def dimension(self) -> int:
@@ -135,7 +135,7 @@ def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     # one work buffer: the squares for the RMS, then the Hann-windowed frames
     work = np.empty_like(frames)
-    if config.include_rms:
+    if config.rms:
         # np.mean's own steps: add.reduce, then divide by the count
         squares = np.multiply(frames, frames, out=work)
         rms = np.sqrt(np.add.reduce(squares, axis=1) / frames.shape[1])
@@ -144,14 +144,14 @@ def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     mfcc = log_mel @ dct.T
 
     columns = [mfcc]
-    if config.include_centroid:
+    if config.centroid:
         total = spectra.sum(axis=1)
         # silent frames have no spectral mass; define their centroid as 0
         centroid = np.divide(
             spectra @ bin_freqs, total, out=np.zeros_like(total), where=total > 0
         )
         columns.append(centroid[:, None])
-    if config.include_rms:
+    if config.rms:
         columns.append(rms[:, None])
     return np.concatenate(columns, axis=1)
 

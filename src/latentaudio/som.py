@@ -16,13 +16,14 @@ same space.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer, resample
-from .container import read_container, write_container
+from .container import read_container, read_record, read_value, record_header, write_container
 from .exceptions import (
     ConfigMismatchError,
     CorruptFileError,
@@ -114,12 +115,14 @@ def train_som(
         raise ValueError("grid sides must be >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if lr0 <= 0:
-        raise ValueError("lr0 must be > 0")
+    lr0 = float(lr0)
+    if not (math.isfinite(lr0) and lr0 > 0):
+        raise ValueError("lr0 must be finite and > 0")
     if radius0 is None:
         radius0 = max(max(width, height) / 2.0, _RADIUS_FLOOR)
-    if radius0 <= 0:
-        raise ValueError("radius0 must be > 0")
+    radius0 = float(radius0)
+    if not (math.isfinite(radius0) and radius0 > 0):
+        raise ValueError("radius0 must be finite and > 0")
 
     data = _stack_thumbnails(thumbnails)
     mean = data.mean(axis=0)
@@ -271,30 +274,6 @@ def default_grid_side(n_items: int) -> int:
     return max(2, round((5.0 * np.sqrt(max(n_items, 1))) ** 0.5))
 
 
-def _config_to_header(config: FeatureConfig) -> dict:
-    return {
-        "feat_sample_rate": config.sample_rate,
-        "feat_frame_size": config.frame_size,
-        "feat_hop": config.hop,
-        "feat_n_mfcc": config.n_mfcc,
-        "feat_n_mels": config.n_mels,
-        "feat_centroid": int(config.include_centroid),
-        "feat_rms": int(config.include_rms),
-    }
-
-
-def _config_from_header(header: dict) -> FeatureConfig:
-    return FeatureConfig(
-        sample_rate=int(header["feat_sample_rate"]),
-        frame_size=int(header["feat_frame_size"]),
-        hop=int(header["feat_hop"]),
-        n_mfcc=int(header["feat_n_mfcc"]),
-        n_mels=int(header["feat_n_mels"]),
-        include_centroid=bool(int(header["feat_centroid"])),
-        include_rms=bool(int(header["feat_rms"])),
-    )
-
-
 def save_som(som: SomMap, path) -> None:
     """Persist the map (float32 tensors); reload gives bit-identical files."""
     header = {
@@ -304,7 +283,7 @@ def save_som(som: SomMap, path) -> None:
         "lr0": repr(som.lr0),
         "radius0": repr(som.radius0),
         "seed": som.seed,
-        **_config_to_header(som.feature_config),
+        **record_header(som.feature_config, "feat_"),
     }
     tensors = [som.prototypes, som.feature_mean, som.feature_std, som.qe_history]
     write_container(path, SOM_MAGIC, header, tensors)
@@ -315,7 +294,7 @@ def load_som(path) -> SomMap:
     if len(tensors) != 4:
         raise CorruptFileError(f"{path}: expected 4 tensors, found {len(tensors)}")
     prototypes, mean, std, qe_history = tensors
-    width, height = int(header["width"]), int(header["height"])
+    width, height = (read_value(path, header, k, int) for k in ("width", "height"))
     dim = prototypes.shape[-1:]  # (D,)
     wanted = (("prototypes", prototypes, (height, width, *dim)),
               ("feature mean", mean, dim), ("feature std", std, dim))
@@ -328,10 +307,10 @@ def load_som(path) -> SomMap:
         prototypes=prototypes,
         feature_mean=mean,
         feature_std=std,
-        feature_config=_config_from_header(header),
-        epochs=int(header["epochs"]),
-        lr0=float(header["lr0"]),
-        radius0=float(header["radius0"]),
-        seed=int(header["seed"]),
+        feature_config=read_record(path, header, FeatureConfig, "feat_"),
+        epochs=read_value(path, header, "epochs", int),
+        lr0=read_value(path, header, "lr0", float),
+        radius0=read_value(path, header, "radius0", float),
+        seed=read_value(path, header, "seed", int),
         qe_history=qe_history,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import read_container, read_record, read_value, record_header, write_container
 from .exceptions import (
     CorruptFileError,
     EmptyDatasetError,
@@ -74,16 +74,15 @@ class VaeHyperParams:
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         # a numpy float64 here would promote float32 training arithmetic to
-        # float64 (NEP 50), and its numpy 2 repr would not parse back from
-        # a checkpoint header; a Python float does neither
+        # float64 (NEP 50); a Python float does not
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "learning_rate", float(self.learning_rate))
         if self.latent_dim < 1 or self.window_size < 1:
             raise ValueError("latent_dim and window_size must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.sample_rate <= 0:
@@ -441,46 +440,16 @@ def model_from_checkpoint(ckpt: Checkpoint) -> VaeModel:
     return VaeModel([np.asarray(p, dtype=np.float32) for p in ckpt.params], ckpt.hyper)
 
 
-def _hyper_to_header(hyper: VaeHyperParams) -> dict:
-    return {
-        "window_size": hyper.window_size,
-        "latent_dim": hyper.latent_dim,
-        "hidden_sizes": ",".join(str(h) for h in hyper.hidden_sizes),
-        "alpha": repr(hyper.alpha),
-        "learning_rate": repr(hyper.learning_rate),
-        "epochs": hyper.epochs,
-        "batch_size": hyper.batch_size,
-        "sample_rate": hyper.sample_rate,
-        "seed": hyper.seed,
-    }
-
-
-def _hyper_from_header(header: dict) -> VaeHyperParams:
-    sizes = header["hidden_sizes"]
-    return VaeHyperParams(
-        window_size=int(header["window_size"]),
-        latent_dim=int(header["latent_dim"]),
-        hidden_sizes=tuple(int(h) for h in sizes.split(",")) if sizes else (),
-        alpha=float(header["alpha"]),
-        learning_rate=float(header["learning_rate"]),
-        epochs=int(header["epochs"]),
-        batch_size=int(header["batch_size"]),
-        sample_rate=int(header["sample_rate"]),
-        seed=int(header["seed"]),
-    )
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Persist weights, Adam state, and loss history; bit-exact on reload."""
-    header = _hyper_to_header(ckpt.hyper)
-    header["adam_step"] = ckpt.adam_step_count
+    header = {**record_header(ckpt.hyper), "adam_step": ckpt.adam_step_count}
     tensors = [*ckpt.params, *ckpt.adam_m, *ckpt.adam_v, ckpt.loss_history]
     write_container(path, CHECKPOINT_MAGIC, header, tensors)
 
 
 def load_checkpoint(path) -> Checkpoint:
     header, tensors = read_container(path, CHECKPOINT_MAGIC)
-    hyper = _hyper_from_header(header)
+    hyper = read_record(path, header, VaeHyperParams)
     shapes = _param_shapes(hyper)
     n_params = len(shapes)
     if len(tensors) != 3 * n_params + 1:
@@ -502,7 +471,7 @@ def load_checkpoint(path) -> Checkpoint:
         params=tensors[:n_params],
         adam_m=tensors[n_params : 2 * n_params],
         adam_v=tensors[2 * n_params : 3 * n_params],
-        adam_step_count=int(header["adam_step"]),
+        adam_step_count=read_value(path, header, "adam_step", int),
         loss_history=loss_history,
     )
 
@@ -531,14 +500,11 @@ def gradient_check(
     seed: int = 0,
     step: float = 1e-4,
     eps: np.ndarray | None = None,
-    grad_scale: float = 1.0,
 ) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Probes at least n_samples randomly chosen parameter entries (every
-    tensor gets at least one) on a model built from hyper. grad_scale
-    multiplies the analytic side and exists so tests can prove the
-    harness catches wrong gradients. Relative error uses
+    tensor gets at least one) on a model built from hyper. Relative error uses
     |a - n| / max(|a|, |n|, 1e-8).
     """
     rng = np.random.default_rng(seed)
@@ -568,7 +534,7 @@ def gradient_check(
         loss_minus = _scalar_loss(model, x, eps)
         p[flat_idx] = original
         numeric = (loss_plus - loss_minus) / (2.0 * step)
-        a = analytic[t].reshape(-1)[flat_idx] * grad_scale
+        a = analytic[t].reshape(-1)[flat_idx]
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         max_rel = max(max_rel, rel)
     return GradientCheckReport(max_rel_error=max_rel, n_checked=len(coords), tolerance=tolerance)

@@ -17,6 +17,7 @@ import pytest
 from helpers import write_corpus
 from latentaudio import (
     AudioBuffer,
+    CorruptFileError,
     SynthesisMode,
     encode_audio,
     generate_curve,
@@ -31,6 +32,8 @@ from latentaudio import (
 )
 from latentaudio import audio, cli, container, interpolate
 from latentaudio.cli import BenchReport, main, run_bench
+from latentaudio.som import SOM_MAGIC
+from latentaudio.vae import CHECKPOINT_MAGIC
 
 RATE = 8000
 WINDOW = 64
@@ -148,6 +151,17 @@ class TestTrain:
         ])
         assert code == 2
         assert "non-finite samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--learning-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hyperparameter_is_usage_error(self, corpus, tmp_path, capsys,
+                                                      flag, value):
+        # not exit 3: the loss never diverged, the input was bad
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--dataset-dir", str(corpus), "--out", str(out),
+                     *TRAIN_FLAGS, flag, value])
+        assert code == 2 and not out.exists()
+        assert "must be finite" in capsys.readouterr().err
 
     def test_diverging_run_exits_3(self, corpus, tmp_path):
         with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -322,6 +336,16 @@ class TestSomCommands:
         assert "grid sides must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--som-lr", "--som-radius"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_is_usage_error(self, corpus, tmp_path, capsys, flag, value):
+        # a NaN rate or radius would turn every prototype into NaN
+        out = tmp_path / "bad.som"
+        code = main(["som", "build", "--dataset-dir", str(corpus), "--out", str(out),
+                     *SOM_FLAGS, flag, value])
+        assert code == 2 and not out.exists()
+        assert "must be finite" in capsys.readouterr().err
+
     def test_build_deterministic(self, corpus, som_map, tmp_path):
         other = tmp_path / "again.som"
         code = main(["som", "build", "--dataset-dir", str(corpus),
@@ -432,6 +456,89 @@ class TestExportLatents:
                      "--input", str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out)])
         assert code == 2 and not out.exists()
         assert "params[2] has shape (16, 8)" in capsys.readouterr().err
+
+
+CHECKPOINT_KEYS = ["window_size", "latent_dim", "hidden_sizes", "alpha", "learning_rate",
+                   "epochs", "batch_size", "sample_rate", "seed", "adam_step"]
+MAP_KEYS = ["width", "height", "epochs", "lr0", "radius0", "seed", "feat_sample_rate",
+            "feat_frame_size", "feat_hop", "feat_n_mfcc", "feat_n_mels", "feat_centroid",
+            "feat_rms"]
+
+
+def _damaged(src, dst, magic, key, value=None):
+    """A checksummed copy of src whose header lacks key (value None) or holds value."""
+    header, tensors = container.read_container(src, magic)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    container.write_container(dst, magic, header, tensors)
+    return dst
+
+
+class TestDamagedHeaders:
+    """A checksummed file with a bad header is a CorruptFileError, exit 2."""
+
+    def test_key_lists_are_the_written_headers(self, checkpoint, som_map):
+        assert list(container.read_container(checkpoint, CHECKPOINT_MAGIC)[0]) == CHECKPOINT_KEYS
+        assert list(container.read_container(som_map, SOM_MAGIC)[0]) == MAP_KEYS
+
+    def _export(self, ckpt, corpus, tmp_path):
+        out = tmp_path / "latents.csv"
+        code = main(["export-latents", "--checkpoint", str(ckpt),
+                     "--input", str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out)])
+        return code, out
+
+    def _clusters(self, som_path, corpus, tmp_path):
+        out = tmp_path / "clusters.txt"
+        code = main(["som", "clusters", "--map", str(som_path),
+                     "--dataset-dir", str(corpus), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("key", CHECKPOINT_KEYS)
+    def test_checkpoint_missing_key(self, checkpoint, corpus, tmp_path, capsys, key):
+        bad = _damaged(checkpoint, tmp_path / "bad.ckpt", CHECKPOINT_MAGIC, key)
+        message = f"{bad}: header has no {key!r}"
+        with pytest.raises(CorruptFileError) as info:
+            load_checkpoint(bad)
+        assert message in str(info.value)
+        code, out = self._export(bad, corpus, tmp_path)
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", MAP_KEYS)
+    def test_map_missing_key(self, som_map, corpus, tmp_path, capsys, key):
+        bad = _damaged(som_map, tmp_path / "bad.som", SOM_MAGIC, key)
+        message = f"{bad}: header has no {key!r}"
+        with pytest.raises(CorruptFileError) as info:
+            load_som(bad)
+        assert message in str(info.value)
+        code, out = self._clusters(bad, corpus, tmp_path)
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window_size", "abc", "header window_size='abc'"),
+        ("window_size", "0", "header window_size: latent_dim and window_size must be >= 1"),
+        ("alpha", "nan", "header alpha: alpha must be finite"),
+        ("adam_step", "1.5", "header adam_step='1.5'"),
+    ])
+    def test_checkpoint_bad_value(self, checkpoint, corpus, tmp_path, capsys, key, value, message):
+        bad = _damaged(checkpoint, tmp_path / "bad.ckpt", CHECKPOINT_MAGIC, key, value)
+        code, out = self._export(bad, corpus, tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("feat_hop", "0", "header feat_hop: frame_size must be >= 2 and hop >= 1"),
+        ("feat_centroid", "yes", "header feat_centroid='yes'"),
+        ("width", "two", "header width='two'"),
+    ])
+    def test_map_bad_value(self, som_map, corpus, tmp_path, capsys, key, value, message):
+        bad = _damaged(som_map, tmp_path / "bad.som", SOM_MAGIC, key, value)
+        code, out = self._clusters(bad, corpus, tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"{bad}: {message}" in capsys.readouterr().err
 
 
 class _HalfThenFail:

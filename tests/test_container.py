@@ -9,8 +9,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentaudio import CorruptFileError, FormatVersionMismatchError
-from latentaudio.container import atomic_write, read_container, write_container
+from latentaudio import (
+    CorruptFileError,
+    FeatureConfig,
+    FormatVersionMismatchError,
+    VaeHyperParams,
+)
+from latentaudio.container import (
+    MAGIC_LEN,
+    atomic_write,
+    read_container,
+    read_record,
+    record_header,
+    write_container,
+)
 
 MAGIC = b"RTEST\x00\x01"
 
@@ -243,3 +255,66 @@ def test_failed_container_write_keeps_previous_container(tmp_path):
         write_container(path, MAGIC, {"k": "w"}, [np.ones(3), "not a tensor"])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["c.bin"]
+
+
+def _header_text(path) -> str:
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, MAGIC_LEN)
+    return raw[MAGIC_LEN + 4 : MAGIC_LEN + 4 + length].decode("utf-8")
+
+
+@pytest.mark.parametrize("record, prefix, text", [
+    (VaeHyperParams(), "",
+     "window_size=1024\nlatent_dim=256\nhidden_sizes=512\nalpha=0.0001\n"
+     "learning_rate=0.0001\nepochs=500\nbatch_size=128\nsample_rate=44100\nseed=0\n"),
+    (VaeHyperParams(hidden_sizes=(64, 32, 16), alpha=1e-05, learning_rate=0.1 + 0.2), "",
+     "window_size=1024\nlatent_dim=256\nhidden_sizes=64,32,16\nalpha=1e-05\n"
+     "learning_rate=0.30000000000000004\nepochs=500\nbatch_size=128\nsample_rate=44100\n"
+     "seed=0\n"),
+    (VaeHyperParams(hidden_sizes=()), "", "window_size=1024\nlatent_dim=256\nhidden_sizes=\n"
+     "alpha=0.0001\nlearning_rate=0.0001\nepochs=500\nbatch_size=128\nsample_rate=44100\n"
+     "seed=0\n"),
+    (FeatureConfig(), "feat_",
+     "feat_sample_rate=44100\nfeat_frame_size=2048\nfeat_hop=1024\nfeat_n_mfcc=13\n"
+     "feat_n_mels=26\nfeat_centroid=1\nfeat_rms=1\n"),
+    (FeatureConfig(centroid=False), "feat_",
+     "feat_sample_rate=44100\nfeat_frame_size=2048\nfeat_hop=1024\nfeat_n_mfcc=13\n"
+     "feat_n_mels=26\nfeat_centroid=0\nfeat_rms=1\n"),
+], ids=["vae-default", "vae-three-hidden", "vae-no-hidden", "features-default", "no-centroid"])
+def test_record_header_text_is_pinned_and_reads_back(tmp_path, record, prefix, text):
+    path = tmp_path / "r.bin"
+    write_container(path, MAGIC, record_header(record, prefix), [])
+    assert _header_text(path) == text
+    header, _ = read_container(path, MAGIC)
+    assert read_record(path, header, type(record), prefix) == record
+
+
+def _feature_header(**changes) -> dict:
+    header = record_header(FeatureConfig(sample_rate=8000, frame_size=512, hop=256), "feat_")
+    header.update(changes)
+    return header
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"feat_hop": "abc"}, "r.bin: header feat_hop='abc': invalid literal"),
+    ({"feat_hop": ""}, "r.bin: header feat_hop='': invalid literal"),
+    ({"feat_rms": "yes"}, "r.bin: header feat_rms='yes'"),
+    ({"feat_hop": "0"}, "r.bin: header feat_hop: frame_size must be >= 2 and hop >= 1"),
+    ({"feat_frame_size": "1", "feat_hop": "0"},
+     "r.bin: header feat_frame_size, feat_hop: frame_size must be"),
+    # each value passes on its own, only the pair is rejected: every key is named
+    ({"feat_n_mfcc": "20", "feat_n_mels": "15"},
+     "r.bin: header feat_sample_rate, feat_frame_size, feat_hop, feat_n_mfcc, feat_n_mels, "
+     "feat_centroid, feat_rms: need 0 < n_mfcc <= n_mels"),
+], ids=["unparsable", "empty", "bool-word", "rejected", "two-rejected", "rejected-pair"])
+def test_bad_record_value_is_a_corrupt_file(tmp_path, changes, message):
+    with pytest.raises(CorruptFileError) as info:
+        read_record(tmp_path / "r.bin", _feature_header(**changes), FeatureConfig, "feat_")
+    assert message in str(info.value)
+
+
+def test_missing_record_key_is_a_corrupt_file(tmp_path):
+    header = _feature_header()
+    del header["feat_n_mels"]
+    with pytest.raises(CorruptFileError, match="r.bin: header has no 'feat_n_mels'"):
+        read_record(tmp_path / "r.bin", header, FeatureConfig, "feat_")

@@ -272,13 +272,13 @@ def reference_frame_features(frames, config):
     mfcc = log_mel @ dct.T
 
     columns = [mfcc]
-    if config.include_centroid:
+    if config.centroid:
         total = spectra.sum(axis=1)
         centroid = np.divide(
             spectra @ bin_freqs, total, out=np.zeros_like(total), where=total > 0
         )
         columns.append(centroid[:, None])
-    if config.include_rms:
+    if config.rms:
         columns.append(np.sqrt(np.mean(frames**2, axis=1))[:, None])
     return np.concatenate(columns, axis=1)
 
@@ -792,7 +792,7 @@ class TestFrameFeaturesMatchReference:
     @pytest.mark.parametrize("centroid, rms", [(True, True), (False, True), (True, False)])
     def test_strided_and_copied_frames(self, size, centroid, rms):
         config = FeatureConfig(sample_rate=8000, frame_size=size, hop=100,
-                               include_centroid=centroid, include_rms=rms)
+                               centroid=centroid, rms=rms)
         samples = make_noise(seconds=0.4, rate=8000, seed=6).samples.copy()
         samples[:600] = 0.0  # silent frames: zero centroid mass
         n = (len(samples) - size) // 100 + 1

@@ -12,8 +12,8 @@ def test_default_dimension_is_30():
 
 
 def test_dimension_tracks_recipe():
-    assert FeatureConfig(n_mfcc=10, include_centroid=False).dimension == 22
-    assert FeatureConfig(n_mfcc=13, include_centroid=False, include_rms=False).dimension == 26
+    assert FeatureConfig(n_mfcc=10, centroid=False).dimension == 22
+    assert FeatureConfig(n_mfcc=13, centroid=False, rms=False).dimension == 26
 
 
 def test_config_validation():

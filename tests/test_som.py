@@ -259,6 +259,16 @@ class TestSomPersistence:
         assert loaded.seed == trained.seed
         assert loaded.feature_config == trained.feature_config
 
+    def test_numpy_scalar_rates_round_trip(self, tmp_path):
+        # a numpy float's repr ("np.float64(0.3)" under numpy 2) does not parse back
+        rng = np.random.default_rng(10)
+        som = train_som(_thumbs(rng.standard_normal((30, 8))), width=3, height=2, epochs=5,
+                        lr0=np.float64(0.3), radius0=np.float32(1.5), seed=4)
+        path = tmp_path / "map.som"
+        save_som(som, path)
+        loaded = load_som(path)
+        assert (loaded.lr0, loaded.radius0) == (0.3, 1.5)
+
     def test_save_load_save_is_byte_identical(self, trained, tmp_path):
         p1, p2 = tmp_path / "one.som", tmp_path / "two.som"
         save_som(trained, p1)

@@ -247,8 +247,15 @@ class TestBackward:
         assert report.max_rel_error < 1e-3
         assert report.passed
 
-    def test_corrupted_gradients_are_caught(self, tiny_hyper):
-        report = gradient_check(tiny_hyper, tolerance=1e-3, n_samples=120, seed=3, grad_scale=1.1)
+    def test_corrupted_gradients_are_caught(self, tiny_hyper, monkeypatch):
+        backward = vae_module._backward_batch
+
+        def scaled(*args):
+            grads, losses = backward(*args)
+            return [g * 1.1 for g in grads], losses
+
+        monkeypatch.setattr(vae_module, "_backward_batch", scaled)
+        report = gradient_check(tiny_hyper, tolerance=1e-3, n_samples=120, seed=3)
         assert not report.passed
 
     def test_zero_eps_still_passes(self, tiny_hyper):
