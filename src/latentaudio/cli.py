@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import (
-    AudioBuffer, load_wav, peak_normalize, resample, save_wav, window, window_count,
+    MAX_FLOAT32_SAMPLES, AudioBuffer, frame_view, load_wav, peak_normalize, resample,
+    save_wav, window_count,
 )
 from .container import TEXT_FORMS, atomic_write
 from .exceptions import (
@@ -192,7 +193,7 @@ def _cmd_train(args, cfg: dict) -> int:
     sets = []
     for path in _sorted_wavs(cfg["dataset_dir"]):
         buf = _load_input(path, hyper.sample_rate, True)
-        sets.append(window(buf, hyper.window_size, cfg["hop"]))
+        sets.append(frame_view(buf.samples, hyper.window_size, cfg["hop"]))
     ckpt = train(sets, hyper)
     save_checkpoint(ckpt, cfg["out"])
     loss_path = cfg["out"] + ".loss.txt"
@@ -397,10 +398,14 @@ def run_bench(model, seconds: float = 1.0, reps: int = 50, warmup: int = 5, seed
 
     Uses mean_only decoding over ceil(seconds * rate / window_size)
     windows, warms the caches first, and reports median and p95 wall
-    time over at least 30 repetitions.
+    time over at least 30 repetitions. ValueError unless seconds > 0 and
+    the decoded audio fits in one float32 WAV.
     """
     hyper = model.hyper
-    n_windows = math.ceil(seconds * hyper.sample_rate / hyper.window_size)
+    windows = seconds * hyper.sample_rate / hyper.window_size
+    if not (seconds > 0 and windows <= MAX_FLOAT32_SAMPLES // hyper.window_size):
+        raise ValueError(f"seconds must be > 0 and fit one float32 WAV, got {seconds}")
+    n_windows = math.ceil(windows)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_windows, hyper.latent_dim)).astype(np.float32)
     stds = np.zeros_like(means)

@@ -6,6 +6,9 @@ window to (mu, logvar) through leaky-rectified hidden layers and two
 affine heads; the decoder mirrors the chain and squashes output through
 tanh so samples stay inside (-1, 1).
 
+Inference and training share one in-place layer walk. Training keeps
+activations only, and its backward walk forms no frame gradient.
+
 Training, checkpoints and inference are all float32. Only the gradient
 checker runs in float64, on a model it builds for itself, so that finite
 differences are meaningful.
@@ -14,7 +17,7 @@ differences are meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +35,7 @@ _LEAKY_SLOPE = 0.01
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_ADAM_BLOCK = 16384  # two scratch blocks of this size stay in L2
+_ADAM_BLOCK = 16384  # two work blocks of this size stay in L2
 
 
 def _leaky(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -51,9 +54,31 @@ def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leaky_grad(pre: np.ndarray) -> np.ndarray:
-    one = pre.dtype.type(1.0)
-    return np.where(pre > 0, one, pre.dtype.type(_LEAKY_SLOPE))
+def _leaky_grad(act: np.ndarray) -> np.ndarray:
+    """Slope per element from the activation: max(x, slope*x) > 0 iff x > 0."""
+    return np.where(act > 0, act.dtype.type(1.0), act.dtype.type(_LEAKY_SLOPE))
+
+
+def _forward_layers(h: np.ndarray, layers: list, acts: list | None = None) -> np.ndarray:
+    """Affine then in-place leaky ReLU per [W, b]; acts, if given (training),
+    receives each output, so with h first, layer i maps acts[i] to acts[i + 1]."""
+    for w, b in layers:
+        h = _affine(h, w, b)
+        _leaky(h, out=h)
+        if acts is not None:
+            acts.append(h)
+    return h
+
+
+def _backward_layers(upstream, layers: list, acts: list, grads: list, to_input: bool):
+    """Appends b and W gradients of each layer _forward_layers recorded in acts, last
+    first, from upstream = dloss/dacts[-1]; forms dloss/dacts[0] only if to_input."""
+    for i in reversed(range(len(layers))):
+        d_pre = upstream * _leaky_grad(acts[i + 1])
+        grads += [d_pre.sum(axis=0), acts[i].T @ d_pre]
+        if i or to_input:
+            upstream = d_pre @ layers[i][0].T
+    return upstream
 
 
 @dataclass(frozen=True)
@@ -169,9 +194,7 @@ def encode_frames(model: VaeModel, frames: np.ndarray):
             f"expected (B, {model.hyper.window_size}) frames, got {h.shape}"
         )
     encoder, mu_head, logvar_head, _ = model.layers()
-    for w, b in encoder:
-        h = _affine(h, w, b)
-        _leaky(h, out=h)
+    h = _forward_layers(h, encoder)
     return _affine(h, *mu_head), _affine(h, *logvar_head)
 
 
@@ -183,10 +206,7 @@ def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
             f"expected (B, {model.hyper.latent_dim}) latents, got {h.shape}"
         )
     *hidden, out = model.layers()[3]
-    for w, b in hidden:
-        h = _affine(h, w, b)
-        _leaky(h, out=h)
-    h = _affine(h, *out)
+    h = _affine(_forward_layers(h, hidden), *out)
     return np.tanh(h, out=h)
 
 
@@ -199,30 +219,21 @@ def kl_divergence(stats: LatentStats) -> float:
 
 
 def _forward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray):
-    """Forward pass keeping every pre-activation needed by the backward pass."""
+    """Forward pass keeping the layer activations the backward pass reads."""
     encoder, mu_head, logvar_head, decoder = model.layers()
-    enc_pre = []
-    h = frames
-    for w, b in encoder:
-        pre = _affine(h, w, b)
-        enc_pre.append((h, pre))
-        h = _leaky(pre)
+    enc_acts = [frames]
+    h = _forward_layers(frames, encoder, enc_acts)
     mu = _affine(h, *mu_head)
     logvar = _affine(h, *logvar_head)
     sigma = np.exp(logvar / 2)
     z = mu + sigma * eps
 
-    dec_pre = []
-    d = z
-    for w, b in decoder[:-1]:
-        pre = _affine(d, w, b)
-        dec_pre.append((d, pre))
-        d = _leaky(pre)
-    x_hat = _affine(d, *decoder[-1])
+    dec_acts = [z]
+    x_hat = _affine(_forward_layers(z, decoder[:-1], dec_acts), *decoder[-1])
     np.tanh(x_hat, out=x_hat)
     return {
-        "enc_pre": enc_pre, "head_in": h, "mu": mu, "logvar": logvar,
-        "sigma": sigma, "z": z, "dec_pre": dec_pre, "dec_in": d, "x_hat": x_hat,
+        "enc_acts": enc_acts, "mu": mu, "logvar": logvar, "sigma": sigma, "z": z,
+        "dec_acts": dec_acts, "x_hat": x_hat,
     }
 
 
@@ -249,33 +260,24 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     total, recon, kl = _batch_losses(frames, cache, alpha)
 
     grads = []
-
     # decoder output stage, through tanh
     d_xhat = 2.0 * (cache["x_hat"] - frames) / (batch * width)
     d_pre = d_xhat * (1.0 - cache["x_hat"] ** 2)
-    grads += [d_pre.sum(axis=0), cache["dec_in"].T @ d_pre]
+    grads += [d_pre.sum(axis=0), cache["dec_acts"][-1].T @ d_pre]
     upstream = d_pre @ decoder[-1][0].T
-    for (layer_in, pre), (w, _) in zip(reversed(cache["dec_pre"]), reversed(decoder[:-1])):
-        d_pre = upstream * _leaky_grad(pre)
-        grads += [d_pre.sum(axis=0), layer_in.T @ d_pre]
-        upstream = d_pre @ w.T
+    d_z = _backward_layers(upstream, decoder[:-1], cache["dec_acts"], grads, to_input=True)
 
     # reparameterization split: z = mu + sigma * eps
-    d_z = upstream
     d_mu = d_z + alpha * cache["mu"] / batch
     d_logvar = d_z * eps * 0.5 * cache["sigma"] + (
         alpha * 0.5 * (np.exp(cache["logvar"]) - 1.0) / batch
     )
 
-    head_in = cache["head_in"]
+    head_in = cache["enc_acts"][-1]
     grads += [d_logvar.sum(axis=0), head_in.T @ d_logvar]
     grads += [d_mu.sum(axis=0), head_in.T @ d_mu]
     upstream = d_mu @ mu_head[0].T + d_logvar @ logvar_head[0].T
-
-    for (layer_in, pre), (w, _) in zip(reversed(cache["enc_pre"]), reversed(encoder)):
-        d_pre = upstream * _leaky_grad(pre)
-        grads += [d_pre.sum(axis=0), layer_in.T @ d_pre]
-        upstream = d_pre @ w.T
+    _backward_layers(upstream, encoder, cache["enc_acts"], grads, to_input=False)
 
     grads.reverse()
     return grads, (total, recon, kl)
@@ -283,33 +285,15 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter.
-
-    The state also owns adam_step's two block-sized scratch arrays, made
-    on first use, so a training run allocates them once.
-    """
+    """First/second moment accumulators plus the shared step counter."""
 
     m: list
     v: list
     step: int = 0
-    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros_like(cls, params: list) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-
-    def scratch(self, dtype) -> tuple:
-        """Two work arrays of _ADAM_BLOCK elements of dtype."""
-        dtype = np.dtype(dtype)
-        if dtype not in self._scratch:
-            self._scratch[dtype] = (
-                np.empty(_ADAM_BLOCK, dtype=dtype),
-                np.empty(_ADAM_BLOCK, dtype=dtype),
-            )
-        return self._scratch[dtype]
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def _flat_view(a: np.ndarray) -> np.ndarray:
@@ -321,8 +305,8 @@ def _flat_view(a: np.ndarray) -> np.ndarray:
 def adam_step(params: list, grads: list, state: AdamState, learning_rate: float):
     """One bias-corrected Adam update, in place; increments state.step once.
 
-    Each tensor is walked in blocks of _ADAM_BLOCK elements through the
-    state's two scratch arrays, so no parameter-sized temporary is made.
+    Each tensor is walked in blocks of _ADAM_BLOCK elements through two
+    block-sized work arrays, so no parameter-sized temporary is made.
     Every element still gets the textbook operations in the textbook
     order, with no scalars folded together, so the result equals the
     unblocked update bit for bit. Params and moments must be C-contiguous;
@@ -337,8 +321,8 @@ def adam_step(params: list, grads: list, state: AdamState, learning_rate: float)
         g = np.asarray(g, dtype=p.dtype)
         if g.shape != p.shape:
             raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        work_a, work_b = state.scratch(p.dtype)
         p, g, m, v = _flat_view(p), g.reshape(-1), _flat_view(m), _flat_view(v)
+        work_a, work_b = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
         for start in range(0, p.size, _ADAM_BLOCK):
             block = slice(start, start + _ADAM_BLOCK)
             pb, gb, mb, vb = p[block], g[block], m[block], v[block]
@@ -373,7 +357,8 @@ class Checkpoint:
 
 def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     """Optimize a freshly initialized model over the window collection:
-    one (N, window_size) frame array as window() returns, or an iterable of them.
+    one (N, window_size) frame array, or an iterable of them; strided
+    views such as audio.frame_view's are copied once, into one array.
 
     Frames, parameters, Adam moments, activations and gradients are all
     float32, the checkpoint dtype, so the trained tensors are stored as
@@ -407,26 +392,16 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
             batch_idx = order[start : start + hyper.batch_size]
             batch = frames[batch_idx]
             eps = rng.standard_normal((len(batch), hyper.latent_dim)).astype(np.float32)
-            grads, (total, recon, kl) = _backward_batch(
-                model, batch, eps, hyper.alpha
-            )
+            grads, (total, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha)
             if not math.isfinite(total):
-                raise NonFiniteLossError(
-                    f"loss became non-finite at epoch {epoch + 1}"
-                )
+                raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
             adam_step(params, grads, state, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
 
-    return Checkpoint(
-        hyper=hyper,
-        params=params,
-        adam_m=state.m,
-        adam_v=state.v,
-        adam_step_count=state.step,
-        loss_history=history.astype(np.float32),
-    )
+    return Checkpoint(hyper=hyper, params=params, adam_m=state.m, adam_v=state.v,
+                      adam_step_count=state.step, loss_history=history.astype(np.float32))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> VaeModel:

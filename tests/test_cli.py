@@ -419,6 +419,28 @@ class TestBench:
         assert report.median_ms > 0
         assert report.p95_ms >= report.median_ms
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-1", "0"])
+    def test_bad_seconds_is_usage_error(self, checkpoint, capsys, seconds):
+        code = main(["bench", "--checkpoint", str(checkpoint), "--seconds", seconds])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "seconds" in captured.err and captured.out == ""
+
+    def test_over_long_decode_fails_before_any_decode(self, checkpoint, capsys, monkeypatch):
+        # with the limit at 10 windows, 10 fit and 11 do not
+        monkeypatch.setattr(cli, "MAX_FLOAT32_SAMPLES", 10 * WINDOW + WINDOW // 2)
+        model = model_from_checkpoint(load_checkpoint(checkpoint))
+        assert run_bench(model, seconds=10 * WINDOW / RATE, reps=1, warmup=1).n_windows == 10
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before the length check")
+
+        monkeypatch.setattr(cli, "decode_path", no_decode)
+        code = main(["bench", "--checkpoint", str(checkpoint),
+                     "--seconds", str(10.5 * WINDOW / RATE)])
+        assert code == 2
+        assert "seconds" in capsys.readouterr().err
+
 
 class TestExportLatents:
     def test_row_count_matches_window_count(self, checkpoint, corpus, tmp_path):

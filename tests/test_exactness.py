@@ -1,14 +1,16 @@
 """Kernels against verbatim copies of the straightforward code they replaced.
 
-adam_step and train_som avoid per-call temporaries, init_model walks
-one list of parameter shapes instead of building layers, the feature
-constants are built once per recipe, the latent blend works on (N, M)
-arrays instead of tuples of per-window stats, synthesis blends, decodes
-and joins the path a block of windows at a time, inference activations
-are computed in place, checkpoint tensors are views of one read buffer,
-WAV payloads are written without copies, and frame features square into
-a reused buffer. None of that may change a single bit: each reference
-below is the plain numpy code the kernel replaced, and results must be
+adam_step avoids parameter-sized temporaries and train_som per-call
+ones, init_model walks one list of parameter shapes instead of building
+layers, the feature constants are built once per recipe, the latent
+blend works on (N, M) arrays instead of tuples of per-window stats,
+synthesis blends, decodes and joins the path a block of windows at a
+time, inference activations are computed in place, the training step
+keeps activations instead of pre-activations and forms no frame
+gradient, checkpoint tensors are views of one read buffer, WAV payloads
+are written without copies, and frame features square into a reused
+buffer. None of that may change a single bit: each reference below is
+the plain numpy code the kernel replaced, and results must be
 np.array_equal (or equal as bytes), not merely close.
 
 Training is the one kernel whose numbers were meant to change: it moved
@@ -57,6 +59,7 @@ from latentaudio import (
     window,
 )
 from latentaudio import interpolate as interpolate_module
+from latentaudio.audio import frame_view
 from latentaudio.container import MAGIC_LEN, read_container, write_container
 from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
 from latentaudio.interpolate import _SIGMA_FLOOR, _blend_rows
@@ -67,7 +70,10 @@ from latentaudio.vae import (
     _ADAM_BLOCK,
     _ADAM_EPS,
     _LEAKY_SLOPE,
+    _affine,
     _backward_batch,
+    _batch_losses,
+    _forward_batch,
     _leaky,
     decode_frames,
     encode_frames,
@@ -194,6 +200,79 @@ def reference_decode_frames(model, z):
         h = reference_leaky(h @ w + b)
     w, b = decoder[-1]
     return np.tanh(h @ w + b)
+
+
+def reference_leaky_grad(pre):
+    one = pre.dtype.type(1.0)
+    return np.where(pre > 0, one, pre.dtype.type(_LEAKY_SLOPE))
+
+
+def reference_forward_batch(model, frames, eps):
+    """Forward pass keeping every pre-activation needed by the backward pass."""
+    encoder, mu_head, logvar_head, decoder = model.layers()
+    enc_pre = []
+    h = frames
+    for w, b in encoder:
+        pre = _affine(h, w, b)
+        enc_pre.append((h, pre))
+        h = _leaky(pre)
+    mu = _affine(h, *mu_head)
+    logvar = _affine(h, *logvar_head)
+    sigma = np.exp(logvar / 2)
+    z = mu + sigma * eps
+
+    dec_pre = []
+    d = z
+    for w, b in decoder[:-1]:
+        pre = _affine(d, w, b)
+        dec_pre.append((d, pre))
+        d = _leaky(pre)
+    x_hat = _affine(d, *decoder[-1])
+    np.tanh(x_hat, out=x_hat)
+    return {
+        "enc_pre": enc_pre, "head_in": h, "mu": mu, "logvar": logvar,
+        "sigma": sigma, "z": z, "dec_pre": dec_pre, "dec_in": d, "x_hat": x_hat,
+    }
+
+
+def reference_backward_batch(model, frames, eps, alpha):
+    """The training step with pre-activations and a frame gradient, verbatim."""
+    encoder, mu_head, logvar_head, decoder = model.layers()
+    cache = reference_forward_batch(model, frames, eps)
+    batch, width = frames.shape
+    total, recon, kl = _batch_losses(frames, cache, alpha)
+
+    grads = []
+
+    # decoder output stage, through tanh
+    d_xhat = 2.0 * (cache["x_hat"] - frames) / (batch * width)
+    d_pre = d_xhat * (1.0 - cache["x_hat"] ** 2)
+    grads += [d_pre.sum(axis=0), cache["dec_in"].T @ d_pre]
+    upstream = d_pre @ decoder[-1][0].T
+    for (layer_in, pre), (w, _) in zip(reversed(cache["dec_pre"]), reversed(decoder[:-1])):
+        d_pre = upstream * reference_leaky_grad(pre)
+        grads += [d_pre.sum(axis=0), layer_in.T @ d_pre]
+        upstream = d_pre @ w.T
+
+    # reparameterization split: z = mu + sigma * eps
+    d_z = upstream
+    d_mu = d_z + alpha * cache["mu"] / batch
+    d_logvar = d_z * eps * 0.5 * cache["sigma"] + (
+        alpha * 0.5 * (np.exp(cache["logvar"]) - 1.0) / batch
+    )
+
+    head_in = cache["head_in"]
+    grads += [d_logvar.sum(axis=0), head_in.T @ d_logvar]
+    grads += [d_mu.sum(axis=0), head_in.T @ d_mu]
+    upstream = d_mu @ mu_head[0].T + d_logvar @ logvar_head[0].T
+
+    for (layer_in, pre), (w, _) in zip(reversed(cache["enc_pre"]), reversed(encoder)):
+        d_pre = upstream * reference_leaky_grad(pre)
+        grads += [d_pre.sum(axis=0), layer_in.T @ d_pre]
+        upstream = d_pre @ w.T
+
+    grads.reverse()
+    return grads, (total, recon, kl)
 
 
 def reference_read_container(path, magic):
@@ -391,15 +470,6 @@ class TestAdamMatchesReference:
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
-    def test_scratch_is_block_sized_and_reused(self):
-        params = [np.zeros(3 * _ADAM_BLOCK)]
-        state = AdamState.zeros_like(params)
-        adam_step(params, [np.ones(3 * _ADAM_BLOCK)], state, 1e-3)
-        first = state.scratch(np.float64)
-        adam_step(params, [np.ones(3 * _ADAM_BLOCK)], state, 1e-3)
-        assert state.scratch(np.float64) is first
-        assert all(buf.shape == (_ADAM_BLOCK,) for buf in first)
-
     def test_non_contiguous_params_rejected(self):
         params = [np.zeros((4, 6))[:, ::2]]
         state = AdamState(m=[np.zeros((4, 3))], v=[np.zeros((4, 3))])
@@ -424,6 +494,67 @@ class TestFloat32TrainingMatchesFloat64Reference:
         for got, want in zip(ckpt.params, want_params):
             assert got.dtype == np.float32 and want.dtype == np.float64
             assert np.abs(got - want).max() < 1e-4
+
+
+class TestTrainingStepMatchesReference:
+    @staticmethod
+    def _assert_step_matches(model, frames, eps, alpha):
+        grads, losses = _backward_batch(model, frames, eps, alpha)
+        want_grads, want_losses = reference_backward_batch(model, frames, eps, alpha)
+        assert losses == want_losses
+        assert len(grads) == len(want_grads) == len(model.params)
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == model.dtype and same_bytes(got, want)
+
+    @pytest.mark.parametrize(
+        "hidden_sizes", [(), (40,), (40, 24, 16)], ids=["0-hidden", "1-hidden", "3-hidden"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 7, 128])
+    def test_gradients_and_losses(self, hidden_sizes, dtype, batch):
+        hyper = VaeHyperParams(
+            window_size=48, latent_dim=12, hidden_sizes=hidden_sizes, alpha=0.1
+        )
+        rng = np.random.default_rng(batch)
+        model = init_model(hyper, rng=rng, dtype=dtype)
+        for b in model.params[1::2]:
+            b[...] = rng.uniform(-0.2, 0.2, b.shape)  # both slopes in every layer
+        frames = rng.uniform(-1.0, 1.0, (batch, hyper.window_size)).astype(dtype)
+        eps = rng.standard_normal((batch, hyper.latent_dim)).astype(dtype)
+        self._assert_step_matches(model, frames, eps, hyper.alpha)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_weight_hidden_layers(self, dtype):
+        # +0.0 and -0.0 weights and biases make every hidden pre-activation a
+        # zero, where the slope switches; heads and output layer stay random
+        # so a nonzero gradient reaches each of those zeros
+        hyper = VaeHyperParams(window_size=48, latent_dim=12, hidden_sizes=(40, 24))
+        model = init_model(hyper, dtype=dtype)
+        encoder, _, _, decoder = model.layers()
+        for p in (t for layer in encoder + decoder[:-1] for t in layer):
+            p[...] = 0.0
+            p.reshape(-1)[::2] = -0.0
+        frames = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 48)).astype(dtype)
+        frames[0] = -0.0
+        eps = np.random.default_rng(4).standard_normal((7, 12)).astype(dtype)
+        cache = _forward_batch(model, frames, eps)
+        assert all((a == 0).all() for a in cache["enc_acts"][1:] + cache["dec_acts"][1:])
+        self._assert_step_matches(model, frames, eps, hyper.alpha)
+
+
+class TestTrainingOnFrameViews:
+    def test_checkpoint_bytes_equal_window_copies(self, tmp_path):
+        hyper = VaeHyperParams(
+            window_size=64, latent_dim=8, hidden_sizes=(16,), epochs=3, batch_size=16,
+            sample_rate=8000, seed=4,
+        )
+        buffers = [make_noise(seconds=0.3, rate=8000, seed=s) for s in (1, 2)]
+        views = [frame_view(b.samples, 64, 24) for b in buffers]
+        assert all(v.base is not None and not v.flags.writeable for v in views)
+        save_checkpoint(train(views, hyper), tmp_path / "views.ckpt")
+        copies = [window(b, 64, 24) for b in buffers]
+        save_checkpoint(train(copies, hyper), tmp_path / "copies.ckpt")
+        assert (tmp_path / "views.ckpt").read_bytes() == (tmp_path / "copies.ckpt").read_bytes()
 
 
 class TestSomMatchesReference:

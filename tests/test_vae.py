@@ -28,7 +28,9 @@ from latentaudio import (
     window,
 )
 from latentaudio import vae as vae_module
-from latentaudio.vae import _backward_batch, _batch_losses, _forward_batch, _param_shapes
+from latentaudio.vae import (
+    _backward_batch, _backward_layers, _batch_losses, _forward_batch, _param_shapes,
+)
 
 ADAM_FIRST_STEP = 1e-4 * (1.0 / (1.0 + 1e-8))  # hand-computed: m_hat = v_hat = 1
 
@@ -240,6 +242,20 @@ class TestBackward:
         model = init_model(tiny_hyper)
         grads, _ = _backward_batch(model, np.zeros((1, 8)), np.zeros((1, 2)), tiny_hyper.alpha)
         assert np.array_equal(grads[0], np.zeros_like(grads[0]))
+
+    def test_encoder_walk_forms_no_frame_gradient(self):
+        # only the gradient at the frames would transpose the first weight
+        class Untransposable:
+            @property
+            def T(self):
+                raise AssertionError("formed the gradient at the frames")
+
+        rng = np.random.default_rng(0)
+        acts = [rng.standard_normal((5, 4)), rng.standard_normal((5, 3))]
+        grads = []
+        upstream = rng.standard_normal((5, 3))
+        _backward_layers(upstream, [[Untransposable(), None]], acts, grads, to_input=False)
+        assert [g.shape for g in grads] == [(3,), (4, 3)]
 
     def test_matches_finite_differences(self, tiny_hyper):
         report = gradient_check(tiny_hyper, tolerance=1e-3, n_samples=120, seed=3)
