@@ -47,7 +47,6 @@ class AudioBuffer:
 
     samples: np.ndarray
     sample_rate: int
-    source_label: str | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float32)
@@ -133,7 +132,7 @@ def load_wav(path) -> AudioBuffer:
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1, dtype=np.float64)
         samples = samples.astype(np.float32)
-    return AudioBuffer(samples, int(rate), source_label=str(path))
+    return AudioBuffer(samples, int(rate))
 
 
 def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
@@ -181,9 +180,7 @@ def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
     peak = np.max(np.abs(buffer.samples)) if len(buffer) else np.float32(0.0)
     if peak == 0.0 or peak == 1.0:
         return buffer
-    return AudioBuffer(
-        buffer.samples / peak, buffer.sample_rate, source_label=buffer.source_label
-    )
+    return AudioBuffer(buffer.samples / peak, buffer.sample_rate)
 
 
 def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -198,12 +195,10 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
         return buffer
     n_out = int(round(len(buffer) * target_rate / buffer.sample_rate))
     if len(buffer) == 0 or n_out == 0:
-        return AudioBuffer(
-            np.zeros(n_out, dtype=np.float32), target_rate, buffer.source_label
-        )
+        return AudioBuffer(np.zeros(n_out, dtype=np.float32), target_rate)
     positions = np.arange(n_out) * (buffer.sample_rate / target_rate)
     out = np.interp(positions, np.arange(len(buffer)), buffer.samples)
-    return AudioBuffer(out.astype(np.float32), target_rate, buffer.source_label)
+    return AudioBuffer(out.astype(np.float32), target_rate)
 
 
 def window_count(n_samples: int, window_size: int, hop: int) -> int:
@@ -246,7 +241,7 @@ def truncate_pair(a: AudioBuffer, b: AudioBuffer) -> tuple[AudioBuffer, AudioBuf
         )
     n = min(len(a), len(b))
     if len(a) > n:
-        a = AudioBuffer(a.samples[:n], a.sample_rate, a.source_label)
+        a = AudioBuffer(a.samples[:n], a.sample_rate)
     if len(b) > n:
-        b = AudioBuffer(b.samples[:n], b.sample_rate, b.source_label)
+        b = AudioBuffer(b.samples[:n], b.sample_rate)
     return a, b

@@ -103,7 +103,7 @@ def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
             parser.add_argument(flag, default=None, help=f.help, metavar=f.ftype.upper())
 
 
-def _read_config(path, command: str, fields) -> dict:
+def _read_config(path, command: str, fields, skipped) -> dict:
     by_name = {f.name: f for f in fields}
     values = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -120,6 +120,8 @@ def _read_config(path, command: str, fields) -> dict:
                 )
             continue
         if key not in by_name:
+            if key in skipped:  # from a sidecar written when all strategies took all keys
+                continue
             raise ConfigMismatchError(f"{path}:{line_no}: unknown key {key!r}")
         values[key] = _convert(raw, by_name[key])
     return values
@@ -130,7 +132,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     fields = args.fields
     values = {f.name: f.default for f in fields}
     if args.config:
-        values.update(_read_config(args.config, args.cmd_name, fields))
+        values.update(_read_config(args.config, args.cmd_name, fields, args.skipped))
     for f in fields:
         raw = getattr(args, f.name)
         if raw is not None:
@@ -211,38 +213,43 @@ def _cmd_train(args, cfg: dict) -> int:
 
 # ---------------------------------------------------------------- synth
 
-SYNTH_FIELDS = (
+SYNTH_FIELDS = (  # read by every strategy
     Field("checkpoint", "path", required=True),
     Field("in1", "path", required=True, help="input recording 1 (weighted by w)"),
     Field("in2", "path", required=True, help="input recording 2 (weighted by 1-w)"),
     Field("out", "path", required=True, help="output WAV path"),
     Field("mode", "str", "mean", choices=("mean", "sample")),
     Field("seed", "int", 0, help="eps seed for sample mode"),
-    Field("range", "float", 1.0, help="stepwise sweep endpoint r"),
-    Field("step", "float", 0.25, help="stepwise increment s"),
-    Field("curve", "str", "lin:0:1", help="curve spec for meso/extend"),
-    Field("hop", "int", 256, help="window hop for extend"),
     Field("crossfade", "int", 0, help="seam crossfade in samples"),
     Field("normalize", "bool", False, help="peak-normalize inputs on load"),
 )
+_CURVE = Field("curve", "str", "lin:0:1", help="per-window weight curve spec")
+SYNTH_STRATEGIES = {  # strategy -> (help, the options it adds to SYNTH_FIELDS)
+    "step": ("global weight swept in discrete steps",
+             (Field("range", "float", 1.0, help="sweep endpoint r"),
+              Field("step", "float", 0.25, help="sweep increment s"))),
+    "meso": ("per-window weight curve, duration preserved", (_CURVE,)),
+    "extend": ("per-window curve over overlapped windows, duration stretched",
+               (_CURVE, Field("hop", "int", 256, help="window hop"))),
+}
 
 
 def _cmd_synth(args, cfg: dict) -> int:
-    model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
-    rate = model.hyper.sample_rate
-    a = _load_input(cfg["in1"], rate, cfg["normalize"])
-    b = _load_input(cfg["in2"], rate, cfg["normalize"])
     if cfg["mode"] == "mean":
         mode = SynthesisMode.mean_only()
     else:
         mode = SynthesisMode.sampled(cfg["seed"])
+    model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
+    rate = model.hyper.sample_rate
+    a = _load_input(cfg["in1"], rate, cfg["normalize"])
+    b = _load_input(cfg["in2"], rate, cfg["normalize"])
 
     if args.strategy == "step":
         out_buf = stepwise_interpolate(
             model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"]
         )
     else:
-        hop = model.hyper.window_size if args.strategy == "meso" else cfg["hop"]
+        hop = cfg.get("hop", model.hyper.window_size)  # meso has no hop: windows abut
         count = window_count(min(len(a), len(b)), model.hyper.window_size, hop)
         curve = generate_curve(cfg["curve"], count)
         out_buf = extended_interpolate(model, a, b, curve, mode, hop, cfg["crossfade"])
@@ -282,10 +289,8 @@ def _feature_config(cfg: dict) -> FeatureConfig:
 def _corpus_thumbnails(dataset_dir, config: FeatureConfig) -> list:
     thumbs = []
     for p in _sorted_wavs(dataset_dir):
-        buf = load_wav(p)
-        # label with the bare name so listings stay portable across machines
-        buf = AudioBuffer(buf.samples, buf.sample_rate, source_label=p.name)
-        thumbs.append(extract_thumbnail(buf, config))
+        # name by the bare file name so listings stay portable across machines
+        thumbs.append(extract_thumbnail(load_wav(p), config, p.name))
     return thumbs
 
 
@@ -398,13 +403,15 @@ def run_bench(model, seconds: float = 1.0, reps: int = 50, warmup: int = 5, seed
 
     Uses mean_only decoding over ceil(seconds * rate / window_size)
     windows, warms the caches first, and reports median and p95 wall
-    time over at least 30 repetitions. ValueError unless seconds > 0 and
-    the decoded audio fits in one float32 WAV.
+    time over at least 30 repetitions. ValueError unless seed >= 0,
+    seconds > 0 and the decoded audio fits in one float32 WAV.
     """
     hyper = model.hyper
     windows = seconds * hyper.sample_rate / hyper.window_size
     if not (seconds > 0 and windows <= MAX_FLOAT32_SAMPLES // hyper.window_size):
         raise ValueError(f"seconds must be > 0 and fit one float32 WAV, got {seconds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_windows = math.ceil(windows)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_windows, hyper.latent_dim)).astype(np.float32)
@@ -472,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def register(parent, name: str, fields, handler, cmd_name: str, **kwargs):
+    def register(parent, name: str, fields, handler, cmd_name: str, skipped=(), **kwargs):
         p = parent.add_parser(name, **kwargs)
         _add_flags(p, fields)
-        p.set_defaults(handler=handler, fields=fields, cmd_name=cmd_name)
+        p.set_defaults(handler=handler, fields=fields, cmd_name=cmd_name, skipped=skipped)
         return p
 
     register(sub, "train", TRAIN_FIELDS, _cmd_train, "train",
@@ -483,13 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="blend two recordings in latent space")
     strategies = synth.add_subparsers(dest="strategy", required=True)
-    for strategy, text in (
-        ("step", "global weight swept in discrete steps"),
-        ("meso", "per-window weight curve, duration preserved"),
-        ("extend", "per-window curve over overlapped windows, duration stretched"),
-    ):
-        register(strategies, strategy, SYNTH_FIELDS, _cmd_synth,
-                 f"synth {strategy}", help=text)
+    strategy_keys = frozenset(f.name for _, own in SYNTH_STRATEGIES.values() for f in own)
+    for strategy, (text, own) in SYNTH_STRATEGIES.items():
+        register(strategies, strategy, SYNTH_FIELDS + own, _cmd_synth,
+                 f"synth {strategy}", strategy_keys, help=text)
 
     som = sub.add_parser("som", help="organize a corpus on a self-organizing map")
     som_sub = som.add_subparsers(dest="som_command", required=True)

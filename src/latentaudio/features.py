@@ -156,8 +156,8 @@ def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return np.concatenate(columns, axis=1)
 
 
-def extract_thumbnail(buffer: AudioBuffer, config: FeatureConfig) -> Thumbnail:
-    """Summarize one buffer as per-feature means then standard deviations."""
+def extract_thumbnail(buffer: AudioBuffer, config: FeatureConfig, file_ref=None) -> Thumbnail:
+    """Per-feature means then standard deviations of one buffer, named file_ref."""
     buffer = resample(buffer, config.sample_rate)
     if len(buffer) < config.frame_size:
         raise TooShortError(
@@ -171,4 +171,4 @@ def extract_thumbnail(buffer: AudioBuffer, config: FeatureConfig) -> Thumbnail:
     offsets = centered.mean(axis=0)
     means = feats[0] + offsets
     stds = np.sqrt(((centered - offsets) ** 2).mean(axis=0))
-    return Thumbnail(np.concatenate([means, stds]), file_ref=buffer.source_label)
+    return Thumbnail(np.concatenate([means, stds]), file_ref=file_ref)

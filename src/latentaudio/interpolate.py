@@ -98,8 +98,8 @@ class SynthesisMode:
     def __post_init__(self):
         if self.kind not in ("mean_only", "sampled"):
             raise ValueError(f"unknown synthesis mode {self.kind!r}")
-        if self.kind == "sampled" and self.seed is None:
-            raise ValueError("sampled mode needs a seed")
+        if self.kind == "sampled" and (self.seed is None or self.seed < 0):
+            raise ValueError(f"seed must be >= 0 for sampled mode, got {self.seed}")
 
     @classmethod
     def mean_only(cls) -> "SynthesisMode":
@@ -119,13 +119,21 @@ def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int) -> LatentPath:
     return LatentPath(*encode_frames(model, window(buffer, model.hyper.window_size, hop)))
 
 
+def _number(item: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"curve item {item!r} is not a finite number")
+    return value
+
+
 def generate_curve(spec: str, length: int) -> InterpolationCurve:
     """Build a curve of the given length from a compact text spec.
 
     Forms: "const:<c>", "lin:<a>:<b>", "sine:p=<period>,ph=<phase>,
     a=<amplitude>,o=<offset>" (all optional, value = o + a*sin(2*pi*i/p
     + ph)), "bp:<idx>=<val>,..." (piecewise-linear breakpoints). Values
-    land in [-1, 1] by clamping.
+    land in [-1, 1] by clamping. A number that is not finite, or a spec
+    whose arithmetic overflows float64, is a ValueError, not a warning.
     """
     if length < 1:
         raise ValueError(f"curve length must be >= 1, got {length}")
@@ -133,38 +141,41 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
     if not spec:
         raise EmptySpecError("empty curve spec")
     kind, _, body = spec.partition(":")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return InterpolationCurve(_curve_values(kind, body, length))
+    except FloatingPointError:
+        raise ValueError(f"curve {spec!r} overflows float64 over {length} windows") from None
 
+
+def _curve_values(kind: str, body: str, length: int) -> np.ndarray:
     if kind == "const":
-        values = np.full(length, float(body))
-    elif kind == "lin":
+        return np.full(length, _number(body, body))
+    if kind == "lin":
         start_s, _, end_s = body.partition(":")
-        values = np.linspace(float(start_s), float(end_s), length)
-    elif kind == "sine":
+        return np.linspace(_number(start_s, start_s), _number(end_s, end_s), length)
+    if kind == "sine":
         params = {"p": float(length), "ph": 0.0, "a": 1.0, "o": 0.0}
         for item in filter(None, body.split(",")):
             key, _, val = item.partition("=")
             if key not in params:
                 raise ValueError(f"unknown sine parameter {key!r}")
-            params[key] = float(val)
+            params[key] = _number(item, val)
         if params["p"] == 0:
             raise ValueError("sine period must be nonzero")
         i = np.arange(length)
-        values = params["o"] + params["a"] * np.sin(
-            2.0 * np.pi * i / params["p"] + params["ph"]
-        )
-    elif kind == "bp":
+        return params["o"] + params["a"] * np.sin(2.0 * np.pi * i / params["p"] + params["ph"])
+    if kind == "bp":
         points = []
         for item in filter(None, body.split(",")):
             idx_s, _, val_s = item.partition("=")
-            points.append((float(idx_s), float(val_s)))
+            points.append((_number(item, idx_s), _number(item, val_s)))
         if not points:
             raise ValueError("breakpoint spec needs at least one index=value pair")
         points.sort()
         xs, ys = zip(*points)
-        values = np.interp(np.arange(length), xs, ys)
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    return InterpolationCurve(values)
+        return np.interp(np.arange(length), xs, ys)
+    raise ValueError(f"unknown curve kind {kind!r}")
 
 
 def _check_crossfade(model: VaeModel, crossfade: int) -> None:

@@ -115,6 +115,8 @@ def train_som(
         raise ValueError("grid sides must be >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     lr0 = float(lr0)
     if not (math.isfinite(lr0) and lr0 > 0):
         raise ValueError("lr0 must be finite and > 0")
@@ -255,11 +257,7 @@ def concatenate_cluster(cluster: Cluster, loader) -> AudioBuffer:
     buffers = [loader(ref) for ref in refs]
     rate = buffers[0].sample_rate
     buffers = [resample(b, rate) for b in buffers]
-    joined = AudioBuffer(
-        np.concatenate([b.samples for b in buffers]),
-        rate,
-        source_label=f"cluster{cluster.unit}",
-    )
+    joined = AudioBuffer(np.concatenate([b.samples for b in buffers]), rate)
     if not 10.0 <= joined.duration <= 30.0:
         warnings.warn(
             f"cluster audio is {joined.duration:.2f} s, outside the 10-30 s band",

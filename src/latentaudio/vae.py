@@ -114,6 +114,8 @@ class VaeHyperParams:
             raise ValueError("sample_rate must be > 0")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,9 @@ def adam_step(params: list, grads: list, state: AdamState, learning_rate: float)
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or reuse a training run.
+    """A trained model and its training record: hyperparameters,
+    parameters, Adam moments and per-epoch losses. Nothing reads the
+    moments back; no command resumes training from a checkpoint.
 
     Tensors are float32, the dtype they were trained in; loss_history
     rows are per-epoch (mean reconstruction, mean KL).

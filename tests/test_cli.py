@@ -273,6 +273,81 @@ class TestSynth:
         assert code == 2
         assert "mode" in capsys.readouterr().err
 
+    def test_non_finite_curve_is_usage_error(self, checkpoint, corpus, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert _synth("meso", checkpoint, corpus, out, "--curve", "bp:nan=1") == 2
+        err = capsys.readouterr().err
+        assert "'nan=1' is not a finite number" in err and "Warning" not in err
+        assert not out.exists() and not (tmp_path / "x.wav.cfg").exists()
+
+    @pytest.mark.parametrize("strategy, flag, value", [
+        ("meso", "--hop", "3"), ("meso", "--range", "2"), ("step", "--curve", "x"),
+        ("step", "--hop", "3"), ("extend", "--range", "2"), ("extend", "--step", "0.1"),
+    ])
+    def test_option_of_another_strategy_is_usage_error(
+        self, checkpoint, corpus, tmp_path, capsys, strategy, flag, value
+    ):
+        out = tmp_path / "x.wav"
+        assert _synth(strategy, checkpoint, corpus, out, flag, value) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.wav.cfg").exists()
+
+    @pytest.mark.parametrize("strategy, own", [
+        ("step", {"range", "step"}), ("meso", {"curve"}), ("extend", {"curve", "hop"}),
+    ])
+    def test_sidecar_holds_only_what_the_strategy_reads(
+        self, checkpoint, corpus, tmp_path, strategy, own
+    ):
+        out = tmp_path / "o.wav"
+        assert _synth(strategy, checkpoint, corpus, out) == 0
+        lines = (tmp_path / "o.wav.cfg").read_text().splitlines()
+        common = {"command", "checkpoint", "in1", "in2", "out", "mode", "seed",
+                  "crossfade", "normalize"}
+        assert {line.partition("=")[0] for line in lines} == common | own
+
+    @pytest.mark.parametrize("strategy, flags", [
+        ("step", ["--range", "0.5", "--step", "0.25"]),
+        ("meso", ["--curve", "sine:p=5"]),
+        ("extend", ["--curve", "lin:1:0", "--hop", "32"]),
+    ])
+    def test_pre_split_sidecar_regenerates(self, checkpoint, corpus, tmp_path, strategy, flags):
+        # every synth sidecar held these 12 keys, in this order, while all
+        # three strategies took every option
+        pre_split = ("checkpoint", "in1", "in2", "out", "mode", "seed", "range", "step",
+                     "curve", "hop", "crossfade", "normalize")
+        first = tmp_path / "first.wav"
+        assert _synth(strategy, checkpoint, corpus, first,
+                      "--mode", "sample", "--seed", "4", *flags) == 0
+        written = (tmp_path / "first.wav.cfg").read_text().splitlines()
+        # the other strategies' keys at values that would change the artifact if read
+        values = {"range": "2.0", "step": "0.5", "curve": "const:1", "hop": "16",
+                  **dict(line.split("=", 1) for line in written)}
+        legacy = tmp_path / "legacy.cfg"
+        legacy.write_text("\n".join([f"command=synth {strategy}"] +
+                                    [f"{key}={values[key]}" for key in pre_split]) + "\n")
+        second = tmp_path / "second.wav"
+        assert main(["synth", strategy, "--config", str(legacy), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["train", "synth", "som build", "bench"])
+    def test_rejected_naming_seed(self, checkpoint, corpus, tmp_path, capsys, command):
+        out = tmp_path / "x.out"
+        argv = {
+            "train": ["train", "--dataset-dir", str(corpus), "--out", str(out), *TRAIN_FLAGS],
+            "synth": ["synth", "step", "--checkpoint", str(checkpoint),
+                      "--in1", str(corpus / "tone0.wav"), "--in2", str(corpus / "tone1.wav"),
+                      "--out", str(out), "--mode", "sample"],
+            "som build": ["som", "build", "--dataset-dir", str(corpus), "--out", str(out),
+                          *SOM_FLAGS],
+            "bench": ["bench", "--checkpoint", str(checkpoint), "--seconds", "0.1"],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "got -1" in err
+        assert not out.exists() and not (tmp_path / "x.out.cfg").exists()
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, checkpoint, corpus, tmp_path, capsys):

@@ -70,9 +70,10 @@ def test_distinct_sounds_get_distinct_thumbnails():
     assert not np.allclose(a.features, b.features)
 
 
-def test_file_ref_carried_from_source_label():
-    buf = AudioBuffer(make_sine(rate=8000, seconds=0.3).samples, 8000, source_label="x.wav")
-    assert extract_thumbnail(buf, CONFIG).file_ref == "x.wav"
+def test_file_ref_named_on_thumbnail():
+    buf = make_sine(rate=8000, seconds=0.3)
+    assert extract_thumbnail(buf, CONFIG, "x.wav").file_ref == "x.wav"
+    assert extract_thumbnail(buf, CONFIG).file_ref is None
 
 
 def test_centroid_of_silence_is_zero():

@@ -1,5 +1,7 @@
 import io
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,24 @@ class TestGenerateCurve:
         with pytest.raises(ValueError):
             generate_curve("const:0", 0)
 
+    @pytest.mark.parametrize("spec, named", [
+        ("bp:nan=1", "'nan=1' is not a finite number"),
+        ("bp:inf=1,0=0", "'inf=1' is not a finite number"),
+        ("bp:0=0,5=-inf", "'5=-inf' is not a finite number"),
+        ("const:nan", "'nan' is not a finite number"),
+        ("lin:0:inf", "'inf' is not a finite number"),
+        ("sine:ph=inf", "'ph=inf' is not a finite number"),
+        ("sine:p=nan", "'p=nan' is not a finite number"),
+        ("sine:p=1e-320", "'sine:p=1e-320' overflows float64"),
+        ("sine:a=1.7e308,o=1.7e308", "overflows float64"),
+        ("lin:-1.7e308:1.7e308", "overflows float64"),
+    ])
+    def test_non_finite_spec_is_value_error_without_warning(self, spec, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(named)):
+                generate_curve(spec, 16)
+
     @settings(max_examples=60, deadline=None)
     @given(
         amplitude=st.floats(-5, 5, allow_nan=False),
@@ -197,6 +217,10 @@ class TestDecodePath:
     def test_sampled_mode_requires_seed(self):
         with pytest.raises(ValueError):
             SynthesisMode("sampled")
+
+    def test_sampled_mode_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0 for sampled mode, got -1"):
+            SynthesisMode.sampled(-1)
 
 
 class TestStepwise:

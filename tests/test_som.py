@@ -98,6 +98,11 @@ class TestTrainSom:
         with pytest.raises(ShapeMismatchError):
             train_som(thumbs, width=1, height=1)
 
+    def test_negative_seed_rejected(self):
+        thumbs = _thumbs(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            train_som(thumbs, width=1, height=1, seed=-1)
+
     def test_default_radius_covers_half_the_longer_side(self):
         rng = np.random.default_rng(0)
         thumbs = _thumbs(rng.standard_normal((10, 4)))

@@ -372,6 +372,10 @@ class TestTrain:
         assert history[-1, 0] < history[0, 0]
         assert np.all(history[:, 1] >= 0)  # kl still reported
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            VaeHyperParams(seed=-1)
+
     def test_nonfinite_loss_raises(self):
         hyper = VaeHyperParams(
             window_size=64, latent_dim=8, hidden_sizes=(16,), epochs=5,
