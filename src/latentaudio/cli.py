@@ -47,7 +47,6 @@ from .interpolate import (
 from .som import (
     assign_clusters,
     concatenate_cluster,
-    default_grid_side,
     load_som,
     save_som,
     train_som,
@@ -73,10 +72,12 @@ class Field:
     choices: tuple = ()
 
 
+# the type of a record field's default -> the ftype of its Field
+_KINDS = {bool: "bool", int: "int", float: "float", tuple: "ints"}
 # ftype -> (value to text, text to value): int, float, bool and ints values
 # are spelled as container headers spell them, str and path values as given
-_FORMS = {"int": TEXT_FORMS[int], "float": TEXT_FORMS[float], "bool": TEXT_FORMS[bool],
-          "ints": TEXT_FORMS[tuple], "str": (str, str), "path": (str, str)}
+_FORMS = {**{kind: TEXT_FORMS[t] for t, kind in _KINDS.items()},
+          "str": (str, str), "path": (str, str)}
 
 
 def _convert(raw, field: Field):
@@ -87,6 +88,19 @@ def _convert(raw, field: Field):
             f"{field.name} must be one of {', '.join(field.choices)}, got {value!r}"
         )
     return value
+
+
+def _record_fields(cls, keys, helps) -> tuple:
+    """One Field per field of the dataclass cls, named keys.get(name, name),
+    with the field's default and the help text helps gives that key."""
+    return tuple(Field(keys.get(f.name, f.name), _KINDS[type(f.default)], f.default,
+                       help=helps.get(keys.get(f.name, f.name), ""))
+                 for f in dataclasses.fields(cls))
+
+
+def _record(cls, cfg: dict, keys):
+    """The cls instance holding the values of the keys _record_fields named."""
+    return cls(**{f.name: cfg[keys.get(f.name, f.name)] for f in dataclasses.fields(cls)})
 
 
 def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
@@ -176,22 +190,14 @@ def _load_input(path, sample_rate: int, normalize: bool) -> AudioBuffer:
 TRAIN_FIELDS = (
     Field("dataset_dir", "path", required=True, help="directory of training WAVs"),
     Field("out", "path", required=True, help="checkpoint output path"),
-    Field("window_size", "int", VaeHyperParams.window_size),
-    Field("latent_dim", "int", VaeHyperParams.latent_dim),
-    Field("hidden_sizes", "ints", VaeHyperParams.hidden_sizes,
-          help="comma-separated hidden widths"),
-    Field("alpha", "float", VaeHyperParams.alpha, help="KL weight"),
-    Field("learning_rate", "float", VaeHyperParams.learning_rate),
-    Field("epochs", "int", VaeHyperParams.epochs),
-    Field("batch_size", "int", VaeHyperParams.batch_size),
-    Field("sample_rate", "int", VaeHyperParams.sample_rate),
+    *_record_fields(VaeHyperParams, {}, {"hidden_sizes": "comma-separated hidden widths",
+                                         "alpha": "KL weight"}),
     Field("hop", "int", 256, help="training window hop"),
-    Field("seed", "int", VaeHyperParams.seed),
 )
 
 
 def _cmd_train(args, cfg: dict) -> int:
-    hyper = VaeHyperParams(**{f.name: cfg[f.name] for f in dataclasses.fields(VaeHyperParams)})
+    hyper = _record(VaeHyperParams, cfg, {})
     sets = []
     for path in _sorted_wavs(cfg["dataset_dir"]):
         buf = _load_input(path, hyper.sample_rate, True)
@@ -237,6 +243,7 @@ SYNTH_STRATEGIES = {  # strategy -> (help, the options it adds to SYNTH_FIELDS)
 def _cmd_synth(args, cfg: dict) -> int:
     if cfg["mode"] == "mean":
         mode = SynthesisMode.mean_only()
+        cfg["seed"] = None  # mean mode draws nothing, so its sidecar records no seed
     else:
         mode = SynthesisMode.sampled(cfg["seed"])
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
@@ -261,61 +268,52 @@ def _cmd_synth(args, cfg: dict) -> int:
 
 # ---------------------------------------------------------------- som
 
+_FEATURE_KEYS = {"sample_rate": "feat_rate", "hop": "feat_hop"}  # the rest keep the field name
+# train_som argument and SomMap field -> som build option; unset, train_som picks the value
+_MAP_KEYS = {"width": "width", "height": "height", "epochs": "som_epochs",
+             "lr0": "som_lr", "radius0": "som_radius", "seed": "seed"}
+
 SOM_BUILD_FIELDS = (
     Field("dataset_dir", "path", required=True),
     Field("out", "path", required=True, help="map output path"),
     Field("width", "int", help="grid width (default: sized from corpus)"),
     Field("height", "int", help="grid height (default: sized from corpus)"),
-    Field("som_epochs", "int", 100),
-    Field("som_lr", "float", 0.5),
+    Field("som_epochs", "int"),
+    Field("som_lr", "float"),
     Field("som_radius", "float", help="initial radius (default: half the longer side)"),
-    Field("seed", "int", 0),
-    Field("feat_rate", "int", FeatureConfig.sample_rate, help="analysis sample rate"),
-    Field("frame_size", "int", FeatureConfig.frame_size),
-    Field("feat_hop", "int", FeatureConfig.hop),
-    Field("n_mfcc", "int", FeatureConfig.n_mfcc),
-    Field("n_mels", "int", FeatureConfig.n_mels),
-    Field("centroid", "bool", FeatureConfig.centroid, help="include spectral centroid"),
-    Field("rms", "bool", FeatureConfig.rms, help="include RMS energy"),
+    Field("seed", "int"),
+    *_record_fields(FeatureConfig, _FEATURE_KEYS, {"feat_rate": "analysis sample rate",
+                                                   "centroid": "include spectral centroid",
+                                                   "rms": "include RMS energy"}),
 )
 
 
-def _feature_config(cfg: dict) -> FeatureConfig:
-    key = {"sample_rate": "feat_rate", "hop": "feat_hop"}  # the rest share the field name
-    return FeatureConfig(**{f.name: cfg[key.get(f.name, f.name)]
-                            for f in dataclasses.fields(FeatureConfig)})
+@dataclass(frozen=True)
+class _CorpusThumbnails:
+    """Each file's thumbnail, extracted when iteration reaches it; sized like a list."""
 
+    files: list
+    config: FeatureConfig
 
-def _corpus_thumbnails(dataset_dir, config: FeatureConfig) -> list:
-    thumbs = []
-    for p in _sorted_wavs(dataset_dir):
+    def __len__(self) -> int:
+        return len(self.files)
+
+    def __iter__(self):
         # name by the bare file name so listings stay portable across machines
-        thumbs.append(extract_thumbnail(load_wav(p), config, p.name))
-    return thumbs
+        return (extract_thumbnail(load_wav(p), self.config, p.name) for p in self.files)
 
 
 def _cmd_som_build(args, cfg: dict) -> int:
-    config = _feature_config(cfg)
-    thumbs = _corpus_thumbnails(cfg["dataset_dir"], config)
-    side = default_grid_side(len(thumbs))
-    for key in ("width", "height"):
-        if cfg[key] is None:
-            cfg[key] = side
-    som = train_som(
-        thumbs,
-        width=cfg["width"],
-        height=cfg["height"],
-        epochs=cfg["som_epochs"],
-        lr0=cfg["som_lr"],
-        radius0=cfg["som_radius"],
-        seed=cfg["seed"],
-        feature_config=config,
-    )
-    cfg["som_radius"] = som.radius0  # the sidecar records the radius used, default included
+    config = _record(FeatureConfig, cfg, _FEATURE_KEYS)
+    files = _sorted_wavs(cfg["dataset_dir"])
+    given = {arg: cfg[key] for arg, key in _MAP_KEYS.items() if cfg[key] is not None}
+    som = train_som(_CorpusThumbnails(files, config), feature_config=config, **given)
+    # the sidecar records every setting the map holds, defaults included
+    cfg.update({key: getattr(som, arg) for arg, key in _MAP_KEYS.items()})
     save_som(som, cfg["out"])
     _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
     print(
-        f"mapped {len(thumbs)} files onto a {som.width}x{som.height} grid; "
+        f"mapped {len(files)} files onto a {som.width}x{som.height} grid; "
         f"wrote {cfg['out']} (final quantization error {som.qe_history[-1]:.4f})"
     )
     return 0
@@ -337,7 +335,7 @@ def _cluster_lines(som, thumbs) -> list:
 
 def _cmd_som_clusters(args, cfg: dict) -> int:
     som = load_som(cfg["map"])
-    thumbs = _corpus_thumbnails(cfg["dataset_dir"], som.feature_config)
+    thumbs = list(_CorpusThumbnails(_sorted_wavs(cfg["dataset_dir"]), som.feature_config))
     lines = _cluster_lines(som, thumbs)
     if cfg["out"]:
         with atomic_write(cfg["out"], "w") as fh:
@@ -360,7 +358,7 @@ SOM_CONCAT_FIELDS = (
 
 def _cmd_som_concat(args, cfg: dict) -> int:
     som = load_som(cfg["map"])
-    thumbs = _corpus_thumbnails(cfg["dataset_dir"], som.feature_config)
+    thumbs = list(_CorpusThumbnails(_sorted_wavs(cfg["dataset_dir"]), som.feature_config))
     try:
         x, y = (int(part) for part in cfg["unit"].split(","))
     except ValueError as exc:

@@ -31,7 +31,8 @@ class ShapeMismatchError(LatentAudioError):
 
 
 class EmptyDatasetError(LatentAudioError):
-    """Training requested on an empty window collection."""
+    """Training requested on an empty window collection, or a dataset
+    directory that is missing or holds no .wav file."""
 
 
 class FormatVersionMismatchError(LatentAudioError):
@@ -43,7 +44,8 @@ class CorruptFileError(LatentAudioError):
 
 
 class BadStepError(LatentAudioError):
-    """Non-positive step size for stepwise interpolation."""
+    """Stepwise sweep whose step is not finite and positive, or whose range
+    is negative or gives no finite range / step."""
 
 
 class CurveLengthMismatchError(LatentAudioError):
@@ -55,7 +57,10 @@ class EmptyInputError(LatentAudioError):
 
 
 class ConfigMismatchError(LatentAudioError):
-    """Thumbnail and map built from different feature recipes."""
+    """Thumbnail and map built from different feature recipes, or a CLI
+    configuration that does not hold together: a malformed or unknown
+    config key, a sidecar of another command, a value outside its
+    choices, a missing required option or a malformed --unit."""
 
 
 class EmptySpecError(LatentAudioError):

@@ -143,9 +143,12 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
     kind, _, body = spec.partition(":")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return InterpolationCurve(_curve_values(kind, body, length))
+            values = _curve_values(kind, body, length)
+        if not np.isfinite(values).all():  # np.interp overflows without a floating-point error
+            raise FloatingPointError
     except FloatingPointError:
         raise ValueError(f"curve {spec!r} overflows float64 over {length} windows") from None
+    return InterpolationCurve(values)
 
 
 def _curve_values(kind: str, body: str, length: int) -> np.ndarray:

@@ -96,8 +96,8 @@ def _stack_thumbnails(thumbnails) -> np.ndarray:
 
 def train_som(
     thumbnails,
-    width: int,
-    height: int,
+    width: int | None = None,
+    height: int | None = None,
     epochs: int = 100,
     lr0: float = 0.5,
     radius0: float | None = None,
@@ -106,27 +106,28 @@ def train_som(
 ) -> SomMap:
     """Fit a width x height map to the thumbnails.
 
-    radius0 defaults to half the longer grid side (at least 1). The
-    seeded generator drives prototype initialization (random training
-    samples) and the per-epoch presentation order, so equal inputs give
-    equal maps.
+    width and height default to default_grid_side(len(thumbnails)), and
+    radius0 to half the longer grid side (at least 1). Every setting is
+    checked before the first thumbnail is read, so thumbnails may be a
+    lazy stream. The seeded generator drives prototype initialization
+    (random training samples) and the per-epoch presentation order, so
+    equal inputs give equal maps.
     """
-    if width < 1 or height < 1:
+    if any(side is not None and side < 1 for side in (width, height)):
         raise ValueError("grid sides must be >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     lr0 = float(lr0)
-    if not (math.isfinite(lr0) and lr0 > 0):
-        raise ValueError("lr0 must be finite and > 0")
-    if radius0 is None:
-        radius0 = max(max(width, height) / 2.0, _RADIUS_FLOOR)
-    radius0 = float(radius0)
-    if not (math.isfinite(radius0) and radius0 > 0):
-        raise ValueError("radius0 must be finite and > 0")
+    for name, rate in (("lr0", lr0), ("radius0", radius0)):
+        if rate is not None and not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"{name} must be finite and > 0")
 
     data = _stack_thumbnails(thumbnails)
+    side = default_grid_side(len(data))
+    width, height = (side if s is None else s for s in (width, height))
+    radius0 = float(max(max(width, height) / 2.0, _RADIUS_FLOOR) if radius0 is None else radius0)
     mean = data.mean(axis=0)
     std = data.std(axis=0)
     std[std == 0] = 1.0  # constant feature: leave it centered, unscaled

@@ -154,6 +154,13 @@ class TestWavCodec:
         with pytest.raises(MalformedWavError):
             load_wav(path)
 
+    @pytest.mark.parametrize("channels, rate", [(0, 8000), (1, 0)])
+    def test_invalid_fmt_fields(self, tmp_path, channels, rate):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(_wav_bytes(1, channels, rate, 16, b"\x00\x00" * 4))
+        with pytest.raises(MalformedWavError, match="invalid fmt fields"):
+            load_wav(path)
+
     def test_unsupported_format_tag(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(_wav_bytes(2, 1, 8000, 16, b"\x00\x00"))
@@ -322,6 +329,10 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(make_sine(seconds=0.01), 0)
 
+    def test_empty_buffer_stays_empty_at_the_new_rate(self):
+        out = resample(AudioBuffer(np.zeros(0, dtype=np.float32), 8000), 16000)
+        assert len(out) == 0 and out.sample_rate == 16000 and out.samples.dtype == np.float32
+
 
 class TestWindow:
     def test_counts(self):
@@ -339,6 +350,10 @@ class TestWindow:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             window(AudioBuffer(np.zeros(10), 8000), 11, 1)
+
+    def test_zero_window_size(self):
+        with pytest.raises(ValueError, match="window_size must be >= 1, got 0"):
+            audio.window_count(100, 0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(

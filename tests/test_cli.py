@@ -5,7 +5,9 @@ files, and artifact bytes can all be checked. A small 8 kHz corpus and a
 deliberately tiny model keep the module fast.
 """
 
+import argparse
 import dataclasses
+import inspect
 import math
 import os
 import warnings
@@ -30,7 +32,7 @@ from latentaudio import (
     save_checkpoint,
     save_wav,
 )
-from latentaudio import audio, cli, container, interpolate
+from latentaudio import audio, cli, container, interpolate, train_som
 from latentaudio.cli import BenchReport, main, run_bench
 from latentaudio.som import SOM_MAGIC
 from latentaudio.vae import CHECKPOINT_MAGIC
@@ -50,10 +52,14 @@ TRAIN_FLAGS = [
     "--seed", "1",
 ]
 
-SOM_FLAGS = [
+FEATURE_FLAGS = [
     "--feat-rate", str(RATE),
     "--frame-size", "512",
     "--feat-hop", "256",
+]
+
+SOM_FLAGS = [
+    *FEATURE_FLAGS,
     "--width", "2",
     "--height", "2",
     "--som-epochs", "30",
@@ -301,9 +307,29 @@ class TestSynth:
         out = tmp_path / "o.wav"
         assert _synth(strategy, checkpoint, corpus, out) == 0
         lines = (tmp_path / "o.wav.cfg").read_text().splitlines()
-        common = {"command", "checkpoint", "in1", "in2", "out", "mode", "seed",
+        common = {"command", "checkpoint", "in1", "in2", "out", "mode",  # mean mode: no seed
                   "crossfade", "normalize"}
         assert {line.partition("=")[0] for line in lines} == common | own
+
+    def test_mean_mode_accepts_seed_and_records_none(self, checkpoint, corpus, tmp_path):
+        out = tmp_path / "o.wav"
+        assert _synth("meso", checkpoint, corpus, out, "--seed", "5") == 0
+        lines = (tmp_path / "o.wav.cfg").read_text().splitlines()
+        assert "mode=mean" in lines
+        assert not [line for line in lines if line.startswith("seed=")]
+
+    @pytest.mark.parametrize("strategy", ["step", "meso", "extend"])
+    def test_mean_sidecar_with_seed_regenerates(self, checkpoint, corpus, tmp_path, strategy):
+        # sidecars written before mean mode dropped its seed hold seed=0 after mode
+        first = tmp_path / "first.wav"
+        assert _synth(strategy, checkpoint, corpus, first) == 0
+        lines = (tmp_path / "first.wav.cfg").read_text().splitlines()
+        at = lines.index("mode=mean") + 1
+        legacy = tmp_path / "legacy.cfg"
+        legacy.write_text("\n".join(lines[:at] + ["seed=0"] + lines[at:]) + "\n")
+        second = tmp_path / "second.wav"
+        assert main(["synth", strategy, "--config", str(legacy), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("strategy, flags", [
         ("step", ["--range", "0.5", "--step", "0.25"]),
@@ -349,6 +375,72 @@ class TestNegativeSeed:
         assert not out.exists() and not (tmp_path / "x.out.cfg").exists()
 
 
+# option -> (kind, default, required, help) for train and som build; most are
+# generated from VaeHyperParams and FeatureConfig, and none may change unnoticed
+TRAIN_OPTIONS = {
+    "dataset_dir": ("path", None, True, "directory of training WAVs"),
+    "out": ("path", None, True, "checkpoint output path"),
+    "window_size": ("int", 1024, False, ""),
+    "latent_dim": ("int", 256, False, ""),
+    "hidden_sizes": ("ints", (512,), False, "comma-separated hidden widths"),
+    "alpha": ("float", 1e-4, False, "KL weight"),
+    "learning_rate": ("float", 1e-4, False, ""),
+    "epochs": ("int", 500, False, ""),
+    "batch_size": ("int", 128, False, ""),
+    "sample_rate": ("int", 44100, False, ""),
+    "hop": ("int", 256, False, "training window hop"),
+    "seed": ("int", 0, False, ""),
+}
+SOM_BUILD_OPTIONS = {
+    "dataset_dir": ("path", None, True, ""),
+    "out": ("path", None, True, "map output path"),
+    "width": ("int", None, False, "grid width (default: sized from corpus)"),
+    "height": ("int", None, False, "grid height (default: sized from corpus)"),
+    "som_epochs": ("int", 100, False, ""),
+    "som_lr": ("float", 0.5, False, ""),
+    "som_radius": ("float", None, False, "initial radius (default: half the longer side)"),
+    "seed": ("int", 0, False, ""),
+    "feat_rate": ("int", 44100, False, "analysis sample rate"),
+    "frame_size": ("int", 2048, False, ""),
+    "feat_hop": ("int", 1024, False, ""),
+    "n_mfcc": ("int", 13, False, ""),
+    "n_mels": ("int", 26, False, ""),
+    "centroid": ("bool", True, False, "include spectral centroid"),
+    "rms": ("bool", True, False, "include RMS energy"),
+}
+
+
+class TestRecordOptions:
+    """train's and som build's options are generated from the records they fill."""
+
+    def test_train_options_are_pinned(self):
+        assert {f.name: (f.ftype, f.default, f.required, f.help)
+                for f in cli.TRAIN_FIELDS} == TRAIN_OPTIONS
+
+    def test_som_build_options_are_pinned(self):
+        # som build leaves every map setting unset; train_som's defaults fill them in
+        signature = inspect.signature(train_som).parameters
+        effective = {key: signature[arg].default for arg, key in cli._MAP_KEYS.items()}
+        assert all(f.default is None for f in cli.SOM_BUILD_FIELDS if f.name in effective)
+        assert {f.name: (f.ftype, effective.get(f.name, f.default), f.required, f.help)
+                for f in cli.SOM_BUILD_FIELDS} == SOM_BUILD_OPTIONS
+
+    @pytest.mark.parametrize("command, options", [
+        (["train"], TRAIN_OPTIONS), (["som", "build"], SOM_BUILD_OPTIONS),
+    ])
+    def test_parser_flags(self, command, options):
+        parser = cli.build_parser()
+        for word in command:
+            parser = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices[word]
+        flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+        assert set(flags) == set(options)
+        for name, (kind, _, _, text) in options.items():
+            assert flags[name].default is None and flags[name].help == text
+            if kind != "bool":
+                assert flags[name].metavar == kind.upper()
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, checkpoint, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -374,6 +466,20 @@ class TestConfigHandling:
         code = main(["train", "--dataset-dir", str(corpus)])
         assert code == 2
         assert "--out" in capsys.readouterr().err
+
+    def test_line_without_equals_rejected(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("command=train\nepochs 3\n")
+        code = main(["train", "--config", str(bad),
+                     "--dataset-dir", str(corpus), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"{bad}:2: expected key=value" in capsys.readouterr().err
+
+    def test_dataset_without_wavs_rejected(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no audio here\n")
+        code = main(["train", "--dataset-dir", str(tmp_path), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "no .wav files" in capsys.readouterr().err
 
     def test_comments_and_blanks_ignored(self, corpus, checkpoint, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -420,6 +526,41 @@ class TestSomCommands:
                      *SOM_FLAGS, flag, value])
         assert code == 2 and not out.exists()
         assert "must be finite" in capsys.readouterr().err
+
+    def test_sidecar_records_every_map_setting_defaults_included(self, corpus, tmp_path):
+        out = tmp_path / "default.som"
+        argv = ["som", "build", "--dataset-dir", str(corpus), "--out", str(out), *FEATURE_FLAGS]
+        assert main(argv) == 0
+        sidecar = dict(line.split("=", 1)
+                       for line in (tmp_path / "default.som.cfg").read_text().splitlines())
+        # four files give a 3x3 grid; train_som's defaults fill the rest
+        assert {key: sidecar[key] for key in cli._MAP_KEYS.values()} == {
+            "width": "3", "height": "3", "som_epochs": "100", "som_lr": "0.5",
+            "som_radius": "1.5", "seed": "0"}
+        again = tmp_path / "again.som"
+        assert main(["som", "build", "--config", str(out) + ".cfg", "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--som-lr", "0", "lr0 must be finite and > 0"),
+        ("--som-epochs", "0", "epochs must be >= 1"),
+        ("--width", "0", "grid sides must be >= 1"),
+        ("--som-radius", "nan", "radius0 must be finite and > 0"),
+    ])
+    def test_bad_map_setting_fails_before_any_extraction(
+        self, corpus, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        calls = []
+        extract = cli.extract_thumbnail
+        monkeypatch.setattr(cli, "extract_thumbnail",
+                            lambda *args: calls.append(args) or extract(*args))
+        out = tmp_path / "bad.som"
+        code = main(["som", "build", "--dataset-dir", str(corpus), "--out", str(out),
+                     *FEATURE_FLAGS, flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_build_deterministic(self, corpus, som_map, tmp_path):
         other = tmp_path / "again.som"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_noise, make_sine
-from latentaudio import AudioBuffer, FeatureConfig, TooShortError, extract_thumbnail
+from latentaudio import AudioBuffer, FeatureConfig, Thumbnail, TooShortError, extract_thumbnail
 
 CONFIG = FeatureConfig(sample_rate=8000, frame_size=512, hop=256)
 
@@ -21,6 +21,21 @@ def test_config_validation():
         FeatureConfig(n_mfcc=0)
     with pytest.raises(ValueError):
         FeatureConfig(n_mfcc=30, n_mels=26)
+
+
+def test_config_rejects_zero_sample_rate():
+    with pytest.raises(ValueError, match="sample_rate must be positive"):
+        FeatureConfig(sample_rate=0)
+
+
+@pytest.mark.parametrize("features, message", [
+    (np.zeros((2, 3)), "features must be 1-D"),
+    (np.array([0.0, np.nan]), "must be finite"),
+    (np.array([np.inf, 0.0]), "must be finite"),
+])
+def test_thumbnail_rejects_bad_features(features, message):
+    with pytest.raises(ValueError, match=message):
+        Thumbnail(features)
 
 
 def test_identical_audio_gives_identical_thumbnails():

@@ -124,12 +124,29 @@ class TestGenerateCurve:
         ("sine:p=1e-320", "'sine:p=1e-320' overflows float64"),
         ("sine:a=1.7e308,o=1.7e308", "overflows float64"),
         ("lin:-1.7e308:1.7e308", "overflows float64"),
+        ("bp:0=-1.7e308,10=1.7e308", "'bp:0=-1.7e308,10=1.7e308' overflows float64"),
     ])
     def test_non_finite_spec_is_value_error_without_warning(self, spec, named):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(named)):
                 generate_curve(spec, 16)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("sine:q=1", "unknown sine parameter 'q'"),
+        ("sine:p=0", "sine period must be nonzero"),
+        ("bp:", "breakpoint spec needs at least one index=value pair"),
+    ])
+    def test_malformed_spec(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_curve(spec, 8)
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "1-D, nonempty"), ([0.0, np.nan], "finite"), ([np.inf], "finite"),
+    ])
+    def test_curve_type_rejects_empty_or_non_finite(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            InterpolationCurve(np.array(values))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -183,6 +200,10 @@ class TestDecodePath:
         with pytest.raises(ValueError):
             decode_path(model, np.zeros((2, 8)), np.full((2, 8), -0.1), MEAN)
 
+    def test_means_and_stds_of_different_shapes(self, model):
+        with pytest.raises(ShapeMismatchError, match="must be equal 2-D shapes"):
+            decode_path(model, np.zeros((3, 8)), np.zeros((2, 8)), SynthesisMode.mean_only())
+
     def test_dim_mismatch(self, model):
         with pytest.raises(ShapeMismatchError):
             decode_path(model, np.zeros((2, 9)), np.zeros((2, 9)), MEAN)
@@ -217,6 +238,10 @@ class TestDecodePath:
     def test_sampled_mode_requires_seed(self):
         with pytest.raises(ValueError):
             SynthesisMode("sampled")
+
+    def test_unknown_mode_kind(self):
+        with pytest.raises(ValueError, match="unknown synthesis mode 'bogus'"):
+            SynthesisMode("bogus")
 
     def test_sampled_mode_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0 for sampled mode, got -1"):

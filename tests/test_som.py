@@ -103,6 +103,35 @@ class TestTrainSom:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             train_som(thumbs, width=1, height=1, seed=-1)
 
+    def test_grid_sized_from_the_thumbnail_count_when_omitted(self):
+        rng = np.random.default_rng(0)
+        thumbs = _thumbs(rng.standard_normal((10, 4)))
+        som = train_som(thumbs, epochs=1)
+        assert som.width == som.height == default_grid_side(10) == 4
+        assert som.radius0 == 2.0
+        assert (train_som(thumbs, width=2, epochs=1).height, som.seed) == (4, 0)
+
+    def test_lazy_stream_gives_the_same_map(self):
+        rng = np.random.default_rng(1)
+        thumbs = _thumbs(rng.standard_normal((12, 4)))
+        a = train_som(thumbs, epochs=3, seed=2)
+        b = train_som((t for t in thumbs), epochs=3, seed=2)
+        assert np.array_equal(a.prototypes, b.prototypes)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"width": 0}, "grid sides"), ({"height": -1}, "grid sides"),
+        ({"epochs": 0}, "epochs"), ({"seed": -1}, "seed"), ({"lr0": 0.0}, "lr0"),
+        ({"lr0": float("inf")}, "lr0"), ({"radius0": float("nan")}, "radius0"),
+        ({"radius0": 0.0}, "radius0"),
+    ])
+    def test_settings_checked_before_the_first_thumbnail(self, settings, message):
+        def stream():
+            raise AssertionError("a thumbnail was read")
+            yield
+
+        with pytest.raises(ValueError, match=message):
+            train_som(stream(), **settings)
+
     def test_default_radius_covers_half_the_longer_side(self):
         rng = np.random.default_rng(0)
         thumbs = _thumbs(rng.standard_normal((10, 4)))
@@ -234,6 +263,12 @@ class TestConcatenate:
             concatenate_cluster(Cluster(unit=(0, 0), members=()), lambda r: None)
 
 
+def test_quantization_error_rejects_other_dimension():
+    som = train_som(_thumbs(np.eye(4)), width=2, height=1, epochs=1)
+    with pytest.raises(ShapeMismatchError, match="thumbnails are 3-dim, map is 4-dim"):
+        quantization_error(som, _thumbs(np.eye(3)))
+
+
 class TestGridSizing:
     @pytest.mark.parametrize(
         "n,side",
@@ -315,6 +350,18 @@ class TestSomPersistence:
         tensors[index] = np.ascontiguousarray(bad(tensors[index]))
         write_container(path, SOM_MAGIC, header, tensors)
         with pytest.raises(CorruptFileError, match="shape"):
+            load_som(path)
+
+    def test_wrong_tensor_count_detected(self, trained, tmp_path):
+        from latentaudio import CorruptFileError
+        from latentaudio.container import read_container, write_container
+        from latentaudio.som import SOM_MAGIC
+
+        path = tmp_path / "map.som"
+        save_som(trained, path)
+        header, tensors = read_container(path, SOM_MAGIC)
+        write_container(path, SOM_MAGIC, header, tensors[:-1])
+        with pytest.raises(CorruptFileError, match="expected 4 tensors, found 3"):
             load_som(path)
 
     def test_corrupt_byte_detected(self, trained, tmp_path):

@@ -320,6 +320,28 @@ class TestAdam:
         with pytest.raises(ShapeMismatchError):
             adam_step(params, [], state, 1e-4)
 
+    def test_gradient_shape_mismatch(self):
+        params = [np.zeros(2)]
+        state = AdamState.zeros_like(params)
+        with pytest.raises(ShapeMismatchError, match=r"gradient shape \(3,\) != parameter"):
+            adam_step(params, [np.zeros(3)], state, 1e-4)
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("changes, message", [
+        ({"epochs": 0}, "epochs and batch_size must be >= 1"),
+        ({"batch_size": 0}, "epochs and batch_size must be >= 1"),
+        ({"sample_rate": 0}, "sample_rate must be > 0"),
+        ({"hidden_sizes": (4, 0)}, "hidden sizes must be >= 1"),
+    ])
+    def test_hyperparameters_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            VaeHyperParams(**changes)
+
+    def test_latent_stats_must_be_1d(self):
+        with pytest.raises(ValueError, match="must be 1-D"):
+            LatentStats(np.zeros((2, 2)), np.zeros((2, 2)))
+
 
 def _sine_windows(n_windows=40, size=64, hop=32, rate=8000):
     length = size + (n_windows - 1) * hop
@@ -498,6 +520,22 @@ class TestCheckpointPersistence:
         save_checkpoint(ckpt, path)
         last = len(_param_shapes(small_hyper)) - 1
         with pytest.raises(CorruptFileError, match=rf"adam_v\[{last}\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda t: t[:-1], "expected 31 tensors, found 30"),  # no loss history
+        (lambda t: [*t[:-1], t[-1].reshape(-1)], r"loss history has shape \(4,\)"),
+    ], ids=["tensor-count", "loss-history-shape"])
+    def test_damaged_tensor_list_detected(self, small_hyper, tmp_path, damage, message):
+        from latentaudio import CorruptFileError
+        from latentaudio.container import read_container, write_container
+        from latentaudio.vae import CHECKPOINT_MAGIC
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._trained(small_hyper), path)
+        header, tensors = read_container(path, CHECKPOINT_MAGIC)
+        write_container(path, CHECKPOINT_MAGIC, header, damage(tensors))
+        with pytest.raises(CorruptFileError, match=message):
             load_checkpoint(path)
 
     def test_version_mismatch_detected(self, small_hyper, tmp_path):
