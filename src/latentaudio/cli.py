@@ -18,6 +18,7 @@ import functools
 import math
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .exceptions import (
     LatentAudioError,
     NonFiniteLossError,
 )
-from .features import FeatureConfig, extract_thumbnail
+from .features import FeatureConfig, Thumbnail, extract_thumbnail
 from .interpolate import (
     SynthesisMode,
     decode_path,
@@ -174,7 +175,7 @@ def _sorted_wavs(dataset_dir) -> list:
     root = Path(dataset_dir)
     if not root.is_dir():
         raise EmptyDatasetError(f"dataset directory {dataset_dir} does not exist")
-    files = sorted(p for p in root.iterdir() if p.suffix.lower() == ".wav")
+    files = sorted(p for p in root.iterdir() if p.suffix.lower() == ".wav" and p.is_file())
     if not files:
         raise EmptyDatasetError(f"no .wav files in {dataset_dir}")
     return files
@@ -290,24 +291,40 @@ SOM_BUILD_FIELDS = (
 
 @dataclass(frozen=True)
 class _CorpusThumbnails:
-    """Each file's thumbnail, extracted when iteration reaches it; sized like a list."""
+    """Each file's thumbnail, produced when iteration reaches it; sized like a list.
+
+    A file whose content key, (byte size, CRC32), is in rows takes its row;
+    any other is extracted, and its row joins rows. So a renamed file hits
+    and an edited one misses.
+    """
 
     files: list
     config: FeatureConfig
+    rows: dict
 
     def __len__(self) -> int:
         return len(self.files)
 
     def __iter__(self):
-        # name by the bare file name so listings stay portable across machines
-        return (extract_thumbnail(load_wav(p), self.config, p.name) for p in self.files)
+        for path in self.files:
+            data = path.read_bytes()
+            key = (len(data), zlib.crc32(data))
+            # name by the bare file name so listings stay portable across machines
+            if key in self.rows:
+                yield Thumbnail(self.rows[key], path.name)
+            else:
+                thumb = extract_thumbnail(load_wav(path), self.config, path.name)
+                self.rows[key] = thumb.features
+                yield thumb
 
 
 def _cmd_som_build(args, cfg: dict) -> int:
     config = _record(FeatureConfig, cfg, _FEATURE_KEYS)
     files = _sorted_wavs(cfg["dataset_dir"])
     given = {arg: cfg[key] for arg, key in _MAP_KEYS.items() if cfg[key] is not None}
-    som = train_som(_CorpusThumbnails(files, config), feature_config=config, **given)
+    corpus = _CorpusThumbnails(files, config, {})
+    som = train_som(corpus, feature_config=config, **given)
+    som.thumbnail_rows = corpus.rows
     # the sidecar records every setting the map holds, defaults included
     cfg.update({key: getattr(som, arg) for arg, key in _MAP_KEYS.items()})
     save_som(som, cfg["out"])
@@ -326,17 +343,16 @@ SOM_CLUSTERS_FIELDS = (
 )
 
 
-def _cluster_lines(som, thumbs) -> list:
-    clusters = assign_clusters(som, thumbs)
-    return [
-        f"{c.unit[0]},{c.unit[1]}: " + ";".join(c.members) for c in clusters
-    ]
+def _map_clusters(cfg: dict) -> list:
+    """The clusters of the dataset's files on the map, thumbnails from its rows."""
+    som = load_som(cfg["map"])
+    files = _sorted_wavs(cfg["dataset_dir"])
+    thumbs = list(_CorpusThumbnails(files, som.feature_config, som.thumbnail_rows))
+    return assign_clusters(som, thumbs)
 
 
 def _cmd_som_clusters(args, cfg: dict) -> int:
-    som = load_som(cfg["map"])
-    thumbs = list(_CorpusThumbnails(_sorted_wavs(cfg["dataset_dir"]), som.feature_config))
-    lines = _cluster_lines(som, thumbs)
+    lines = [f"{c.unit[0]},{c.unit[1]}: " + ";".join(c.members) for c in _map_clusters(cfg)]
     if cfg["out"]:
         with atomic_write(cfg["out"], "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -357,13 +373,11 @@ SOM_CONCAT_FIELDS = (
 
 
 def _cmd_som_concat(args, cfg: dict) -> int:
-    som = load_som(cfg["map"])
-    thumbs = list(_CorpusThumbnails(_sorted_wavs(cfg["dataset_dir"]), som.feature_config))
     try:
         x, y = (int(part) for part in cfg["unit"].split(","))
     except ValueError as exc:
         raise ConfigMismatchError(f"unit must be x,y integers, got {cfg['unit']!r}") from exc
-    clusters = [c for c in assign_clusters(som, thumbs) if c.unit == (x, y)]
+    clusters = [c for c in _map_clusters(cfg) if c.unit == (x, y)]
     if not clusters:
         raise LatentAudioError(f"no cluster at unit {x},{y}")
     root = Path(cfg["dataset_dir"])

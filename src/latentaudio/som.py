@@ -11,19 +11,23 @@ to settle onto distinct data modes.
 
 Features are standardized to zero mean and unit variance before
 training; the transform is stored on the map so later queries see the
-same space.
+same space. A map may also carry the thumbnails it was trained on,
+keyed by the content of their source files, so that later queries over
+the same corpus need not extract them again.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioBuffer, resample
-from .container import read_container, read_record, read_value, record_header, write_container
+from .container import (
+    TEXT_FORMS, read_container, read_record, read_value, record_header, write_container,
+)
 from .exceptions import (
     ConfigMismatchError,
     CorruptFileError,
@@ -32,7 +36,7 @@ from .exceptions import (
 )
 from .features import FeatureConfig, Thumbnail
 
-SOM_MAGIC = b"RASOM\x00\x01"
+SOM_MAGIC = b"RASOM\x00\x02"
 
 _LR_FLOOR_FACTOR = 0.01
 _RADIUS_FLOOR = 1.0
@@ -49,7 +53,9 @@ class SomMap:
     prototypes is indexed [y][x], so flattening scans row-major in (y, x)
     order; feature_mean/feature_std hold the standardization applied to
     the training data. qe_history records the mean sample-to-BMU distance
-    after each epoch.
+    after each epoch. thumbnail_rows maps a source file's content key,
+    (byte size, zlib CRC32 of its bytes), to the thumbnail features
+    extracted from it; train_som leaves it empty, and the CLI fills it.
     """
 
     width: int
@@ -63,6 +69,7 @@ class SomMap:
     radius0: float
     seed: int
     qe_history: np.ndarray
+    thumbnail_rows: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -274,7 +281,11 @@ def default_grid_side(n_items: int) -> int:
 
 
 def save_som(som: SomMap, path) -> None:
-    """Persist the map (float32 tensors); reload gives bit-identical files."""
+    """Persist the map (float32 tensors); reload gives bit-identical files.
+
+    The content keys go on one header line as size,crc pairs, flattened,
+    and their rows follow qe_history as one (keys, D) tensor.
+    """
     header = {
         "width": som.width,
         "height": som.height,
@@ -283,20 +294,27 @@ def save_som(som: SomMap, path) -> None:
         "radius0": repr(som.radius0),
         "seed": som.seed,
         **record_header(som.feature_config, "feat_"),
+        "thumbnail_keys": TEXT_FORMS[tuple][0](n for key in som.thumbnail_rows for n in key),
     }
-    tensors = [som.prototypes, som.feature_mean, som.feature_std, som.qe_history]
+    rows = np.reshape(list(som.thumbnail_rows.values()), (len(som.thumbnail_rows), som.dimension))
+    tensors = [som.prototypes, som.feature_mean, som.feature_std, som.qe_history, rows]
     write_container(path, SOM_MAGIC, header, tensors)
 
 
 def load_som(path) -> SomMap:
     header, tensors = read_container(path, SOM_MAGIC)
-    if len(tensors) != 4:
-        raise CorruptFileError(f"{path}: expected 4 tensors, found {len(tensors)}")
-    prototypes, mean, std, qe_history = tensors
+    if len(tensors) != 5:
+        raise CorruptFileError(f"{path}: expected 5 tensors, found {len(tensors)}")
+    prototypes, mean, std, qe_history, rows = tensors
     width, height = (read_value(path, header, k, int) for k in ("width", "height"))
+    flat_keys = read_value(path, header, "thumbnail_keys", tuple)
+    if len(flat_keys) % 2:
+        raise CorruptFileError(f"{path}: thumbnail_keys holds an odd count of numbers")
+    keys = list(zip(flat_keys[::2], flat_keys[1::2]))
     dim = prototypes.shape[-1:]  # (D,)
     wanted = (("prototypes", prototypes, (height, width, *dim)),
-              ("feature mean", mean, dim), ("feature std", std, dim))
+              ("feature mean", mean, dim), ("feature std", std, dim),
+              ("thumbnail rows", rows, (len(keys), *dim)))
     for name, t, shape in wanted:
         if t.shape != shape:
             raise CorruptFileError(f"{path}: {name} shape {t.shape}, expected {shape}")
@@ -312,4 +330,5 @@ def load_som(path) -> SomMap:
         radius0=read_value(path, header, "radius0", float),
         seed=read_value(path, header, "seed", int),
         qe_history=qe_history,
+        thumbnail_rows=dict(zip(keys, rows)),
     )

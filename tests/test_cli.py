@@ -11,6 +11,7 @@ import inspect
 import math
 import os
 import warnings
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,11 +31,12 @@ from latentaudio import (
     model_from_checkpoint,
     resample,
     save_checkpoint,
+    save_som,
     save_wav,
 )
 from latentaudio import audio, cli, container, interpolate, train_som
 from latentaudio.cli import BenchReport, main, run_bench
-from latentaudio.som import SOM_MAGIC
+from latentaudio.som import SOM_MAGIC, DurationBandWarning
 from latentaudio.vae import CHECKPOINT_MAGIC
 
 RATE = 8000
@@ -88,6 +90,16 @@ def som_map(tmp_path_factory, corpus):
     code = main(["som", "build", "--dataset-dir", str(corpus), "--out", str(path), *SOM_FLAGS])
     assert code == 0
     return path
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The arguments of every extract_thumbnail and load_wav call the CLI makes."""
+    calls = {"extract_thumbnail": [], "load_wav": []}
+    for name, log in calls.items():
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _log=log: _log.append(a) or _real(*a))
+    return calls
 
 
 def _synth(strategy, checkpoint, corpus, out, *extra):
@@ -617,6 +629,136 @@ class TestSomCommands:
         assert code == 2
         assert "unit" in capsys.readouterr().err
 
+    def test_malformed_unit_fails_before_any_read(self, som_map, corpus, tmp_path, capsys, reads):
+        code = main(["som", "concat", "--map", str(som_map), "--dataset-dir", str(corpus),
+                     "--unit", "a;b", "--out", str(tmp_path / "x.wav")])
+        assert code == 2
+        assert "unit must be x,y integers" in capsys.readouterr().err
+        assert reads == {"extract_thumbnail": [], "load_wav": []}
+
+
+class TestWavListing:
+    """A directory named *.wav beside the WAVs is not a corpus file."""
+
+    @pytest.fixture
+    def with_subdir(self, corpus, tmp_path):
+        directory = tmp_path / "data"
+        directory.mkdir()
+        for wav in corpus.glob("*.wav"):
+            (directory / wav.name).write_bytes(wav.read_bytes())
+        (directory / "sub.wav").mkdir()
+        return directory
+
+    def test_train_skips_directory(self, with_subdir, checkpoint, tmp_path):
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset-dir", str(with_subdir), "--out", str(out),
+                     *TRAIN_FLAGS]) == 0
+        assert out.read_bytes() == checkpoint.read_bytes()
+
+    def test_som_build_skips_directory(self, with_subdir, som_map, tmp_path):
+        out = tmp_path / "map.som"
+        assert main(["som", "build", "--dataset-dir", str(with_subdir), "--out", str(out),
+                     *SOM_FLAGS]) == 0
+        assert out.read_bytes() == som_map.read_bytes()
+
+
+class TestThumbnailCache:
+    """clusters and concat take a file's thumbnail from the map when its content
+    key (byte size, CRC32) is there, and extract it otherwise."""
+
+    @pytest.fixture
+    def built(self, corpus, tmp_path):
+        """A copy of the corpus, its map, and a copy of the map without rows."""
+        directory = tmp_path / "data"
+        directory.mkdir()
+        for wav in corpus.glob("*.wav"):
+            (directory / wav.name).write_bytes(wav.read_bytes())
+        som_path = tmp_path / "map.som"
+        assert main(["som", "build", "--dataset-dir", str(directory), "--out", str(som_path),
+                     *SOM_FLAGS]) == 0
+        cold = load_som(som_path)
+        cold.thumbnail_rows = {}
+        save_som(cold, tmp_path / "cold.som")
+        return directory, som_path, tmp_path / "cold.som"
+
+    @staticmethod
+    def _listing(som_path, directory, out):
+        assert main(["som", "clusters", "--map", str(som_path), "--dataset-dir", str(directory),
+                     "--out", str(out)]) == 0
+        return out.read_text()
+
+    def _check(self, built, tmp_path, reads, extracted):
+        """The warm listing extracts only the files named extracted, and equals
+        the listing of the map without rows, which extracts each content once."""
+        directory, som_path, cold = built
+        warm = self._listing(som_path, directory, tmp_path / "warm.txt")
+        assert sorted(a[2] for a in reads["extract_thumbnail"]) == sorted(extracted)
+        assert self._listing(cold, directory, tmp_path / "cold.txt") == warm
+        contents = {p.read_bytes() for p in directory.iterdir()}
+        assert len(reads["extract_thumbnail"]) == len(extracted) + len(contents)
+        return warm
+
+    def test_build_records_one_row_per_file(self, built):
+        directory, som_path, _ = built
+        som = load_som(som_path)
+        keys = []
+        for wav in sorted(directory.glob("*.wav")):
+            data = wav.read_bytes()
+            keys.append((len(data), zlib.crc32(data)))
+        assert list(som.thumbnail_rows) == keys
+        assert all(row.dtype == np.float32 and row.shape == (som.dimension,)
+                   for row in som.thumbnail_rows.values())
+
+    def test_unchanged_corpus_extracts_nothing(self, built, tmp_path, reads):
+        self._check(built, tmp_path, reads, [])
+
+    def test_concat_unchanged_corpus_extracts_nothing(self, built, tmp_path, reads):
+        directory, som_path, cold = built
+        unit = self._listing(som_path, directory, tmp_path / "listing.txt").split(":")[0]
+        outs = []
+        for name in (som_path, cold):
+            outs.append(tmp_path / f"{name.stem}.wav")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DurationBandWarning)
+                assert main(["som", "concat", "--map", str(name), "--dataset-dir", str(directory),
+                             "--unit", unit, "--out", str(outs[-1])]) == 0
+        assert len(reads["extract_thumbnail"]) == len(os.listdir(directory))  # the cold map's
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("length", ["same", "shorter"])
+    def test_edited_file_is_extracted_again(self, built, tmp_path, reads, length):
+        # tone0.wav takes tone3.wav's sound, reversed so its bytes match no file's
+        directory = built[0]
+        samples = load_wav(directory / "tone3.wav").samples[::-1]
+        if length == "shorter":
+            samples = samples[: len(samples) // 2]
+        save_wav(AudioBuffer(samples.copy(), RATE), directory / "tone0.wav")
+        self._check(built, tmp_path, reads, ["tone0.wav"])
+
+    def test_renamed_and_duplicate_files_hit(self, built, tmp_path, reads):
+        directory = built[0]
+        (directory / "tone1.wav").rename(directory / "renamed.wav")
+        (directory / "copy.wav").write_bytes((directory / "tone2.wav").read_bytes())
+        listing = self._check(built, tmp_path, reads, [])
+        assert "renamed.wav" in listing and "copy.wav" in listing
+
+    def test_added_file_extracted_and_removed_file_absent(self, built, tmp_path, reads):
+        directory = built[0]
+        (directory / "tone3.wav").unlink()
+        save_wav(AudioBuffer(load_wav(directory / "tone1.wav").samples * np.float32(0.5), RATE),
+                 directory / "added.wav")
+        listing = self._check(built, tmp_path, reads, ["added.wav"])
+        assert "tone3.wav" not in listing and "added.wav" in listing
+
+    def test_version_1_map_exits_2(self, built, tmp_path, capsys):
+        directory, som_path, _ = built
+        old = bytearray(som_path.read_bytes())
+        old[len(SOM_MAGIC) - 1] = 1
+        (tmp_path / "v1.som").write_bytes(bytes(old))
+        assert main(["som", "clusters", "--map", str(tmp_path / "v1.som"),
+                     "--dataset-dir", str(directory)]) == 2
+        assert "format version 1, expected 2" in capsys.readouterr().err
+
 
 class TestBench:
     def test_command_reports_latency(self, checkpoint, capsys):
@@ -700,7 +842,7 @@ CHECKPOINT_KEYS = ["window_size", "latent_dim", "hidden_sizes", "alpha", "learni
                    "epochs", "batch_size", "sample_rate", "seed", "adam_step"]
 MAP_KEYS = ["width", "height", "epochs", "lr0", "radius0", "seed", "feat_sample_rate",
             "feat_frame_size", "feat_hop", "feat_n_mfcc", "feat_n_mels", "feat_centroid",
-            "feat_rms"]
+            "feat_rms", "thumbnail_keys"]
 
 
 def _damaged(src, dst, magic, key, value=None):
@@ -771,6 +913,11 @@ class TestDamagedHeaders:
         ("feat_hop", "0", "header feat_hop: frame_size must be >= 2 and hop >= 1"),
         ("feat_centroid", "yes", "header feat_centroid='yes'"),
         ("width", "two", "header width='two'"),
+        # the map holds 4 rows of 30 features, and thumbnail_keys is size,crc pairs
+        ("thumbnail_keys", "12,x", "header thumbnail_keys='12,x'"),
+        ("thumbnail_keys", "1,2,3", "thumbnail_keys holds an odd count of numbers"),
+        ("thumbnail_keys", "1,2", "thumbnail rows shape (4, 30), expected (1, 30)"),
+        ("thumbnail_keys", "", "thumbnail rows shape (4, 30), expected (0, 30)"),
     ])
     def test_map_bad_value(self, som_map, corpus, tmp_path, capsys, key, value, message):
         bad = _damaged(som_map, tmp_path / "bad.som", SOM_MAGIC, key, value)

@@ -315,6 +315,29 @@ class TestSomPersistence:
         save_som(load_som(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_library_map_saves_an_empty_key_list(self, trained, tmp_path):
+        from latentaudio.container import read_container
+        from latentaudio.som import SOM_MAGIC
+
+        path = tmp_path / "map.som"
+        save_som(trained, path)
+        header, tensors = read_container(path, SOM_MAGIC)
+        assert header["thumbnail_keys"] == "" and tensors[4].shape == (0, 8)
+        assert load_som(path).thumbnail_rows == {}
+
+    def test_thumbnail_rows_round_trip(self, trained, tmp_path):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((3, 8))
+        trained.thumbnail_rows = {(100, 0): rows[0], (7, 2**32 - 1): rows[1], (100, 5): rows[2]}
+        p1, p2 = tmp_path / "one.som", tmp_path / "two.som"
+        save_som(trained, p1)
+        loaded = load_som(p1)
+        assert list(loaded.thumbnail_rows) == list(trained.thumbnail_rows)
+        assert np.array_equal(np.stack(list(loaded.thumbnail_rows.values())),
+                              rows.astype(np.float32))
+        save_som(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_bmu_agrees_after_round_trip(self, trained, tmp_path):
         path = tmp_path / "map.som"
         save_som(trained, path)
@@ -361,7 +384,7 @@ class TestSomPersistence:
         save_som(trained, path)
         header, tensors = read_container(path, SOM_MAGIC)
         write_container(path, SOM_MAGIC, header, tensors[:-1])
-        with pytest.raises(CorruptFileError, match="expected 4 tensors, found 3"):
+        with pytest.raises(CorruptFileError, match="expected 5 tensors, found 4"):
             load_som(path)
 
     def test_corrupt_byte_detected(self, trained, tmp_path):
