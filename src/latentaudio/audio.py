@@ -78,7 +78,11 @@ def load_wav(path) -> AudioBuffer:
         UnsupportedEncodingError: any encoding other than PCM16/float32,
             plain or as the subformat of WAVE_FORMAT_EXTENSIBLE.
     """
-    raw = Path(path).read_bytes()
+    return _decode_wav(Path(path).read_bytes(), path)
+
+
+def _decode_wav(raw: bytes, path) -> AudioBuffer:
+    """load_wav on the file's bytes, already read; path names the file in errors."""
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import (
-    MAX_FLOAT32_SAMPLES, AudioBuffer, frame_view, load_wav, peak_normalize, resample,
-    save_wav, window_count,
+    MAX_FLOAT32_SAMPLES, AudioBuffer, _decode_wav, frame_view, load_wav, peak_normalize,
+    resample, save_wav, window_count,
 )
 from .container import TEXT_FORMS, atomic_write
 from .exceptions import (
@@ -34,6 +34,7 @@ from .exceptions import (
     EmptyDatasetError,
     LatentAudioError,
     NonFiniteLossError,
+    TooShortError,
 )
 from .features import FeatureConfig, Thumbnail, extract_thumbnail
 from .interpolate import (
@@ -181,8 +182,13 @@ def _sorted_wavs(dataset_dir) -> list:
     return files
 
 
-def _load_input(path, sample_rate: int, normalize: bool) -> AudioBuffer:
-    buf = resample(load_wav(path), sample_rate)
+def _load_input(path, hyper: VaeHyperParams, normalize: bool) -> AudioBuffer:
+    """The WAV at path at the model's rate, peak-normalized if asked;
+    TooShortError naming path if it is shorter than one model window."""
+    buf = resample(load_wav(path), hyper.sample_rate)
+    if len(buf) < hyper.window_size:
+        raise TooShortError(f"{path}: {len(buf)} samples at {hyper.sample_rate} Hz are "
+                            f"shorter than one {hyper.window_size}-sample window")
     return peak_normalize(buf) if normalize else buf
 
 
@@ -201,7 +207,7 @@ def _cmd_train(args, cfg: dict) -> int:
     hyper = _record(VaeHyperParams, cfg, {})
     sets = []
     for path in _sorted_wavs(cfg["dataset_dir"]):
-        buf = _load_input(path, hyper.sample_rate, True)
+        buf = _load_input(path, hyper, True)
         sets.append(frame_view(buf.samples, hyper.window_size, cfg["hop"]))
     ckpt = train(sets, hyper)
     save_checkpoint(ckpt, cfg["out"])
@@ -248,9 +254,8 @@ def _cmd_synth(args, cfg: dict) -> int:
     else:
         mode = SynthesisMode.sampled(cfg["seed"])
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
-    rate = model.hyper.sample_rate
-    a = _load_input(cfg["in1"], rate, cfg["normalize"])
-    b = _load_input(cfg["in2"], rate, cfg["normalize"])
+    a = _load_input(cfg["in1"], model.hyper, cfg["normalize"])
+    b = _load_input(cfg["in2"], model.hyper, cfg["normalize"])
 
     if args.strategy == "step":
         out_buf = stepwise_interpolate(
@@ -313,7 +318,10 @@ class _CorpusThumbnails:
             if key in self.rows:
                 yield Thumbnail(self.rows[key], path.name)
             else:
-                thumb = extract_thumbnail(load_wav(path), self.config, path.name)
+                try:  # decode the bytes already read, not the file again
+                    thumb = extract_thumbnail(_decode_wav(data, path), self.config, path.name)
+                except TooShortError as exc:
+                    raise TooShortError(f"{path}: {exc}") from None
                 self.rows[key] = thumb.features
                 yield thumb
 
@@ -472,7 +480,7 @@ EXPORT_FIELDS = (
 
 def _cmd_export_latents(args, cfg: dict) -> int:
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
-    buf = _load_input(cfg["input"], model.hyper.sample_rate, cfg["normalize"])
+    buf = _load_input(cfg["input"], model.hyper, cfg["normalize"])
     hop = model.hyper.window_size if cfg["hop"] is None else cfg["hop"]
     path = encode_audio(model, buf, hop)
     export_latents(path, cfg["out"])

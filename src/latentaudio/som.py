@@ -7,7 +7,10 @@ Gaussian neighborhood weight. Learning rate and neighborhood radius
 decay exponentially across epochs, from (lr0, radius0) down to
 (0.01 * lr0, 1.0). The Gaussian width is half the radius, which keeps
 cross-unit coupling weak enough at the end of training for prototypes
-to settle onto distinct data modes.
+to settle onto distinct data modes. Every unit's pull is read from one
+pull table of (2H - 1)(2W - 1) cells, filled once per epoch: the H x W
+window centred on the best-matching unit holds each unit's pull toward
+it. So training holds O(H*W) memory beyond the data, never (H*W)**2.
 
 Features are standardized to zero mean and unit variance before
 training; the transform is stored on the map so later queries see the
@@ -142,22 +145,17 @@ def train_som(
 
     rng = np.random.default_rng(seed)
     n, dim = standardized.shape
-    prototypes = standardized[rng.integers(0, n, size=width * height)].reshape(
-        height, width, dim
-    ).copy()
-    # squared grid offsets, dy2[by] = (y - by)**2 as a column and
-    # dx2[bx] = (x - bx)**2 as a row: their sum is each unit's squared grid
-    # distance to the BMU, which indexes a per-epoch table of pulls
-    rows, cols = np.arange(height), np.arange(width)
-    dy2 = ((rows[:, None] - rows) ** 2)[:, :, None]
-    dx2 = (cols[:, None] - cols) ** 2
+    prototypes = standardized[rng.integers(0, n, size=width * height)].reshape(height, width, dim)
+    # pull table (module docstring): squared grid distance from the centre cell
+    offset_d2 = (np.arange(1 - height, height)[:, None] ** 2
+                 + np.arange(1 - width, width) ** 2)[:, :, None]
+    table = np.empty(offset_d2.shape)
+    pulls = [table[height - 1 - by : 2 * height - 1 - by, width - 1 - bx : 2 * width - 1 - bx]
+             for by in range(height) for bx in range(width)]
     grid_d2 = np.arange((height - 1) ** 2 + (width - 1) ** 2 + 1)
     diff = np.empty_like(prototypes)
     squares = np.empty_like(prototypes)
     sample_d2 = np.empty((height, width))
-    unit_d2 = np.empty((height, width), dtype=grid_d2.dtype)
-    pull = np.empty((height, width))
-    pull_per_feature = pull[:, :, None]
 
     denominator = max(epochs - 1, 1)
     qe_history = np.zeros(epochs)
@@ -167,15 +165,11 @@ def train_som(
         radius = radius0 * (_RADIUS_FLOOR / radius0) ** fraction
         sigma = radius / 2.0
         gauss_denom = 2.0 * sigma * sigma
-        pull_by_d2 = lr * np.exp(-grid_d2 / gauss_denom)
-        for idx in rng.permutation(n):
-            np.subtract(standardized[idx], prototypes, out=diff)
+        (lr * np.exp(-grid_d2 / gauss_denom)).take(offset_d2, out=table)
+        for sample in standardized[rng.permutation(n)]:
+            np.subtract(sample, prototypes, out=diff)
             np.add.reduce(np.square(diff, out=squares), axis=2, out=sample_d2)
-            flat = int(sample_d2.argmin())  # row-major: smallest (y, x) wins ties
-            by, bx = divmod(flat, width)
-            np.add(dy2[by], dx2[bx], out=unit_d2)
-            pull_by_d2.take(unit_d2, out=pull)
-            diff *= pull_per_feature
+            diff *= pulls[sample_d2.argmin()]  # row-major: smallest (y, x) wins ties
             prototypes += diff
         qe_history[epoch] = _quantization_error(prototypes, standardized)
 
@@ -217,21 +211,23 @@ def quantization_error(som: SomMap, thumbnails) -> float:
     )
 
 
-def best_matching_unit(som: SomMap, features) -> tuple:
-    """Grid coordinate (x, y) of the nearest prototype in standardized space.
+def _nearest_units(som: SomMap, rows) -> list:
+    """Grid coordinate (x, y) of each raw feature row's nearest prototype, searched
+    unit by unit so that a row gets the same unit alone or in a batch."""
+    queries = som.standardize(np.reshape(rows, (-1, som.dimension)))
+    d2 = [np.sum((queries - p) ** 2, axis=1) for p in som.prototypes.reshape(-1, som.dimension)]
+    return [divmod(flat, som.width)[::-1] for flat in np.argmin(d2, axis=0).tolist()]
 
-    Exact ties go to the smallest (y, x) lexicographically.
-    """
+
+def best_matching_unit(som: SomMap, features) -> tuple:
+    """Grid coordinate (x, y) of the nearest prototype in standardized space;
+    exact ties go to the smallest (y, x) lexicographically."""
     features = np.asarray(features, dtype=np.float64).reshape(-1)
     if features.shape[0] != som.dimension:
         raise ShapeMismatchError(
             f"feature vector is {features.shape[0]}-dim, map is {som.dimension}-dim"
         )
-    query = som.standardize(features)
-    d2 = np.sum((som.prototypes - query) ** 2, axis=2)
-    flat = int(np.argmin(d2))
-    y, x = divmod(flat, som.width)
-    return (x, y)
+    return _nearest_units(som, features)[0]
 
 
 def assign_clusters(som: SomMap, thumbnails) -> list:
@@ -240,13 +236,15 @@ def assign_clusters(som: SomMap, thumbnails) -> list:
     Equal-sized clusters are ordered by unit (y, x). Thumbnails without a
     file_ref are labeled by their position in the input.
     """
-    members: dict = {}
+    thumbnails = list(thumbnails)
     for i, thumb in enumerate(thumbnails):
         if len(thumb.features) != som.dimension:
             raise ConfigMismatchError(
                 f"thumbnail {i} is {len(thumb.features)}-dim, map wants {som.dimension}"
             )
-        unit = best_matching_unit(som, thumb.features)
+    members: dict = {}
+    units = _nearest_units(som, [t.features for t in thumbnails])
+    for i, (thumb, unit) in enumerate(zip(thumbnails, units)):
         members.setdefault(unit, []).append(thumb.file_ref or str(i))
     ordered = sorted(members.items(), key=lambda kv: (-len(kv[1]), kv[0][1], kv[0][0]))
     return [Cluster(unit, refs) for unit, refs in ordered]

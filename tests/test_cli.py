@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import math
 import os
+import pathlib
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -662,6 +663,60 @@ class TestWavListing:
         assert out.read_bytes() == som_map.read_bytes()
 
 
+class TestTooShortInput:
+    """A file too short for one window exits 2 with a message naming it."""
+
+    @pytest.fixture
+    def short(self, corpus, tmp_path):
+        """A copy of the corpus plus short.wav, 40 samples: under one window."""
+        directory = tmp_path / "data"
+        directory.mkdir()
+        for wav in corpus.glob("*.wav"):
+            (directory / wav.name).write_bytes(wav.read_bytes())
+        save_wav(AudioBuffer(np.full(40, 0.5, dtype=np.float32), RATE), directory / "short.wav")
+        return directory, (directory / "short.wav").resolve()
+
+    def _fails_naming(self, argv, path, wanted, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and wanted in err
+
+    def test_train(self, short, tmp_path, capsys):
+        directory, path = short
+        self._fails_naming(["train", "--dataset-dir", str(directory),
+                            "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS],
+                           path, f"40 samples at {RATE} Hz are shorter than one 64", capsys)
+
+    def test_som_build(self, short, tmp_path, capsys):
+        directory, path = short
+        self._fails_naming(["som", "build", "--dataset-dir", str(directory),
+                            "--out", str(tmp_path / "m.som"), *SOM_FLAGS],
+                           path, f"need at least 512 samples at {RATE} Hz, got 40", capsys)
+
+    def test_som_clusters(self, short, som_map, capsys):
+        directory, path = short
+        self._fails_naming(["som", "clusters", "--map", str(som_map),
+                            "--dataset-dir", str(directory)],
+                           path, "need at least 512 samples", capsys)
+
+    @pytest.mark.parametrize("strategy", ["step", "meso", "extend"])
+    @pytest.mark.parametrize("slot", ["--in1", "--in2"])
+    def test_synth(self, short, checkpoint, tmp_path, capsys, strategy, slot):
+        directory, path = short
+        other = {"--in1": "--in2", "--in2": "--in1"}[slot]
+        self._fails_naming(["synth", strategy, "--checkpoint", str(checkpoint),
+                            slot, str(path), other, str(directory / "tone0.wav"),
+                            "--out", str(tmp_path / "o.wav")],
+                           path, "shorter than one 64-sample window", capsys)
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_export_latents(self, short, checkpoint, tmp_path, capsys):
+        _, path = short
+        self._fails_naming(["export-latents", "--checkpoint", str(checkpoint),
+                            "--input", str(path), "--out", str(tmp_path / "z.csv")],
+                           path, "shorter than one 64-sample window", capsys)
+
+
 class TestThumbnailCache:
     """clusters and concat take a file's thumbnail from the map when its content
     key (byte size, CRC32) is there, and extract it otherwise."""
@@ -708,6 +763,17 @@ class TestThumbnailCache:
         assert list(som.thumbnail_rows) == keys
         assert all(row.dtype == np.float32 and row.shape == (som.dimension,)
                    for row in som.thumbnail_rows.values())
+
+    def test_build_reads_each_file_once(self, corpus, tmp_path, reads, monkeypatch):
+        opened = []
+        read_bytes = pathlib.Path.read_bytes
+        monkeypatch.setattr(pathlib.Path, "read_bytes",
+                            lambda self: opened.append(self.name) or read_bytes(self))
+        assert main(["som", "build", "--dataset-dir", str(corpus),
+                     "--out", str(tmp_path / "m.som"), *SOM_FLAGS]) == 0
+        names = sorted(p.name for p in corpus.glob("*.wav"))
+        assert sorted(opened) == names and reads["load_wav"] == []
+        assert sorted(a[2] for a in reads["extract_thumbnail"]) == names
 
     def test_unchanged_corpus_extracts_nothing(self, built, tmp_path, reads):
         self._check(built, tmp_path, reads, [])

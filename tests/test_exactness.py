@@ -1,7 +1,7 @@
 """Kernels against verbatim copies of the straightforward code they replaced.
 
 adam_step avoids parameter-sized temporaries and train_som per-call
-ones, init_model walks one list of parameter shapes instead of building
+ones, assign_clusters searches every thumbnail in one pass, init_model walks one list of parameter shapes instead of building
 layers, the feature constants are built once per recipe, the latent
 blend works on (N, M) arrays instead of tuples of per-window stats,
 synthesis blends, decodes and joins the path a block of windows at a
@@ -31,6 +31,7 @@ from helpers import float32_model, make_noise
 from latentaudio import (
     AdamState,
     AudioBuffer,
+    Cluster,
     CorruptFileError,
     FeatureConfig,
     FormatVersionMismatchError,
@@ -42,6 +43,8 @@ from latentaudio import (
     Thumbnail,
     VaeHyperParams,
     adam_step,
+    assign_clusters,
+    best_matching_unit,
     decode_path,
     encode_audio,
     export_latents,
@@ -49,8 +52,10 @@ from latentaudio import (
     extract_thumbnail,
     init_model,
     load_checkpoint,
+    load_som,
     meso_interpolate,
     save_checkpoint,
+    save_som,
     save_wav,
     stepwise_interpolate,
     train,
@@ -148,6 +153,24 @@ def reference_train_som(data, width, height, epochs, lr0, radius0, seed):
             prototypes += (lr * reach)[:, :, None] * (sample - prototypes)
         qe_history[epoch] = _quantization_error(prototypes, standardized)
     return prototypes, qe_history
+
+
+def reference_best_matching_unit(som, features):
+    """BMU (x, y) of one thumbnail, searched over the whole grid at once."""
+    query = som.standardize(np.asarray(features, dtype=np.float64).reshape(-1))
+    d2 = np.sum((som.prototypes - query) ** 2, axis=2)
+    y, x = divmod(int(np.argmin(d2)), som.width)
+    return (x, y)
+
+
+def reference_assign_clusters(som, thumbnails):
+    """Clusters from one reference_best_matching_unit call per thumbnail."""
+    members = {}
+    for i, thumb in enumerate(thumbnails):
+        unit = reference_best_matching_unit(som, thumb.features)
+        members.setdefault(unit, []).append(thumb.file_ref or str(i))
+    ordered = sorted(members.items(), key=lambda kv: (-len(kv[1]), kv[0][1], kv[0][0]))
+    return [Cluster(unit, refs) for unit, refs in ordered]
 
 
 class ReferencePath:
@@ -567,6 +590,64 @@ class TestSomMatchesReference:
         prototypes, qe_history = reference_train_som(data, width, height, 12, 0.5, radius0, 3)
         assert np.array_equal(som.prototypes, prototypes)
         assert np.array_equal(som.qe_history, qe_history)
+
+    @pytest.mark.parametrize("width, height, dim, duplicated", [(1, 7, 6, False),
+                                                               (8, 8, 30, True)])
+    def test_thin_and_tied_grids_down_to_the_radius_floor(self, width, height, dim,
+                                                            duplicated):
+        # 40 epochs: the last ones run with the radius at (or near) its floor of 1.
+        # Duplicated rows leave 20 distinct samples for the 64 units of the
+        # 8 x 8 grid, so prototypes start out equal and BMU searches tie exactly.
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((40, dim)) * rng.uniform(0.5, 4.0, dim)
+        if duplicated:
+            data[20:] = data[:20]
+        radius0 = max(max(width, height) / 2.0, 1.0)
+        som = train_som([Thumbnail(row) for row in data], width, height,
+                        epochs=40, lr0=0.5, radius0=radius0, seed=5)
+        prototypes, qe_history = reference_train_som(data, width, height, 40, 0.5, radius0, 5)
+        assert np.array_equal(som.prototypes, prototypes)
+        assert np.array_equal(som.qe_history, qe_history)
+
+
+class TestClustersMatchReference:
+    """One BMU search over the whole corpus gives each thumbnail the unit a
+    search of its own gives, exact ties included."""
+
+    @pytest.fixture
+    def corpus(self):
+        rng = np.random.default_rng(21)
+        data = rng.standard_normal((50, 30)) * rng.uniform(0.5, 4.0, 30)
+        data[25:] = data[:25]
+        thumbs = [Thumbnail(row, f"f{i}.wav") for i, row in enumerate(data)]
+        som = train_som(thumbs, 6, 5, epochs=20, seed=2)
+        som.prototypes[1, 2] = som.prototypes[0, 4]  # two units equally near every query
+        # midpoints of unit pairs: near-ties that rounding decides
+        units = som.prototypes.reshape(30, 30)
+        pairs = rng.integers(0, 30, size=(200, 2))
+        middles = (units[pairs[:, 0]] + units[pairs[:, 1]]) / 2 * som.feature_std + som.feature_mean
+        thumbs += [Thumbnail(row, f"m{i}.wav") for i, row in enumerate(middles)]
+        return som, thumbs + [Thumbnail(data[3])]  # a thumbnail named by its position
+
+    def _check(self, som, thumbs):
+        assert assign_clusters(som, thumbs) == reference_assign_clusters(som, thumbs)
+        for thumb in thumbs:
+            want = reference_best_matching_unit(som, thumb.features)
+            assert best_matching_unit(som, thumb.features) == want
+
+    def test_fresh_float64_map(self, corpus):
+        som, thumbs = corpus
+        assert som.prototypes.dtype == np.float64
+        self._check(som, thumbs)
+        tied = som.prototypes[0, 4] * som.feature_std + som.feature_mean
+        assert best_matching_unit(som, tied) == reference_best_matching_unit(som, tied) == (4, 0)
+
+    def test_loaded_float32_map(self, corpus, tmp_path):
+        som, thumbs = corpus
+        save_som(som, tmp_path / "map.som")
+        loaded = load_som(tmp_path / "map.som")
+        assert loaded.prototypes.dtype == np.float32
+        self._check(loaded, thumbs)
 
 
 class TestFeatureTables:
