@@ -18,6 +18,7 @@ import functools
 import math
 import sys
 import time
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -544,8 +545,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve(args)
-        return args.handler(args, cfg)
+        # the active filters still decide which warnings show; a shown one is
+        # one line, printed the way errors are
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            cfg = _resolve(args)
+            return args.handler(args, cfg)
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

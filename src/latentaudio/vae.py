@@ -7,7 +7,10 @@ affine heads; the decoder mirrors the chain and squashes output through
 tanh so samples stay inside (-1, 1).
 
 Inference and training share one in-place layer walk. Training keeps
-activations only, and its backward walk forms no frame gradient.
+activations only, and its backward walk forms no frame gradient. It
+gathers each batch from the arrays it was given, views included, into
+one buffer, and writes each step's gradients into arrays it allocates
+once.
 
 Training, checkpoints and inference are all float32. Only the gradient
 checker runs in float64, on a model it builds for itself, so that finite
@@ -35,7 +38,9 @@ _LEAKY_SLOPE = 0.01
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_ADAM_BLOCK = 16384  # two work blocks of this size stay in L2
+# p, g, m, v and two work blocks of this many float32 elements, 1.5 MB in
+# all, stay in a 2 MB L2; fewer, larger blocks spend less on per-call overhead
+_ADAM_BLOCK = 65536
 
 
 def _leaky(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -70,12 +75,19 @@ def _forward_layers(h: np.ndarray, layers: list, acts: list | None = None) -> np
     return h
 
 
+def _layer_grads(pair: list, layer_in: np.ndarray, d_pre: np.ndarray) -> None:
+    """Sets pair to the [W, b] gradients of one affine layer, written into the
+    arrays pair holds, or into fresh ones where it holds None."""
+    pair[0] = np.matmul(layer_in.T, d_pre, out=pair[0])
+    pair[1] = np.sum(d_pre, axis=0, out=pair[1])
+
+
 def _backward_layers(upstream, layers: list, acts: list, grads: list, to_input: bool):
-    """Appends b and W gradients of each layer _forward_layers recorded in acts, last
-    first, from upstream = dloss/dacts[-1]; forms dloss/dacts[0] only if to_input."""
+    """Sets grads[i], a [W, b] pair, for each layer _forward_layers recorded in acts,
+    last first, from upstream = dloss/dacts[-1]; forms dloss/dacts[0] only if to_input."""
     for i in reversed(range(len(layers))):
         d_pre = upstream * _leaky_grad(acts[i + 1])
-        grads += [d_pre.sum(axis=0), acts[i].T @ d_pre]
+        _layer_grads(grads[i], acts[i], d_pre)
         if i or to_input:
             upstream = d_pre @ layers[i][0].T
     return upstream
@@ -248,26 +260,30 @@ def _batch_losses(frames, cache, alpha):
     return recon + alpha * kl, recon, kl
 
 
-def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha: float):
+def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha: float,
+                    grads: list | None = None):
     """Analytic gradients of the batch-mean loss; returns (grads, losses).
 
     The loss is mean-over-batch of (per-window MSE + alpha * KL sum), so
-    every upstream gradient carries the 1/batch factor once. Gradients
-    are appended back to front, bias before weight, and the list is
-    reversed once into the canonical parameter order.
+    every upstream gradient carries the 1/batch factor once. Gradients come
+    back in the canonical parameter order. Given grads, arrays of the
+    parameters' shapes in that order, each gradient is written into its
+    array and the returned list holds those arrays; otherwise each is fresh.
     """
     encoder, mu_head, logvar_head, decoder = model.layers()
     cache = _forward_batch(model, frames, eps)
     batch, width = frames.shape
     total, recon, kl = _batch_losses(frames, cache, alpha)
 
-    grads = []
+    slots = [None] * len(model.params) if grads is None else grads
+    g_encoder, g_mu, g_logvar, g_decoder = VaeModel(slots, model.hyper).layers()
     # decoder output stage, through tanh
     d_xhat = 2.0 * (cache["x_hat"] - frames) / (batch * width)
     d_pre = d_xhat * (1.0 - cache["x_hat"] ** 2)
-    grads += [d_pre.sum(axis=0), cache["dec_acts"][-1].T @ d_pre]
+    _layer_grads(g_decoder[-1], cache["dec_acts"][-1], d_pre)
     upstream = d_pre @ decoder[-1][0].T
-    d_z = _backward_layers(upstream, decoder[:-1], cache["dec_acts"], grads, to_input=True)
+    d_z = _backward_layers(upstream, decoder[:-1], cache["dec_acts"], g_decoder[:-1],
+                           to_input=True)
 
     # reparameterization split: z = mu + sigma * eps
     d_mu = d_z + alpha * cache["mu"] / batch
@@ -276,13 +292,13 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     )
 
     head_in = cache["enc_acts"][-1]
-    grads += [d_logvar.sum(axis=0), head_in.T @ d_logvar]
-    grads += [d_mu.sum(axis=0), head_in.T @ d_mu]
+    _layer_grads(g_logvar, head_in, d_logvar)
+    _layer_grads(g_mu, head_in, d_mu)
     upstream = d_mu @ mu_head[0].T + d_logvar @ logvar_head[0].T
-    _backward_layers(upstream, encoder, cache["enc_acts"], grads, to_input=False)
+    _backward_layers(upstream, encoder, cache["enc_acts"], g_encoder, to_input=False)
 
-    grads.reverse()
-    return grads, (total, recon, kl)
+    pairs = [*g_encoder, g_mu, g_logvar, *g_decoder]
+    return [g for pair in pairs for g in pair], (total, recon, kl)
 
 
 @dataclass
@@ -361,12 +377,14 @@ class Checkpoint:
 
 def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     """Optimize a freshly initialized model over the window collection:
-    one (N, window_size) frame array, or an iterable of them; strided
-    views such as audio.frame_view's are copied once, into one array.
+    one (N, window_size) frame array, or an iterable of them. The arrays
+    are kept as they are, strided views such as audio.frame_view's
+    included; each batch is gathered from them into one float32 buffer.
 
     Frames, parameters, Adam moments, activations and gradients are all
     float32, the checkpoint dtype, so the trained tensors are stored as
-    they are. One seeded generator drives initialization, the per-epoch
+    they are. Gradients are written into one set of arrays allocated per
+    call. One seeded generator drives initialization, the per-epoch
     shuffle, and one fresh eps row per window per visit (drawn in float64,
     then rounded), so identical inputs give byte-identical checkpoints.
     """
@@ -379,13 +397,16 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
                 f"dataset windows are {a.shape[-1]} wide (array shape {a.shape}), "
                 f"hyper says {hyper.window_size}"
             )
-    frames = np.concatenate(arrays, axis=0, dtype=np.float32)
+    lengths = [len(a) for a in arrays]
+    starts = np.cumsum([0, *lengths[:-1]])
+    n = sum(lengths)
 
     rng = np.random.default_rng(hyper.seed)
     model = init_model(hyper, rng=rng, dtype=np.float32)
     params = model.params
     state = AdamState.zeros_like(params)
-    n = len(frames)
+    grads = [np.empty_like(p) for p in params]
+    batch_buf = np.empty((min(hyper.batch_size, n), hyper.window_size), dtype=np.float32)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
 
     for epoch in range(hyper.epochs):
@@ -393,10 +414,14 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
         recon_sum = 0.0
         kl_sum = 0.0
         for start in range(0, n, hyper.batch_size):
-            batch_idx = order[start : start + hyper.batch_size]
-            batch = frames[batch_idx]
+            rows = order[start : start + hyper.batch_size]
+            batch = batch_buf[: len(rows)]
+            # each row from the array holding it (arrays[k] starts at row starts[k])
+            owner = np.searchsorted(starts, rows, side="right") - 1
+            for j, (k, i) in enumerate(zip(owner.tolist(), (rows - starts[owner]).tolist())):
+                batch[j] = arrays[k][i]
             eps = rng.standard_normal((len(batch), hyper.latent_dim)).astype(np.float32)
-            grads, (total, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha)
+            _, (total, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha, grads)
             if not math.isfinite(total):
                 raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
             adam_step(params, grads, state, hyper.learning_rate)

@@ -11,6 +11,7 @@ import inspect
 import math
 import os
 import pathlib
+import re
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -617,6 +618,23 @@ class TestSomCommands:
         joined = load_wav(out)
         total = sum(len(load_wav(corpus / n)) for n in names)
         assert len(joined) == total
+
+    def test_concat_warning_is_one_line(self, som_map, corpus, tmp_path, capsys):
+        main(["som", "clusters", "--map", str(som_map), "--dataset-dir", str(corpus)])
+        unit = capsys.readouterr().out.split(":", 1)[0]
+        argv = ["som", "concat", "--map", str(som_map), "--dataset-dir", str(corpus),
+                "--unit", unit, "--out", str(tmp_path / "j.wav")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", DurationBandWarning)
+            assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: cluster audio is \d+\.\d\d s, outside the 10-30 s "
+                            r"band\n", err), err
+        assert ".py:" not in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DurationBandWarning)
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_concat_unknown_unit(self, som_map, corpus, tmp_path, capsys):
         code = main(["som", "concat", "--map", str(som_map), "--dataset-dir", str(corpus),

@@ -7,7 +7,9 @@ blend works on (N, M) arrays instead of tuples of per-window stats,
 synthesis blends, decodes and joins the path a block of windows at a
 time, inference activations are computed in place, the training step
 keeps activations instead of pre-activations and forms no frame
-gradient, checkpoint tensors are views of one read buffer, WAV payloads
+gradient, training gathers each batch from the arrays it is given and
+writes gradients into arrays allocated once, checkpoint tensors are
+views of one read buffer, WAV payloads
 are written without copies, and frame features square into a reused
 buffer. None of that may change a single bit: each reference below is
 the plain numpy code the kernel replaced, and results must be
@@ -18,9 +20,11 @@ from float64 to float32. Its reference is the float64 training loop it
 replaced, and the float32 run must stay within a stated tolerance of it.
 """
 
+import dataclasses
 import io
 import math
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -31,13 +35,16 @@ from helpers import float32_model, make_noise
 from latentaudio import (
     AdamState,
     AudioBuffer,
+    Checkpoint,
     Cluster,
     CorruptFileError,
+    EmptyDatasetError,
     FeatureConfig,
     FormatVersionMismatchError,
     InterpolationCurve,
     LatentPath,
     LatentStats,
+    NonFiniteLossError,
     ShapeMismatchError,
     SynthesisMode,
     Thumbnail,
@@ -64,6 +71,7 @@ from latentaudio import (
     window,
 )
 from latentaudio import interpolate as interpolate_module
+from latentaudio import vae as vae_module
 from latentaudio.audio import frame_view
 from latentaudio.container import MAGIC_LEN, read_container, write_container
 from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
@@ -120,6 +128,46 @@ def reference_train_float64(frames, hyper):
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
     return params, history
+
+
+def reference_train(dataset, hyper):
+    """train as it was: one concatenated float32 copy, a fresh gradient list per step."""
+    arrays = [dataset] if isinstance(dataset, np.ndarray) else [np.asarray(a) for a in dataset]
+    if not arrays or sum(len(a) for a in arrays) == 0:
+        raise EmptyDatasetError("training needs at least one window")
+    for a in arrays:
+        if a.ndim != 2 or a.shape[1] != hyper.window_size:
+            raise ShapeMismatchError(
+                f"dataset windows are {a.shape[-1]} wide (array shape {a.shape}), "
+                f"hyper says {hyper.window_size}"
+            )
+    frames = np.concatenate(arrays, axis=0, dtype=np.float32)
+
+    rng = np.random.default_rng(hyper.seed)
+    model = init_model(hyper, rng=rng, dtype=np.float32)
+    params = model.params
+    state = AdamState.zeros_like(params)
+    n = len(frames)
+    history = np.zeros((hyper.epochs, 2), dtype=np.float64)
+
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(n)
+        recon_sum = 0.0
+        kl_sum = 0.0
+        for start in range(0, n, hyper.batch_size):
+            batch_idx = order[start : start + hyper.batch_size]
+            batch = frames[batch_idx]
+            eps = rng.standard_normal((len(batch), hyper.latent_dim)).astype(np.float32)
+            grads, (total, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha)
+            if not math.isfinite(total):
+                raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
+            adam_step(params, grads, state, hyper.learning_rate)
+            recon_sum += recon * len(batch)
+            kl_sum += kl * len(batch)
+        history[epoch] = (recon_sum / n, kl_sum / n)
+
+    return Checkpoint(hyper=hyper, params=params, adam_m=state.m, adam_v=state.v,
+                      adam_step_count=state.step, loss_history=history.astype(np.float32))
 
 
 def reference_train_som(data, width, height, epochs, lr0, radius0, seed):
@@ -578,6 +626,71 @@ class TestTrainingOnFrameViews:
         copies = [window(b, 64, 24) for b in buffers]
         save_checkpoint(train(copies, hyper), tmp_path / "copies.ckpt")
         assert (tmp_path / "views.ckpt").read_bytes() == (tmp_path / "copies.ckpt").read_bytes()
+
+
+def _views(seconds, dtype=np.float32, window_size=64, hop=24):
+    """Frame views of noise clips, one per duration, in the given sample dtype."""
+    return [frame_view(make_noise(seconds=t, rate=8000, seed=i).samples.astype(dtype),
+                       window_size, hop)
+            for i, t in enumerate(seconds)]
+
+
+class TestTrainingMatchesReference:
+    HYPER = VaeHyperParams(window_size=64, latent_dim=8, hidden_sizes=(16,), epochs=3,
+                           batch_size=16, sample_rate=8000, seed=4)
+
+    @staticmethod
+    def _assert_same_checkpoint(dataset, hyper, tmp_path):
+        save_checkpoint(train(dataset, hyper), tmp_path / "got.ckpt")
+        save_checkpoint(reference_train(dataset, hyper), tmp_path / "want.ckpt")
+        assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+
+    def test_several_views_partial_last_batch(self, tmp_path):
+        views = _views([0.3, 0.2, 0.45])  # 98 + 65 + 148 = 311 windows, 311 % 16 = 7
+        assert sum(len(v) for v in views) % self.HYPER.batch_size
+        self._assert_same_checkpoint(views, self.HYPER, tmp_path)
+
+    def test_empty_array_among_views(self, tmp_path):
+        views = _views([0.3, 0.2])
+        views.insert(1, np.zeros((0, 64), dtype=np.float32))
+        self._assert_same_checkpoint(views, self.HYPER, tmp_path)
+
+    def test_float64_windows(self, tmp_path):
+        views = _views([0.3, 0.2], dtype=np.float64)
+        assert all(v.dtype == np.float64 for v in views)
+        self._assert_same_checkpoint(views, self.HYPER, tmp_path)
+
+    def test_batch_larger_than_dataset(self, tmp_path):
+        views = _views([0.05, 0.04])  # 15 + 11 windows, one batch an epoch
+        hyper = dataclasses.replace(self.HYPER, batch_size=64)
+        assert sum(len(v) for v in views) < hyper.batch_size
+        self._assert_same_checkpoint(views, hyper, tmp_path)
+
+    def test_traced_peak_below_one_copy_of_the_frames(self):
+        hyper = VaeHyperParams(window_size=1024, latent_dim=8, hidden_sizes=(16,), epochs=1,
+                               batch_size=128, sample_rate=8000)
+        views = _views([60.0, 60.0], window_size=1024, hop=256)
+        frame_bytes = sum(len(v) for v in views) * hyper.window_size * 4
+        tracemalloc.start()
+        try:
+            train(views, hyper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frame_bytes, (peak, frame_bytes)
+
+    def test_every_step_writes_the_same_gradient_arrays(self, monkeypatch):
+        steps = []
+
+        def spy(params, grads, state, learning_rate):
+            steps.append(list(grads))
+            return adam_step(params, grads, state, learning_rate)
+
+        monkeypatch.setattr(vae_module, "adam_step", spy)
+        train(_views([0.3, 0.2]), self.HYPER)
+        assert len(steps) == self.HYPER.epochs * 11  # 163 windows in batches of 16
+        assert all(g is first for step in steps for g, first in zip(step, steps[0]))
+        assert len({id(g) for g in steps[0]}) == len(steps[0])
 
 
 class TestSomMatchesReference:

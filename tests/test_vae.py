@@ -252,10 +252,10 @@ class TestBackward:
 
         rng = np.random.default_rng(0)
         acts = [rng.standard_normal((5, 4)), rng.standard_normal((5, 3))]
-        grads = []
+        grads = [[None, None]]
         upstream = rng.standard_normal((5, 3))
         _backward_layers(upstream, [[Untransposable(), None]], acts, grads, to_input=False)
-        assert [g.shape for g in grads] == [(3,), (4, 3)]
+        assert [g.shape for g in grads[0]] == [(4, 3), (3,)]
 
     def test_matches_finite_differences(self, tiny_hyper):
         report = gradient_check(tiny_hyper, tolerance=1e-3, n_samples=120, seed=3)
@@ -427,8 +427,8 @@ class TestFloat32Training:
     def test_trained_tensors_are_float32(self, small_hyper, monkeypatch):
         seen = set()
 
-        def spy(model, frames, eps, alpha):
-            grads, losses = _backward_batch(model, frames, eps, alpha)
+        def spy(model, frames, eps, alpha, buffers):
+            grads, losses = _backward_batch(model, frames, eps, alpha, buffers)
             seen.update(a.dtype for a in (frames, eps, *grads))
             return grads, losses
 
