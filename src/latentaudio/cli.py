@@ -3,11 +3,13 @@
 Subcommands: train, synth step|meso|extend, som build|clusters|concat,
 bench, export-latents. Every option lives in a flat key=value config
 namespace: flags override values from --config <file>, which override
-defaults, and each artifact gets a sidecar <artifact>.cfg holding the
-fully resolved configuration. Re-running a command with --config
-<sidecar> regenerates the artifact bit-exactly, sampled modes included.
+defaults. Each command maps its resolved config to a report; main writes
+the sidecar <out>.cfg holding that config when out is set, then prints
+the report. Re-running a command with --config <sidecar> regenerates
+the artifact bit-exactly, sampled modes included.
 
-Exit codes: 0 success, 2 usage or input error, 3 non-finite training loss.
+Exit codes: 0 success, 1 stdout closed before the whole report was
+written, 2 usage or input error, 3 non-finite training loss.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 import time
 import warnings
@@ -120,7 +123,7 @@ def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
             parser.add_argument(flag, default=None, help=f.help, metavar=f.ftype.upper())
 
 
-def _read_config(path, command: str, fields, skipped) -> dict:
+def _read_config(path, command: str, fields) -> dict:
     by_name = {f.name: f for f in fields}
     values = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -137,7 +140,8 @@ def _read_config(path, command: str, fields, skipped) -> dict:
                 )
             continue
         if key not in by_name:
-            if key in skipped:  # from a sidecar written when all strategies took all keys
+            # a synth sidecar written when every strategy took every key
+            if command.startswith("synth ") and key in _SYNTH_KEYS:
                 continue
             raise ConfigMismatchError(f"{path}:{line_no}: unknown key {key!r}")
         values[key] = _convert(raw, by_name[key])
@@ -149,7 +153,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     fields = args.fields
     values = {f.name: f.default for f in fields}
     if args.config:
-        values.update(_read_config(args.config, args.cmd_name, fields, args.skipped))
+        values.update(_read_config(args.config, args.cmd_name, fields))
     for f in fields:
         raw = getattr(args, f.name)
         if raw is not None:
@@ -204,7 +208,7 @@ TRAIN_FIELDS = (
 )
 
 
-def _cmd_train(args, cfg: dict) -> int:
+def _cmd_train(cfg: dict) -> str:
     hyper = _record(VaeHyperParams, cfg, {})
     sets = []
     for path in _sorted_wavs(cfg["dataset_dir"]):
@@ -216,13 +220,9 @@ def _cmd_train(args, cfg: dict) -> int:
     with atomic_write(loss_path, "w", encoding="utf-8") as fh:
         for epoch, (recon, kl) in enumerate(ckpt.loss_history, start=1):
             fh.write(f"{epoch} {recon} {kl}\n")
-    _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
     n_windows = sum(len(ws) for ws in sets)
-    print(
-        f"trained on {n_windows} windows from {len(sets)} files; "
-        f"wrote {cfg['out']} and {loss_path}"
-    )
-    return 0
+    return (f"trained on {n_windows} windows from {len(sets)} files; "
+            f"wrote {cfg['out']} and {loss_path}")
 
 
 # ---------------------------------------------------------------- synth
@@ -246,9 +246,10 @@ SYNTH_STRATEGIES = {  # strategy -> (help, the options it adds to SYNTH_FIELDS)
     "extend": ("per-window curve over overlapped windows, duration stretched",
                (_CURVE, Field("hop", "int", 256, help="window hop"))),
 }
+_SYNTH_KEYS = frozenset(f.name for _, own in SYNTH_STRATEGIES.values() for f in own)
 
 
-def _cmd_synth(args, cfg: dict) -> int:
+def _cmd_synth(strategy: str, cfg: dict) -> str:
     if cfg["mode"] == "mean":
         mode = SynthesisMode.mean_only()
         cfg["seed"] = None  # mean mode draws nothing, so its sidecar records no seed
@@ -258,7 +259,7 @@ def _cmd_synth(args, cfg: dict) -> int:
     a = _load_input(cfg["in1"], model.hyper, cfg["normalize"])
     b = _load_input(cfg["in2"], model.hyper, cfg["normalize"])
 
-    if args.strategy == "step":
+    if strategy == "step":
         out_buf = stepwise_interpolate(
             model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"]
         )
@@ -268,9 +269,7 @@ def _cmd_synth(args, cfg: dict) -> int:
         curve = generate_curve(cfg["curve"], count)
         out_buf = extended_interpolate(model, a, b, curve, mode, hop, cfg["crossfade"])
     save_wav(out_buf, cfg["out"], encoding="float32")
-    _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
-    print(f"wrote {cfg['out']}: {out_buf.duration:.2f} s at {out_buf.sample_rate} Hz")
-    return 0
+    return f"wrote {cfg['out']}: {out_buf.duration:.2f} s at {out_buf.sample_rate} Hz"
 
 
 # ---------------------------------------------------------------- som
@@ -327,7 +326,7 @@ class _CorpusThumbnails:
                 yield thumb
 
 
-def _cmd_som_build(args, cfg: dict) -> int:
+def _cmd_som_build(cfg: dict) -> str:
     config = _record(FeatureConfig, cfg, _FEATURE_KEYS)
     files = _sorted_wavs(cfg["dataset_dir"])
     given = {arg: cfg[key] for arg, key in _MAP_KEYS.items() if cfg[key] is not None}
@@ -337,12 +336,8 @@ def _cmd_som_build(args, cfg: dict) -> int:
     # the sidecar records every setting the map holds, defaults included
     cfg.update({key: getattr(som, arg) for arg, key in _MAP_KEYS.items()})
     save_som(som, cfg["out"])
-    _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
-    print(
-        f"mapped {len(files)} files onto a {som.width}x{som.height} grid; "
-        f"wrote {cfg['out']} (final quantization error {som.qe_history[-1]:.4f})"
-    )
-    return 0
+    return (f"mapped {len(files)} files onto a {som.width}x{som.height} grid; "
+            f"wrote {cfg['out']} (final quantization error {som.qe_history[-1]:.4f})")
 
 
 SOM_CLUSTERS_FIELDS = (
@@ -360,17 +355,13 @@ def _map_clusters(cfg: dict) -> list:
     return assign_clusters(som, thumbs)
 
 
-def _cmd_som_clusters(args, cfg: dict) -> int:
+def _cmd_som_clusters(cfg: dict) -> str:
     lines = [f"{c.unit[0]},{c.unit[1]}: " + ";".join(c.members) for c in _map_clusters(cfg)]
-    if cfg["out"]:
-        with atomic_write(cfg["out"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
-        print(f"wrote {len(lines)} clusters to {cfg['out']}")
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    if not cfg["out"]:
+        return "\n".join(lines)
+    with atomic_write(cfg["out"], "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return f"wrote {len(lines)} clusters to {cfg['out']}"
 
 
 SOM_CONCAT_FIELDS = (
@@ -381,7 +372,7 @@ SOM_CONCAT_FIELDS = (
 )
 
 
-def _cmd_som_concat(args, cfg: dict) -> int:
+def _cmd_som_concat(cfg: dict) -> str:
     try:
         x, y = (int(part) for part in cfg["unit"].split(","))
     except ValueError as exc:
@@ -392,12 +383,7 @@ def _cmd_som_concat(args, cfg: dict) -> int:
     root = Path(cfg["dataset_dir"])
     buf = concatenate_cluster(clusters[0], lambda ref: load_wav(root / ref))
     save_wav(buf, cfg["out"], encoding="float32")
-    _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
-    print(
-        f"wrote {cfg['out']}: {buf.duration:.2f} s from "
-        f"{len(clusters[0].members)} files"
-    )
-    return 0
+    return f"wrote {cfg['out']}: {buf.duration:.2f} s from {len(clusters[0].members)} files"
 
 
 # ---------------------------------------------------------------- bench
@@ -453,19 +439,14 @@ def run_bench(model, seconds: float = 1.0, reps: int = 50, warmup: int = 5, seed
     )
 
 
-def _cmd_bench(args, cfg: dict) -> int:
+def _cmd_bench(cfg: dict) -> str:
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
-    report = run_bench(
-        model, cfg["seconds"], cfg["reps"], cfg["warmup"], cfg["seed"]
-    )
+    report = run_bench(model, cfg["seconds"], cfg["reps"], cfg["warmup"], cfg["seed"])
     verdict = "met" if report.median_ms < 10.0 else "missed"
-    print(
-        f"decoded {report.n_windows} windows ({cfg['seconds']:g} s at "
-        f"{model.hyper.sample_rate} Hz) x {report.reps} reps: "
-        f"median {report.median_ms:.3f} ms, p95 {report.p95_ms:.3f} ms "
-        f"(10 ms reference target {verdict})"
-    )
-    return 0
+    return (f"decoded {report.n_windows} windows ({cfg['seconds']:g} s at "
+            f"{model.hyper.sample_rate} Hz) x {report.reps} reps: "
+            f"median {report.median_ms:.3f} ms, p95 {report.p95_ms:.3f} ms "
+            f"(10 ms reference target {verdict})")
 
 
 # ---------------------------------------------------------------- export
@@ -479,18 +460,33 @@ EXPORT_FIELDS = (
 )
 
 
-def _cmd_export_latents(args, cfg: dict) -> int:
+def _cmd_export_latents(cfg: dict) -> str:
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
     buf = _load_input(cfg["input"], model.hyper, cfg["normalize"])
     hop = model.hyper.window_size if cfg["hop"] is None else cfg["hop"]
     path = encode_audio(model, buf, hop)
     export_latents(path, cfg["out"])
-    _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
-    print(f"wrote {len(path)} latent rows to {cfg['out']}")
-    return 0
+    return f"wrote {len(path)} latent rows to {cfg['out']}"
 
 
 # ---------------------------------------------------------------- wiring
+
+# the commands that take a subcommand -> (the dest usage and errors call it by, help)
+_GROUPS = {"synth": ("strategy", "blend two recordings in latent space"),
+           "som": ("som_command", "organize a corpus on a self-organizing map")}
+# command -> (options, handler, help), in the order --help lists them
+COMMANDS = {
+    "train": (TRAIN_FIELDS, _cmd_train, "train a model on a directory of WAVs"),
+    **{f"synth {strategy}": (SYNTH_FIELDS + own, functools.partial(_cmd_synth, strategy), text)
+       for strategy, (text, own) in SYNTH_STRATEGIES.items()},
+    "som build": (SOM_BUILD_FIELDS, _cmd_som_build, "extract thumbnails and train a map"),
+    "som clusters": (SOM_CLUSTERS_FIELDS, _cmd_som_clusters, "list the file partition by map unit"),
+    "som concat": (SOM_CONCAT_FIELDS, _cmd_som_concat, "concatenate one cluster into a single WAV"),
+    "bench": (BENCH_FIELDS, _cmd_bench, "measure decode latency"),
+    "export-latents": (EXPORT_FIELDS, _cmd_export_latents,
+                       "encode a WAV and dump its latents as CSV"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -498,37 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train a raw-audio VAE, map corpora with a SOM, and "
         "synthesize by latent interpolation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def register(parent, name: str, fields, handler, cmd_name: str, skipped=(), **kwargs):
-        p = parent.add_parser(name, **kwargs)
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (fields, handler, text) in COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        if group not in subs:
+            dest, group_text = _GROUPS[group]
+            group_parser = subs[""].add_parser(group, help=group_text)
+            subs[group] = group_parser.add_subparsers(dest=dest, required=True)
+        p = subs[group].add_parser(word, help=text)
         _add_flags(p, fields)
-        p.set_defaults(handler=handler, fields=fields, cmd_name=cmd_name, skipped=skipped)
-        return p
-
-    register(sub, "train", TRAIN_FIELDS, _cmd_train, "train",
-             help="train a model on a directory of WAVs")
-
-    synth = sub.add_parser("synth", help="blend two recordings in latent space")
-    strategies = synth.add_subparsers(dest="strategy", required=True)
-    strategy_keys = frozenset(f.name for _, own in SYNTH_STRATEGIES.values() for f in own)
-    for strategy, (text, own) in SYNTH_STRATEGIES.items():
-        register(strategies, strategy, SYNTH_FIELDS + own, _cmd_synth,
-                 f"synth {strategy}", strategy_keys, help=text)
-
-    som = sub.add_parser("som", help="organize a corpus on a self-organizing map")
-    som_sub = som.add_subparsers(dest="som_command", required=True)
-    register(som_sub, "build", SOM_BUILD_FIELDS, _cmd_som_build, "som build",
-             help="extract thumbnails and train a map")
-    register(som_sub, "clusters", SOM_CLUSTERS_FIELDS, _cmd_som_clusters,
-             "som clusters", help="list the file partition by map unit")
-    register(som_sub, "concat", SOM_CONCAT_FIELDS, _cmd_som_concat, "som concat",
-             help="concatenate one cluster into a single WAV")
-
-    register(sub, "bench", BENCH_FIELDS, _cmd_bench, "bench",
-             help="measure decode latency")
-    register(sub, "export-latents", EXPORT_FIELDS, _cmd_export_latents,
-             "export-latents", help="encode a WAV and dump its latents as CSV")
+        p.set_defaults(handler=handler, fields=fields, cmd_name=name)
     return parser
 
 
@@ -551,13 +526,22 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                              file=sys.stderr)
             cfg = _resolve(args)
-            return args.handler(args, cfg)
+            report = args.handler(cfg)
+            if cfg.get("out"):
+                _write_sidecar(cfg["out"], args.cmd_name, args.fields, cfg)
+        try:
+            print(report, flush=True)
+        except BrokenPipeError:
+            # the reader is gone; devnull takes what the flush at exit writes
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LatentAudioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

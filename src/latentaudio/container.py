@@ -113,7 +113,8 @@ def read_container(path, magic: bytes) -> tuple[dict, list]:
     C-contiguous views of that buffer, which they keep alive.
 
     Raises:
-        CorruptFileError: wrong magic prefix, bad checksum, or truncation.
+        CorruptFileError: wrong magic prefix, bad checksum, truncation, or a
+            tensor shape numpy cannot hold.
         FormatVersionMismatchError: right family, unknown version byte.
     """
     raw = _read_aligned(path)
@@ -159,7 +160,10 @@ def read_container(path, magic: bytes) -> tuple[dict, list]:
         nbytes = 4 * math.prod(shape)
         if pos + nbytes > end:
             raise CorruptFileError(f"{path}: tensor payload overruns file")
-        tensors.append(raw[pos : pos + nbytes].view("<f4").reshape(shape))
+        try:  # a zero dim fits any other dims in the file, but numpy may not hold them
+            tensors.append(raw[pos : pos + nbytes].view("<f4").reshape(shape))
+        except ValueError as exc:
+            raise CorruptFileError(f"{path}: tensor shape {shape}: {exc}") from None
         pos += nbytes
     return header, tensors
 

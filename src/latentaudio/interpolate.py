@@ -245,15 +245,15 @@ def decode_path(
 
 
 def _blend_rows(path_a: LatentPath, path_b: LatentPath, weight):
-    """rows for _decode_blocks: row i blends window i % N, weight(i) on a; sigma floored."""
-    sigmas_a, sigmas_b = path_a.sigmas(), path_b.sigmas()
+    """rows for _decode_blocks: row i blends window i % N, weight(i) on a; sigma floored.
+    Only sampled rows read the sigmas, so only they exponentiate a block's logvar."""
 
     def rows(i, sampled):
         w, i = weight(i)[:, None], i % len(path_a)
         means = w * path_a.mu[i] + (1.0 - w) * path_b.mu[i]
         if not sampled:
             return means, None
-        stds = w * sigmas_a[i] + (1.0 - w) * sigmas_b[i]
+        stds = w * np.exp(path_a.logvar[i] / 2) + (1.0 - w) * np.exp(path_b.logvar[i] / 2)
         return means, np.maximum(stds, _SIGMA_FLOOR)
 
     return rows

@@ -12,6 +12,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -506,6 +508,80 @@ class TestConfigHandling:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+def _contract_argv(case, checkpoint, corpus, som_map, out):
+    """The argv of one run of a command; every case but bare som clusters and
+    bench names out."""
+    wavs = [str(corpus / "tone0.wav"), str(corpus / "tone1.wav")]
+    pair = ["--checkpoint", str(checkpoint), "--in1", wavs[0], "--in2", wavs[1], "--out", str(out)]
+    on_map = ["--map", str(som_map), "--dataset-dir", str(corpus)]
+    if case == "som concat":
+        unit = cli._map_clusters({"map": str(som_map), "dataset_dir": str(corpus)})[0].unit
+        on_map += ["--unit", f"{unit[0]},{unit[1]}"]
+    return {
+        "train": ["train", "--dataset-dir", str(corpus), "--out", str(out), *TRAIN_FLAGS],
+        "synth step": ["synth", "step", *pair, "--mode", "sample", "--seed", "3"],
+        "synth meso": ["synth", "meso", *pair],
+        "synth extend": ["synth", "extend", *pair, "--hop", "16"],
+        "som build": ["som", "build", "--dataset-dir", str(corpus), "--out", str(out), *SOM_FLAGS],
+        "som clusters": ["som", "clusters", *on_map],
+        "som clusters --out": ["som", "clusters", *on_map, "--out", str(out)],
+        "som concat": ["som", "concat", *on_map, "--out", str(out)],
+        "bench": ["bench", "--checkpoint", str(checkpoint), "--seconds", "0.1"],
+        "export-latents": ["export-latents", "--checkpoint", str(checkpoint),
+                           "--input", wavs[0], "--out", str(out)],
+    }[case]
+
+
+CONTRACT_CASES = ["train", "synth step", "synth meso", "synth extend", "som build",
+                  "som clusters", "som clusters --out", "som concat", "bench", "export-latents"]
+
+
+class TestCommandContract:
+    """A command returns its report and prints nothing; main writes <out>.cfg
+    exactly when the resolved config sets out, then prints the report."""
+
+    def test_cases_cover_every_command(self):
+        assert set(cli.COMMANDS) == {case.removesuffix(" --out") for case in CONTRACT_CASES}
+
+    @pytest.mark.filterwarnings("ignore")  # 4 x 1 s corpus sits below the duration band
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_report_and_sidecar(self, case, checkpoint, corpus, som_map, tmp_path, capsys,
+                                monkeypatch):
+        # bench times real decodes; a fixed report makes its text comparable
+        monkeypatch.setattr(cli, "run_bench", lambda *args: BenchReport(2, 30, 1.25, 2.5))
+        out = tmp_path / "artifact"
+        sidecar = tmp_path / "artifact.cfg"
+        argv = _contract_argv(case, checkpoint, corpus, som_map, out)
+        args = cli._parser().parse_args(argv)
+        report = args.handler(cli._resolve(args))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+        assert isinstance(report, str) and not sidecar.exists()
+
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report + "\n"
+        assert sidecar.exists() == (str(out) in argv)
+        if sidecar.exists():
+            assert sidecar.read_text().splitlines()[0] == f"command={case.removesuffix(' --out')}"
+
+
+def test_closed_stdout_exits_1_without_an_error_line(som_map, corpus):
+    """A reader that has gone (| head, | true) is no input error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so before it prints its report
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "latentaudio.cli", "som", "clusters",
+             "--map", str(som_map), "--dataset-dir", str(corpus)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert "error:" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 class TestSomCommands:

@@ -154,6 +154,9 @@ def _with_crc(body: bytes) -> bytes:
         MAGIC + struct.pack("<I", 0) + struct.pack("<4I", 3, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
         MAGIC + struct.pack("<I", 0) + struct.pack("<I", 0xFFFFFFFF),  # rank overruns
         MAGIC + struct.pack("<I", 0) + b"\x01\x00",  # dangling bytes
+        # zero elements, so no payload, in shapes numpy cannot hold: too big, rank 65
+        MAGIC + struct.pack("<I", 0) + struct.pack("<4I", 3, 0, 0xFFFFFFFF, 0xFFFFFFFF),
+        MAGIC + struct.pack("<I", 0) + struct.pack("<66I", 65, 0, *[1] * 64),
     ],
 )
 def test_checksummed_nonsense_is_a_corrupt_file(tmp_path, body):
