@@ -126,7 +126,11 @@ def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
 def _read_config(path, command: str, fields) -> dict:
     by_name = {f.name: f for f in fields}
     values = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigMismatchError(f"{path}: {exc}") from None
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

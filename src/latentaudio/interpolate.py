@@ -16,7 +16,9 @@ Blending is linear in mu and in sigma (not log-variance), weight on a
 and complement on b. Synthesis blends a block of at most _BLOCK windows
 at a time in float64 (so weights 0 and 1 reproduce the endpoint
 encodings bit-exactly), casts it to the model dtype and decodes it into
-one preallocated output: memory beyond the output is a few blocks.
+one preallocated output: memory beyond the output is a few blocks. Frame
+i of a window-W, crossfade-k join starts at sample i * (W - k); array passes
+ramp seams in frame order, and block [i0, i1) leaves out[:i1 * (W - k)] final.
 """
 
 from __future__ import annotations
@@ -190,10 +192,12 @@ def _decode_blocks(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: i
     """Decode the rows(i, sampled) -> (means, stds or None) of a path into one buffer.
 
     Blocks hold 2 to _BLOCK rows (BLAS decodes a lone row through gemv, with
-    other bits); eps continues one generator's stream; k > 0 ramps each seam.
+    other bits); eps continues one generator's stream. Frame i starts at i*s,
+    s = W - k; pass d = 0, 1, ... ramps, in every seam, the offsets t that lie
+    under d = ceil((k - t)/s) - 1 earlier seams. After block [i0, i1), out[:i1*s] is final.
     """
-    width = model.hyper.window_size
-    length = n_rows * width - max(n_rows - 1, 0) * k
+    s = model.hyper.window_size - k
+    length = n_rows * s + k if n_rows else 0
     if length > MAX_FLOAT32_SAMPLES:
         raise ValueError(f"{length} output samples are more than one float32 WAV holds")
     out = np.empty(length, dtype=model.dtype)
@@ -202,20 +206,18 @@ def _decode_blocks(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: i
     sampled = mode.kind == "sampled"
     rng = np.random.default_rng(mode.seed) if sampled else None
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
-    pos = 0
     for i0, i1 in zip(bounds, bounds[1:]):
         means, stds = rows(np.arange(i0, i1), sampled)
         z = means + stds * rng.standard_normal(means.shape) if sampled else means
         frames = decode_frames(model, z.astype(model.dtype, copy=False))
-        if k == 0:
-            out[i0 * width : i1 * width] = frames.reshape(-1)
-            continue
-        for frame in frames:
-            if pos:
-                out[pos - k : pos] = out[pos - k : pos] * (1 - ramp) + frame[:k] * ramp
-                frame = frame[k:]
-            out[pos : pos + len(frame)] = frame
-            pos += len(frame)
+        out[k:].reshape(n_rows, s)[i0:i1] = frames[:, k:]
+        if i0 == 0 < i1:
+            out[:k] = frames[0, :k]
+        j = max(i0, 1)  # frame 0 has no seam
+        for d in range(-(-k // s)):
+            lo, hi = max(k - (d + 1) * s, 0), k - d * s
+            seams = out[lo : lo + n_rows * s].reshape(n_rows, s)[j:i1, : hi - lo]
+            seams[...] = seams * (1 - ramp[lo:hi]) + frames[j - i0 :, lo:hi] * ramp[lo:hi]
     return AudioBuffer(out, model.hyper.sample_rate)
 
 
@@ -353,8 +355,6 @@ def _write_latents(path: LatentPath, fh) -> None:
     columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
     fh.write(",".join(columns) + "\n")
     row_format = "%d" + ",%.9g" * (2 * m) + "\n"
-    rows = np.concatenate(
-        [path.mu.astype(np.float32), path.logvar.astype(np.float32)], axis=1
-    )
+    rows = np.concatenate([path.mu, path.logvar], axis=1).astype(np.float32)
     for idx, values in enumerate(rows.tolist()):
         fh.write(row_format % (idx, *values))

@@ -40,6 +40,9 @@ from .exceptions import (
 from .features import FeatureConfig, Thumbnail
 
 SOM_MAGIC = b"RASOM\x00\x02"
+# the map's settings in header order, each written and read in its type's TEXT_FORMS
+_SETTINGS = {"width": int, "height": int, "epochs": int, "lr0": float, "radius0": float,
+             "seed": int}
 
 _LR_FLOOR_FACTOR = 0.01
 _RADIUS_FLOOR = 1.0
@@ -285,12 +288,7 @@ def save_som(som: SomMap, path) -> None:
     and their rows follow qe_history as one (keys, D) tensor.
     """
     header = {
-        "width": som.width,
-        "height": som.height,
-        "epochs": som.epochs,
-        "lr0": repr(som.lr0),
-        "radius0": repr(som.radius0),
-        "seed": som.seed,
+        **{name: TEXT_FORMS[kind][0](getattr(som, name)) for name, kind in _SETTINGS.items()},
         **record_header(som.feature_config, "feat_"),
         "thumbnail_keys": TEXT_FORMS[tuple][0](n for key in som.thumbnail_rows for n in key),
     }
@@ -304,29 +302,24 @@ def load_som(path) -> SomMap:
     if len(tensors) != 5:
         raise CorruptFileError(f"{path}: expected 5 tensors, found {len(tensors)}")
     prototypes, mean, std, qe_history, rows = tensors
-    width, height = (read_value(path, header, k, int) for k in ("width", "height"))
+    settings = {name: read_value(path, header, name, kind) for name, kind in _SETTINGS.items()}
     flat_keys = read_value(path, header, "thumbnail_keys", tuple)
     if len(flat_keys) % 2:
         raise CorruptFileError(f"{path}: thumbnail_keys holds an odd count of numbers")
     keys = list(zip(flat_keys[::2], flat_keys[1::2]))
     dim = prototypes.shape[-1:]  # (D,)
-    wanted = (("prototypes", prototypes, (height, width, *dim)),
+    wanted = (("prototypes", prototypes, (settings["height"], settings["width"], *dim)),
               ("feature mean", mean, dim), ("feature std", std, dim),
               ("thumbnail rows", rows, (len(keys), *dim)))
     for name, t, shape in wanted:
         if t.shape != shape:
             raise CorruptFileError(f"{path}: {name} shape {t.shape}, expected {shape}")
     return SomMap(
-        width=width,
-        height=height,
+        **settings,
         prototypes=prototypes,
         feature_mean=mean,
         feature_std=std,
         feature_config=read_record(path, header, FeatureConfig, "feat_"),
-        epochs=read_value(path, header, "epochs", int),
-        lr0=read_value(path, header, "lr0", float),
-        radius0=read_value(path, header, "radius0", float),
-        seed=read_value(path, header, "seed", int),
         qe_history=qe_history,
         thumbnail_rows=dict(zip(keys, rows)),
     )

@@ -491,6 +491,13 @@ class TestConfigHandling:
         assert code == 2
         assert f"{bad}:2: expected key=value" in capsys.readouterr().err
 
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"map=\xff\n")
+        assert main(["som", "clusters", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "0xff" in err
+
     def test_dataset_without_wavs_rejected(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("no audio here\n")
         code = main(["train", "--dataset-dir", str(tmp_path), "--out", str(tmp_path / "m.ckpt")])

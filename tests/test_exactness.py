@@ -27,9 +27,12 @@ import struct
 import tracemalloc
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import float32_model, make_noise
 from latentaudio import (
@@ -853,8 +856,9 @@ class TestBlockwiseSynthesisMatchesReference:
     HYPER = VaeHyperParams(window_size=48, latent_dim=12, hidden_sizes=(40, 24), sample_rate=8000)
     BLOCK = 8
     MODES = [SynthesisMode.mean_only(), SynthesisMode.sampled(3)]
-    # none, one sample, above width / 2 (seams overlap earlier seams), width - 1
-    CROSSFADES = [0, 1, 30, 47]
+    # none, one sample, above width / 2 (seams overlap earlier seams), width - 1;
+    # 24, the last one-pass crossfade; 25, the first two-pass one; 32, a multiple of s = 16
+    CROSSFADES = [0, 1, 30, 47, 24, 25, 32]
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -919,10 +923,11 @@ class TestBlockwiseSynthesisMatchesReference:
     def test_real_block_size(self, model, extra, mode):
         block = interpolate_module._BLOCK
         a, b = self._pair(block + extra, self.HYPER.window_size)
-        for segments, (range_r, step_s) in ((1, (0.0, 1.0)), (2, (1.0, 1.0))):
-            got = stepwise_interpolate(model, a, b, range_r, step_s, mode, 7)
-            want = reference_stepwise(model, a, b, range_r, step_s, mode, 7)
-            self._assert_same(got, want)
+        for crossfade in (7, 40):  # one pass, three chained passes
+            for segments, (range_r, step_s) in ((1, (0.0, 1.0)), (2, (1.0, 1.0))):
+                got = stepwise_interpolate(model, a, b, range_r, step_s, mode, crossfade)
+                want = reference_stepwise(model, a, b, range_r, step_s, mode, crossfade)
+                self._assert_same(got, want)
         means = np.random.default_rng(extra).standard_normal((2 * block + extra, 12))
         stds = np.full_like(means, 0.5)
         self._assert_same(decode_path(model, means, stds, mode),
@@ -953,6 +958,24 @@ class TestBlockwiseSynthesisMatchesReference:
             assert sum(sizes) == total
             assert max(sizes) <= self.BLOCK
             assert min(sizes) >= min(total, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(2, 24), rows=st.integers(0, 20), seed=st.integers(0, 2**16),
+       sampled=st.booleans())
+def test_every_crossfade_joins_like_the_reference(width, rows, seed, sampled):
+    """Blocks of 3 rows, every crossfade of the width: one-pass, chained and s = 1 seams."""
+    hyper = VaeHyperParams(window_size=width, latent_dim=3, hidden_sizes=(5,), sample_rate=8000)
+    model = float32_model(hyper)
+    rng = np.random.default_rng(seed)
+    means = 3.0 * rng.standard_normal((rows, hyper.latent_dim))
+    stds = rng.uniform(0.0, 2.0, means.shape)
+    mode = SynthesisMode.sampled(seed) if sampled else SynthesisMode.mean_only()
+    with mock.patch.object(interpolate_module, "_BLOCK", 3):
+        for crossfade in range(width):
+            got = decode_path(model, means, stds, mode, crossfade)
+            want = reference_decode_path(model, means, stds, mode, crossfade)
+            assert same_bytes(got.samples, want.samples), crossfade
 
 
 class TestInferenceMatchesReference:
