@@ -35,6 +35,7 @@ _FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, 
 _RIFF_OVERHEAD = 4 + 8 + _FMT.size + 8
 _RIFF_MAX = 2**32 - 1
 MAX_FLOAT32_SAMPLES = (_RIFF_MAX - _RIFF_OVERHEAD) // 4  # the most one float32 WAV holds
+_RESAMPLE_BLOCK = 65536  # output samples interpolated at a time
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,11 @@ def _decode_wav(raw: bytes, path) -> AudioBuffer:
     fmt = None
     data = None
     pos = 12
+    chunks = memoryview(raw)  # chunk bodies are views: the data is not copied out
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = chunks[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedWavError(f"{path}: chunk {chunk_id!r} overruns file")
         if chunk_id == b"fmt ":
@@ -127,12 +129,11 @@ def _decode_wav(raw: bytes, path) -> AudioBuffer:
 
     if len(data) % (dtype.itemsize * channels) != 0:
         raise MalformedWavError(f"{path}: data size not a whole number of frames")
-    values = np.frombuffer(data, dtype=dtype)
-    samples = values.astype(np.float32)
+    samples = np.frombuffer(data, dtype=dtype).astype(np.float32)
     if tag == _WAVE_IEEE_FLOAT and not np.isfinite(samples).all():
         raise MalformedWavError(f"{path}: non-finite samples in float data")
     if tag == _WAVE_PCM:
-        samples = samples / np.float32(_PCM16_SCALE)
+        samples /= np.float32(_PCM16_SCALE)
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1, dtype=np.float64)
         samples = samples.astype(np.float32)
@@ -146,7 +147,19 @@ def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
     within 1/32768 of the original sample values. A buffer too long for
     the 32-bit RIFF size raises ValueError before anything is copied.
     """
-    if len(buffer) == 0:
+    write_wav((buffer.samples,), len(buffer), buffer.sample_rate, path, encoding)
+
+
+def write_wav(blocks, n_samples: int, sample_rate: int, path, encoding: str = "float32") -> None:
+    """save_wav for n_samples mono samples that arrive as consecutive 1-D blocks.
+
+    The header is built and checked from n_samples before the file is
+    opened, and each block is converted and written as it comes, so memory
+    is a block, not the whole output. If the blocks raise, or hold other
+    than n_samples samples, the error propagates and path keeps its old
+    content, as for any atomic_write.
+    """
+    if n_samples == 0:
         raise ValueError("refusing to write an empty buffer")
     if encoding == "float32":
         tag, bits = _WAVE_IEEE_FLOAT, 32
@@ -155,24 +168,27 @@ def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
     block_align = bits // 8  # mono
-    if len(buffer) > (_RIFF_MAX - _RIFF_OVERHEAD) // block_align:
-        raise ValueError(f"{len(buffer)} samples are more than one {encoding} WAV holds")
-    if tag == _WAVE_IEEE_FLOAT:
-        payload = np.ascontiguousarray(buffer.samples, dtype="<f4")
-    else:
-        scaled = buffer.samples * np.float32(_PCM16_SCALE)
-        np.rint(scaled, out=scaled)
-        payload = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
-
-    fmt_chunk = _FMT.pack(
-        tag, 1, buffer.sample_rate, buffer.sample_rate * block_align, block_align, bits
-    )
+    if n_samples > (_RIFF_MAX - _RIFF_OVERHEAD) // block_align:
+        raise ValueError(f"{n_samples} samples are more than one {encoding} WAV holds")
+    data_bytes = n_samples * block_align
+    fmt_chunk = _FMT.pack(tag, 1, sample_rate, sample_rate * block_align, block_align, bits)
     # mono 2- or 4-byte samples leave the data chunk word-aligned: no pad byte
     with atomic_write(path) as fh:
-        fh.write(b"RIFF" + struct.pack("<I", _RIFF_OVERHEAD + payload.nbytes) + b"WAVE")
+        fh.write(b"RIFF" + struct.pack("<I", _RIFF_OVERHEAD + data_bytes) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
-        fh.write(b"data" + struct.pack("<I", payload.nbytes))
-        fh.write(payload)
+        fh.write(b"data" + struct.pack("<I", data_bytes))
+        written = 0
+        for block in blocks:
+            if tag == _WAVE_IEEE_FLOAT:
+                payload = np.ascontiguousarray(block, dtype="<f4")
+            else:
+                scaled = np.asarray(block, dtype=np.float32) * np.float32(_PCM16_SCALE)
+                np.rint(scaled, out=scaled)
+                payload = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
+            fh.write(payload)
+            written += len(payload)
+        if written != n_samples:
+            raise ValueError(f"{written} samples written under a header for {n_samples}")
 
 
 def peak_normalize(buffer: AudioBuffer) -> AudioBuffer:
@@ -191,7 +207,8 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Linear-interpolation resampling to target_rate.
 
     Output length is round(L * target_rate / source_rate). The identity
-    rate returns the buffer unchanged.
+    rate returns the buffer unchanged. The output is filled in blocks of
+    _RESAMPLE_BLOCK samples, so temporaries beyond it are a block in size.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -200,9 +217,17 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     n_out = int(round(len(buffer) * target_rate / buffer.sample_rate))
     if len(buffer) == 0 or n_out == 0:
         return AudioBuffer(np.zeros(n_out, dtype=np.float32), target_rate)
-    positions = np.arange(n_out) * (buffer.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(len(buffer)), buffer.samples)
-    return AudioBuffer(out.astype(np.float32), target_rate)
+    ratio = buffer.sample_rate / target_rate
+    out = np.empty(n_out, dtype=np.float32)
+    for start in range(0, n_out, _RESAMPLE_BLOCK):
+        positions = np.arange(start, min(start + _RESAMPLE_BLOCK, n_out)) * ratio
+        # interp over the samples that bracket these positions gives the bits of
+        # one interp over the whole input; past the last sample both clamp to it
+        lo, hi = int(positions[0]), min(int(positions[-1]) + 2, len(buffer))
+        out[start : start + len(positions)] = np.interp(
+            positions, np.arange(lo, hi, dtype=np.float64), buffer.samples[lo:hi]
+        )
+    return AudioBuffer(out, target_rate)
 
 
 def window_count(n_samples: int, window_size: int, hop: int) -> int:

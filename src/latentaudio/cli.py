@@ -30,7 +30,7 @@ import numpy as np
 
 from .audio import (
     MAX_FLOAT32_SAMPLES, AudioBuffer, _decode_wav, frame_view, load_wav, peak_normalize,
-    resample, save_wav, window_count,
+    resample, save_wav, window_count, write_wav,
 )
 from .container import TEXT_FORMS, atomic_write
 from .exceptions import (
@@ -46,9 +46,9 @@ from .interpolate import (
     decode_path,
     encode_audio,
     export_latents,
-    extended_interpolate,
     generate_curve,
-    stepwise_interpolate,
+    render_extended,
+    render_stepwise,
 )
 from .som import (
     assign_clusters,
@@ -264,16 +264,15 @@ def _cmd_synth(strategy: str, cfg: dict) -> str:
     b = _load_input(cfg["in2"], model.hyper, cfg["normalize"])
 
     if strategy == "step":
-        out_buf = stepwise_interpolate(
-            model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"]
-        )
+        out = render_stepwise(model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"])
     else:
         hop = cfg.get("hop", model.hyper.window_size)  # meso has no hop: windows abut
         count = window_count(min(len(a), len(b)), model.hyper.window_size, hop)
         curve = generate_curve(cfg["curve"], count)
-        out_buf = extended_interpolate(model, a, b, curve, mode, hop, cfg["crossfade"])
-    save_wav(out_buf, cfg["out"], encoding="float32")
-    return f"wrote {cfg['out']}: {out_buf.duration:.2f} s at {out_buf.sample_rate} Hz"
+        out = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"])
+    # each block is decoded as the writer reaches it: memory holds a few, not the output
+    write_wav(out.blocks, out.length, out.sample_rate, cfg["out"], encoding="float32")
+    return f"wrote {cfg['out']}: {out.length / out.sample_rate:.2f} s at {out.sample_rate} Hz"
 
 
 # ---------------------------------------------------------------- som

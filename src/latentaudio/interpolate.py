@@ -15,15 +15,21 @@ decodes the blend back to audio:
 Blending is linear in mu and in sigma (not log-variance), weight on a
 and complement on b. Synthesis blends a block of at most _BLOCK windows
 at a time in float64 (so weights 0 and 1 reproduce the endpoint
-encodings bit-exactly), casts it to the model dtype and decodes it into
-one preallocated output: memory beyond the output is a few blocks. Frame
-i of a window-W, crossfade-k join starts at sample i * (W - k); array passes
-ramp seams in frame order, and block [i0, i1) leaves out[:i1 * (W - k)] final.
+encodings bit-exactly), casts it to the model dtype, decodes it and
+joins its frames. Frame i of a window-W, crossfade-k join starts at
+sample i * (W - k); array passes ramp seams in frame order, so once block
+[i0, i1) is joined, every sample before i1 * (W - k) is final. A
+Rendering yields those samples block by block and carries only the k
+after them: the render_* functions hand it to a writer (the CLI streams
+it into the WAV, so memory beyond the encoded paths is a few blocks),
+and the *_interpolate functions fill one AudioBuffer from it. Encoding
+stays whole-path: batches of other row counts can give other bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,37 +194,72 @@ def _check_crossfade(model: VaeModel, crossfade: int) -> None:
         raise ValueError(f"crossfade must be in [0, {model.hyper.window_size}), got {crossfade}")
 
 
+@dataclass(frozen=True)
+class Rendering:
+    """Synthesized audio of a known length, made as its blocks are iterated.
+
+    blocks yields 1-D arrays of the model dtype, in output order, whose
+    lengths sum to length. Iterating runs the decoder, and it can be done
+    once.
+    """
+
+    length: int
+    sample_rate: int
+    blocks: Iterator[np.ndarray]
+
+    def buffer(self) -> AudioBuffer:
+        """Every block, in one float32 buffer."""
+        out = np.empty(self.length, dtype=np.float32)
+        end = 0
+        for block in self.blocks:
+            out[end : end + len(block)] = block
+            end += len(block)
+        return AudioBuffer(out, self.sample_rate)
+
+
+def _render(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: int) -> Rendering:
+    """The join of the decoded rows as a Rendering; ValueError, before anything
+    is decoded, if it is longer than one float32 WAV holds."""
+    length = n_rows * (model.hyper.window_size - k) + k if n_rows else 0
+    if length > MAX_FLOAT32_SAMPLES:
+        raise ValueError(f"{length} output samples are more than one float32 WAV holds")
+    return Rendering(length, model.hyper.sample_rate, _decode_blocks(model, n_rows, rows, mode, k))
+
+
 def _decode_blocks(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: int):
-    """Decode the rows(i, sampled) -> (means, stds or None) of a path into one buffer.
+    """Decode the rows(i, sampled) -> (means, stds or None) of a path; yield the join.
 
     Blocks hold 2 to _BLOCK rows (BLAS decodes a lone row through gemv, with
     other bits); eps continues one generator's stream. Frame i starts at i*s,
     s = W - k; pass d = 0, 1, ... ramps, in every seam, the offsets t that lie
-    under d = ceil((k - t)/s) - 1 earlier seams. After block [i0, i1), out[:i1*s] is final.
+    under d = ceil((k - t)/s) - 1 earlier seams. Block [i0, i1) yields samples
+    [i0*s, i1*s), which later frames no longer touch, and carries the k after
+    them into the next block; the last block yields them too.
     """
+    if not n_rows:
+        return
     s = model.hyper.window_size - k
-    length = n_rows * s + k if n_rows else 0
-    if length > MAX_FLOAT32_SAMPLES:
-        raise ValueError(f"{length} output samples are more than one float32 WAV holds")
-    out = np.empty(length, dtype=model.dtype)
-    n_blocks = max(-(-n_rows // _BLOCK), 1)
+    n_blocks = -(-n_rows // _BLOCK)
     bounds = [n_rows * j // n_blocks for j in range(n_blocks + 1)]
     sampled = mode.kind == "sampled"
     rng = np.random.default_rng(mode.seed) if sampled else None
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
+    tail = None
     for i0, i1 in zip(bounds, bounds[1:]):
         means, stds = rows(np.arange(i0, i1), sampled)
         z = means + stds * rng.standard_normal(means.shape) if sampled else means
         frames = decode_frames(model, z.astype(model.dtype, copy=False))
-        out[k:].reshape(n_rows, s)[i0:i1] = frames[:, k:]
-        if i0 == 0 < i1:
-            out[:k] = frames[0, :k]
-        j = max(i0, 1)  # frame 0 has no seam
+        n = i1 - i0
+        out = np.empty(n * s + k, dtype=model.dtype)  # samples [i0*s, i1*s + k)
+        out[k:].reshape(n, s)[:] = frames[:, k:]
+        out[:k] = frames[0, :k] if i0 == 0 else tail
+        j = 1 if i0 == 0 else 0  # frame 0 has no seam
         for d in range(-(-k // s)):
             lo, hi = max(k - (d + 1) * s, 0), k - d * s
-            seams = out[lo : lo + n_rows * s].reshape(n_rows, s)[j:i1, : hi - lo]
-            seams[...] = seams * (1 - ramp[lo:hi]) + frames[j - i0 :, lo:hi] * ramp[lo:hi]
-    return AudioBuffer(out, model.hyper.sample_rate)
+            seams = out[lo : lo + n * s].reshape(n, s)[j:, : hi - lo]
+            seams[...] = seams * (1 - ramp[lo:hi]) + frames[j:, lo:hi] * ramp[lo:hi]
+        tail = out[n * s :]
+        yield out if i1 == n_rows else out[: n * s]
 
 
 def decode_path(
@@ -243,7 +284,7 @@ def decode_path(
     if np.any(stds < 0):
         raise ValueError("stds must be entrywise >= 0")
     _check_crossfade(model, crossfade)
-    return _decode_blocks(model, len(means), lambda i, _: (means[i], stds[i]), mode, crossfade)
+    return _render(model, len(means), lambda i, _: (means[i], stds[i]), mode, crossfade).buffer()
 
 
 def _blend_rows(path_a: LatentPath, path_b: LatentPath, weight):
@@ -282,6 +323,20 @@ def stepwise_interpolate(
     as one path and concatenated in sweep order. Weights above 1 (when
     range_r > 1) extrapolate rather than clamp.
     """
+    return render_stepwise(model, a, b, range_r, step_s, mode, crossfade).buffer()
+
+
+def render_stepwise(
+    model: VaeModel,
+    a: AudioBuffer,
+    b: AudioBuffer,
+    range_r: float,
+    step_s: float,
+    mode: SynthesisMode,
+    crossfade: int = 0,
+) -> Rendering:
+    """stepwise_interpolate's output as a Rendering: the inputs are encoded
+    and every argument is checked now, the blocks are decoded as they are read."""
     if not 0 < step_s < math.inf:
         raise BadStepError(f"step must be finite and > 0, got {step_s}")
     if not 0 <= range_r / step_s < math.inf:
@@ -291,7 +346,7 @@ def stepwise_interpolate(
     _check_crossfade(model, crossfade)
     path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size)
     rows = _blend_rows(path_a, path_b, lambda i: i // len(path_a) * step_s)
-    return _decode_blocks(model, n_segments * len(path_a), rows, mode, crossfade)
+    return _render(model, n_segments * len(path_a), rows, mode, crossfade)
 
 
 def meso_interpolate(
@@ -326,6 +381,20 @@ def extended_interpolate(
     stretches by that factor (4x at the 1024/256 defaults). hop equal to
     window_size degenerates to meso_interpolate.
     """
+    return render_extended(model, a, b, curve, mode, hop, crossfade).buffer()
+
+
+def render_extended(
+    model: VaeModel,
+    a: AudioBuffer,
+    b: AudioBuffer,
+    curve: InterpolationCurve,
+    mode: SynthesisMode,
+    hop: int = 256,
+    crossfade: int = 0,
+) -> Rendering:
+    """extended_interpolate's output (meso_interpolate's at hop = window size)
+    as a Rendering: checked and encoded now, decoded as it is read."""
     _check_crossfade(model, crossfade)
     path_a, path_b = _encode_pair(model, a, b, hop)
     if len(curve) != len(path_a):
@@ -333,7 +402,7 @@ def extended_interpolate(
             f"curve has {len(curve)} values but the inputs give {len(path_a)} windows"
         )
     rows = _blend_rows(path_a, path_b, lambda i: curve.values[i])
-    return _decode_blocks(model, len(path_a), rows, mode, crossfade)
+    return _render(model, len(path_a), rows, mode, crossfade)
 
 
 def export_latents(path: LatentPath, file) -> None:

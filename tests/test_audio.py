@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from latentaudio import (
     window,
 )
 from latentaudio import audio
-from latentaudio.audio import MAX_FLOAT32_SAMPLES
+from latentaudio.audio import MAX_FLOAT32_SAMPLES, write_wav
 
 
 # bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs for PCM and IEEE float
@@ -226,6 +227,35 @@ class TestWavCodec:
             save_wav(AudioBuffer(np.zeros(101), 8000), tmp_path / "x.wav", encoding)
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path, encoding):
+        rng = np.random.default_rng(4)
+        samples = rng.uniform(-1.2, 1.2, 1001).astype(np.float32)
+        save_wav(AudioBuffer(samples, 22050), tmp_path / "whole.wav", encoding)
+        blocks = (samples[:0], samples[:3], samples[3:500].astype(np.float64), samples[500:])
+        write_wav(iter(blocks), len(samples), 22050, tmp_path / "blocks.wav", encoding)
+        assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+    @pytest.mark.parametrize("n_samples", [9, 11])
+    def test_blocks_that_miss_the_header_length_write_nothing(self, tmp_path, n_samples):
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"earlier")
+        blocks = (np.zeros(4, dtype=np.float32), np.zeros(6, dtype=np.float32))
+        with pytest.raises(ValueError, match=f"10 samples written under a header for {n_samples}"):
+            write_wav(blocks, n_samples, 8000, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
+        assert path.read_bytes() == b"earlier"
+
+    def test_length_is_checked_before_the_first_block(self, tmp_path):
+        def blocks():
+            raise AssertionError("a block was read")
+            yield
+
+        for n_samples, message in ((0, "empty"), (MAX_FLOAT32_SAMPLES + 1, "float32 WAV holds")):
+            with pytest.raises(ValueError, match=message):
+                write_wav(blocks(), n_samples, 8000, tmp_path / "x.wav")
+        assert not list(tmp_path.iterdir())
+
 
 def _fuzz_seeds():
     """A valid file of each accepted layout, built from fixed samples."""
@@ -332,6 +362,47 @@ class TestResample:
     def test_empty_buffer_stays_empty_at_the_new_rate(self):
         out = resample(AudioBuffer(np.zeros(0, dtype=np.float32), 8000), 16000)
         assert len(out) == 0 and out.sample_rate == 16000 and out.samples.dtype == np.float32
+
+    @staticmethod
+    def _whole_input(buffer, target_rate):
+        """One interp over the whole input, cast once: what resample computes by blocks."""
+        n_out = int(round(len(buffer) * target_rate / buffer.sample_rate))
+        positions = np.arange(n_out) * (buffer.sample_rate / target_rate)
+        return np.interp(positions, np.arange(len(buffer)), buffer.samples).astype(np.float32)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    @pytest.mark.parametrize("src, dst", [(48000, 44100), (44100, 48000), (8000, 44100),
+                                          (44100, 8000), (3, 5)])
+    def test_blocks_give_the_bits_of_the_whole_input(self, monkeypatch, block, src, dst):
+        monkeypatch.setattr(audio, "_RESAMPLE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        samples = rng.uniform(-1.0, 1.0, 1001).astype(np.float32)
+        samples[100:140] = 0.25  # flat runs and full scale
+        samples[-3:] = [1.0, -1.0, 1.0]
+        buf = AudioBuffer(samples, src)
+        got = resample(buf, dst).samples
+        assert got.tobytes() == self._whole_input(buf, dst).tobytes()
+
+    def test_real_block_size_on_a_long_pcm16_input(self, tmp_path):
+        # 30 s of 48 kHz PCM16 to 44.1 kHz: the file's bytes, a float32 copy of
+        # the input and one of the output, plus one block's float64 temporaries
+        n_in = 30 * 48000
+        ints = np.random.default_rng(0).integers(-32768, 32768, n_in, dtype="<i2")
+        path = tmp_path / "long.wav"
+        path.write_bytes(_wav_bytes(1, 1, 48000, 16, ints.tobytes()))
+        del ints
+        tracemalloc.start()
+        try:
+            out = resample(load_wav(path), 44100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_out = round(n_in * 44100 / 48000)
+        assert len(out) == n_out
+        bound = 4 * n_in + 4 * n_out + 8 * 8 * 65536  # eight float64 arrays of a block
+        assert peak < bound, (peak, bound)
+        want = self._whole_input(load_wav(path), 44100)
+        assert out.samples.tobytes() == want.tobytes()
 
 
 class TestWindow:

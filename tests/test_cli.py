@@ -14,6 +14,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ from latentaudio import (
     CorruptFileError,
     SynthesisMode,
     encode_audio,
+    extended_interpolate,
     generate_curve,
     load_checkpoint,
     load_som,
@@ -37,6 +39,7 @@ from latentaudio import (
     save_checkpoint,
     save_som,
     save_wav,
+    stepwise_interpolate,
 )
 from latentaudio import audio, cli, container, interpolate, train_som
 from latentaudio.cli import BenchReport, main, run_bench
@@ -370,6 +373,83 @@ class TestSynth:
         second = tmp_path / "second.wav"
         assert main(["synth", strategy, "--config", str(legacy), "--out", str(second)]) == 0
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestStreamedSynthesis:
+    """synth writes each block of the join as it is decoded, not a whole buffer."""
+
+    FLAGS = {"step": ["--step", "0.25"], "meso": ["--curve", "sine:p=7"],
+             "extend": ["--curve", "lin:1:0", "--hop", "24"]}
+
+    @pytest.mark.parametrize("crossfade", [0, 1, WINDOW // 2 + 1, WINDOW - 1])
+    @pytest.mark.parametrize("mode", ["mean", "sample"])
+    @pytest.mark.parametrize("strategy", ["step", "meso", "extend"])
+    def test_wav_is_save_wav_of_the_library_result(
+        self, checkpoint, corpus, tmp_path, monkeypatch, strategy, mode, crossfade
+    ):
+        # blocks of 2 to 4 windows: the unfinished tail crosses every block boundary
+        monkeypatch.setattr(interpolate, "_BLOCK", 4)
+        flags = self.FLAGS[strategy]
+        out = tmp_path / "cli.wav"
+        assert _synth(strategy, checkpoint, corpus, out, "--mode", mode, "--seed", "3",
+                      "--crossfade", str(crossfade), *flags) == 0
+        model = model_from_checkpoint(load_checkpoint(checkpoint))
+        a, b = (resample(load_wav(w), RATE) for w in sorted(corpus.glob("*.wav"))[:2])
+        synthesis = SynthesisMode.sampled(3) if mode == "sample" else SynthesisMode.mean_only()
+        if strategy == "step":
+            buf = stepwise_interpolate(model, a, b, 1.0, 0.25, synthesis, crossfade)
+        else:
+            hop = 24 if strategy == "extend" else WINDOW
+            curve = generate_curve(flags[1], (min(len(a), len(b)) - WINDOW) // hop + 1)
+            if strategy == "extend":
+                buf = extended_interpolate(model, a, b, curve, synthesis, hop, crossfade)
+            else:
+                buf = meso_interpolate(model, a, b, curve, synthesis, crossfade)
+        save_wav(buf, tmp_path / "library.wav")
+        assert out.read_bytes() == (tmp_path / "library.wav").read_bytes()
+
+    def test_traced_peak_stays_far_below_the_output(self, checkpoint, tmp_path):
+        # two 4 s inputs swept in 101 segments: 3.2 M samples, 12.9 MB of float32
+        a, b = write_corpus(tmp_path / "in", rate=RATE, n_files=2, seconds=4.0)
+        out = tmp_path / "long.wav"
+        argv = ["synth", "step", "--checkpoint", str(checkpoint), "--in1", str(a),
+                "--in2", str(b), "--out", str(out), "--step", "0.01"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output_bytes = out.stat().st_size - 44  # the float32 data after the header
+        assert output_bytes > 12_000_000
+        assert peak < output_bytes / 8, (peak, output_bytes)
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier render"])
+    def test_a_block_that_fails_leaves_no_trace(
+        self, checkpoint, corpus, tmp_path, monkeypatch, capsys, earlier
+    ):
+        out = tmp_path / "o.wav"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        real, listings = interpolate.decode_frames, []
+
+        def fail_on_second_block(model, z):
+            listings.append(sorted(p.name for p in tmp_path.iterdir()))
+            if len(listings) == 2:
+                raise ValueError("decoder failed")
+            return real(model, z)
+
+        monkeypatch.setattr(interpolate, "decode_frames", fail_on_second_block)
+        # 5 segments of 125 windows make 3 blocks; the first went to the temp file
+        assert _synth("step", checkpoint, corpus, out) == 2
+        assert "decoder failed" in capsys.readouterr().err
+        assert len(listings) == 2
+        assert [name for name in listings[1] if name.startswith(".o.wav.")]
+        if earlier is None:
+            assert not list(tmp_path.iterdir())
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["o.wav"]
+            assert out.read_bytes() == earlier
 
 
 class TestNegativeSeed:
