@@ -3,8 +3,8 @@
 Everything downstream consumes mono float32 buffers in [-1, 1], so the
 decoders here normalize channel count and sample format at the door.
 The WAV codec is deliberately minimal: RIFF/WAVE little-endian with
-"fmt " and "data" chunks, PCM16 or IEEE float32 payloads (plain or
-WAVE_FORMAT_EXTENSIBLE), nothing else.
+"fmt " and "data" chunks, PCM16, PCM24 or IEEE float32 payloads (plain
+or WAVE_FORMAT_EXTENSIBLE) on input, float32 on output, nothing else.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ _WAVE_IEEE_FLOAT = 3
 _WAVE_EXTENSIBLE = 0xFFFE
 # bytes 2-15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0-1 hold the plain tag
 _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
-_PCM16_SCALE = 32768.0
 _FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
 # the 32-bit RIFF size counts "WAVE", both chunk headers, the fmt body and the data
 _RIFF_OVERHEAD = 4 + 8 + _FMT.size + 8
@@ -68,15 +67,15 @@ class AudioBuffer:
 def load_wav(path) -> AudioBuffer:
     """Decode a RIFF/WAVE file into a mono AudioBuffer.
 
-    PCM16 samples are scaled by 1/32768; multichannel input is downmixed
-    by arithmetic mean, taken in float64 and rounded to float32 once, so
-    loud finite channels cannot sum to inf. The buffer keeps the file's
-    native sample rate.
+    PCM16 and PCM24 samples are scaled by 1/2**15 and 1/2**23, exactly;
+    multichannel input is downmixed by arithmetic mean, taken in float64
+    and rounded to float32 once, so loud finite channels cannot sum to
+    inf. The buffer keeps the file's native sample rate.
 
     Raises:
         MalformedWavError: broken header or chunk bookkeeping, or NaN/inf
             float samples.
-        UnsupportedEncodingError: any encoding other than PCM16/float32,
+        UnsupportedEncodingError: any encoding other than PCM16/PCM24/float32,
             plain or as the subformat of WAVE_FORMAT_EXTENSIBLE.
     """
     return _decode_wav(Path(path).read_bytes(), path)
@@ -118,39 +117,52 @@ def _decode_wav(raw: bytes, path) -> AudioBuffer:
         (tag,) = struct.unpack_from("<H", fmt, 24)
     if channels < 1 or rate <= 0:
         raise MalformedWavError(f"{path}: invalid fmt fields (ch={channels}, rate={rate})")
-    if (tag, bits) == (_WAVE_PCM, 16):
-        dtype = np.dtype("<i2")
-    elif (tag, bits) == (_WAVE_IEEE_FLOAT, 32):
-        dtype = np.dtype("<f4")
-    else:
+    if (tag, bits) not in ((_WAVE_PCM, 16), (_WAVE_PCM, 24), (_WAVE_IEEE_FLOAT, 32)):
         raise UnsupportedEncodingError(
             f"{path}: format tag {tag} at {bits} bits not supported"
         )
 
-    if len(data) % (dtype.itemsize * channels) != 0:
+    if len(data) % (bits // 8 * channels) != 0:
         raise MalformedWavError(f"{path}: data size not a whole number of frames")
-    samples = np.frombuffer(data, dtype=dtype).astype(np.float32)
+    if bits == 24:
+        samples = _int24_samples(data)
+    else:
+        samples = np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4").astype(np.float32)
     if tag == _WAVE_IEEE_FLOAT and not np.isfinite(samples).all():
         raise MalformedWavError(f"{path}: non-finite samples in float data")
     if tag == _WAVE_PCM:
-        samples /= np.float32(_PCM16_SCALE)
+        samples /= np.float32(2.0 ** (bits - 1))  # a power of two: exact in float32
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1, dtype=np.float64)
         samples = samples.astype(np.float32)
     return AudioBuffer(samples, int(rate))
 
 
-def save_wav(buffer: AudioBuffer, path, encoding: str = "float32") -> None:
-    """Write a buffer as PCM16 or IEEE float32 WAV, atomically.
+def _int24_samples(data) -> np.ndarray:
+    """3-byte little-endian PCM as float32 integer values, exactly.
 
-    float32 round-trips bit-exactly through load_wav; pcm16 quantizes to
-    within 1/32768 of the original sample values. A buffer too long for
+    Each sample goes into the top three bytes of an int32, an arithmetic
+    shift sign-extends it, and the int32 array is converted to float32 in
+    its own buffer, so memory is the file's bytes plus one array.
+    """
+    ints = np.zeros(len(data) // 3, dtype="<i4")
+    ints.view(np.uint8).reshape(-1, 4)[:, 1:] = np.frombuffer(data, np.uint8).reshape(-1, 3)
+    ints >>= 8
+    samples = ints.view(np.float32)
+    samples[...] = ints  # same 1-D layout: numpy casts element by element, no copy
+    return samples
+
+
+def save_wav(buffer: AudioBuffer, path) -> None:
+    """Write a buffer as an IEEE float32 WAV, atomically.
+
+    It round-trips bit-exactly through load_wav. A buffer too long for
     the 32-bit RIFF size raises ValueError before anything is copied.
     """
-    write_wav((buffer.samples,), len(buffer), buffer.sample_rate, path, encoding)
+    write_wav((buffer.samples,), len(buffer), buffer.sample_rate, path)
 
 
-def write_wav(blocks, n_samples: int, sample_rate: int, path, encoding: str = "float32") -> None:
+def write_wav(blocks, n_samples: int, sample_rate: int, path) -> None:
     """save_wav for n_samples mono samples that arrive as consecutive 1-D blocks.
 
     The header is built and checked from n_samples before the file is
@@ -161,30 +173,19 @@ def write_wav(blocks, n_samples: int, sample_rate: int, path, encoding: str = "f
     """
     if n_samples == 0:
         raise ValueError("refusing to write an empty buffer")
-    if encoding == "float32":
-        tag, bits = _WAVE_IEEE_FLOAT, 32
-    elif encoding == "pcm16":
-        tag, bits = _WAVE_PCM, 16
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    block_align = bits // 8  # mono
-    if n_samples > (_RIFF_MAX - _RIFF_OVERHEAD) // block_align:
-        raise ValueError(f"{n_samples} samples are more than one {encoding} WAV holds")
-    data_bytes = n_samples * block_align
-    fmt_chunk = _FMT.pack(tag, 1, sample_rate, sample_rate * block_align, block_align, bits)
-    # mono 2- or 4-byte samples leave the data chunk word-aligned: no pad byte
+    # from _RIFF_MAX at call time, not from MAX_FLOAT32_SAMPLES, so a patched limit holds
+    if n_samples > (_RIFF_MAX - _RIFF_OVERHEAD) // 4:
+        raise ValueError(f"{n_samples} samples are more than one float32 WAV holds")
+    data_bytes = n_samples * 4
+    fmt_chunk = _FMT.pack(_WAVE_IEEE_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)
+    # mono 4-byte samples leave the data chunk word-aligned: no pad byte
     with atomic_write(path) as fh:
         fh.write(b"RIFF" + struct.pack("<I", _RIFF_OVERHEAD + data_bytes) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
         fh.write(b"data" + struct.pack("<I", data_bytes))
         written = 0
         for block in blocks:
-            if tag == _WAVE_IEEE_FLOAT:
-                payload = np.ascontiguousarray(block, dtype="<f4")
-            else:
-                scaled = np.asarray(block, dtype=np.float32) * np.float32(_PCM16_SCALE)
-                np.rint(scaled, out=scaled)
-                payload = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
+            payload = np.ascontiguousarray(block, dtype="<f4")
             fh.write(payload)
             written += len(payload)
         if written != n_samples:

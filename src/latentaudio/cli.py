@@ -9,7 +9,8 @@ the report. Re-running a command with --config <sidecar> regenerates
 the artifact bit-exactly, sampled modes included.
 
 Exit codes: 0 success, 1 stdout closed before the whole report was
-written, 2 usage or input error, 3 non-finite training loss.
+written, 2 usage or input error (a MemoryError included: a count too
+large to allocate), 3 non-finite training loss.
 """
 
 from __future__ import annotations
@@ -86,12 +87,20 @@ _FORMS = {**{kind: TEXT_FORMS[t] for t, kind in _KINDS.items()},
           "str": (str, str), "path": (str, str)}
 
 
-def _convert(raw, field: Field):
+def _flag(field: Field) -> str:
+    return "--" + field.name.replace("_", "-")
+
+
+def _convert(raw, field: Field, source: str):
+    """raw as field's value; errors name source, the flag or config line raw came from."""
     # a --flag/--no-flag switch gives a bool, every other source gives text
-    value = raw if isinstance(raw, bool) else _FORMS[field.ftype][1](raw)
+    try:
+        value = raw if isinstance(raw, bool) else _FORMS[field.ftype][1](raw)
+    except ValueError as exc:
+        raise ConfigMismatchError(f"{source}: {exc}") from None
     if field.choices and value not in field.choices:
         raise ConfigMismatchError(
-            f"{field.name} must be one of {', '.join(field.choices)}, got {value!r}"
+            f"{source}: must be one of {', '.join(field.choices)}, got {value!r}"
         )
     return value
 
@@ -114,13 +123,12 @@ def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
         "--config", default=None, help="key=value file to take defaults from"
     )
     for f in fields:
-        flag = "--" + f.name.replace("_", "-")
         if f.ftype == "bool":
             parser.add_argument(
-                flag, action=argparse.BooleanOptionalAction, default=None, help=f.help
+                _flag(f), action=argparse.BooleanOptionalAction, default=None, help=f.help
             )
         else:
-            parser.add_argument(flag, default=None, help=f.help, metavar=f.ftype.upper())
+            parser.add_argument(_flag(f), default=None, help=f.help, metavar=f.ftype.upper())
 
 
 def _read_config(path, command: str, fields) -> dict:
@@ -148,7 +156,7 @@ def _read_config(path, command: str, fields) -> dict:
             if command.startswith("synth ") and key in _SYNTH_KEYS:
                 continue
             raise ConfigMismatchError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _convert(raw, by_name[key])
+        values[key] = _convert(raw, by_name[key], f"{path}:{line_no}: {key}")
     return values
 
 
@@ -161,12 +169,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     for f in fields:
         raw = getattr(args, f.name)
         if raw is not None:
-            values[f.name] = _convert(raw, f)
+            values[f.name] = _convert(raw, f, _flag(f))
     for f in fields:
         if f.required and values[f.name] is None:
-            raise ConfigMismatchError(
-                f"missing required option --{f.name.replace('_', '-')}"
-            )
+            raise ConfigMismatchError(f"missing required option {_flag(f)}")
         if f.ftype == "path" and values[f.name] is not None:
             values[f.name] = str(Path(values[f.name]).resolve())
     return values
@@ -271,7 +277,7 @@ def _cmd_synth(strategy: str, cfg: dict) -> str:
         curve = generate_curve(cfg["curve"], count)
         out = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"])
     # each block is decoded as the writer reaches it: memory holds a few, not the output
-    write_wav(out.blocks, out.length, out.sample_rate, cfg["out"], encoding="float32")
+    write_wav(out.blocks, out.length, out.sample_rate, cfg["out"])
     return f"wrote {cfg['out']}: {out.length / out.sample_rate:.2f} s at {out.sample_rate} Hz"
 
 
@@ -385,7 +391,7 @@ def _cmd_som_concat(cfg: dict) -> str:
         raise LatentAudioError(f"no cluster at unit {x},{y}")
     root = Path(cfg["dataset_dir"])
     buf = concatenate_cluster(clusters[0], lambda ref: load_wav(root / ref))
-    save_wav(buf, cfg["out"], encoding="float32")
+    save_wav(buf, cfg["out"])
     return f"wrote {cfg['out']}: {buf.duration:.2f} s from {len(clusters[0].members)} files"
 
 
@@ -541,7 +547,7 @@ def main(argv=None) -> int:
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LatentAudioError, OSError, ValueError) as exc:
+    except (LatentAudioError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -15,7 +15,7 @@ class MalformedWavError(LatentAudioError):
 
 
 class UnsupportedEncodingError(LatentAudioError):
-    """WAV encoding other than PCM16 or IEEE float32."""
+    """WAV encoding other than PCM16, PCM24 or IEEE float32."""
 
 
 class RateMismatchError(LatentAudioError):

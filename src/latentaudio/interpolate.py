@@ -74,9 +74,6 @@ class LatentPath:
     def means(self) -> np.ndarray:
         return self.mu
 
-    def sigmas(self) -> np.ndarray:
-        return np.exp(self.logvar / 2)
-
 
 @dataclass(frozen=True)
 class InterpolationCurve:
@@ -406,24 +403,17 @@ def render_extended(
 
 
 def export_latents(path: LatentPath, file) -> None:
-    """Write one CSV row per window: index, mu entries, logvar entries.
+    """Write one CSV row per window to the file path, atomically: index, mu
+    entries, logvar entries.
 
     Values are float32 printed to 9 significant digits, which parse back
-    to the same float32; an empty (0, M) path writes just the header. A
-    file path is written atomically.
+    to the same float32; an empty (0, M) path writes just the header.
     """
-    if hasattr(file, "write"):
-        _write_latents(path, file)
-    else:
-        with atomic_write(file, "w", encoding="utf-8") as fh:
-            _write_latents(path, fh)
-
-
-def _write_latents(path: LatentPath, fh) -> None:
     m = path.latent_dim
     columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
-    fh.write(",".join(columns) + "\n")
     row_format = "%d" + ",%.9g" * (2 * m) + "\n"
     rows = np.concatenate([path.mu, path.logvar], axis=1).astype(np.float32)
-    for idx, values in enumerate(rows.tolist()):
-        fh.write(row_format % (idx, *values))
+    with atomic_write(file, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for idx, values in enumerate(rows.tolist()):
+            fh.write(row_format % (idx, *values))

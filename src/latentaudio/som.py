@@ -201,19 +201,6 @@ def _quantization_error(prototypes: np.ndarray, standardized: np.ndarray) -> flo
     return float(np.mean(np.sqrt(np.maximum(d2.min(axis=1), 0.0))))
 
 
-def quantization_error(som: SomMap, thumbnails) -> float:
-    """Mean Euclidean distance of each thumbnail to its BMU prototype."""
-    data = _stack_thumbnails(thumbnails)
-    if data.shape[1] != som.dimension:
-        raise ShapeMismatchError(
-            f"thumbnails are {data.shape[1]}-dim, map is {som.dimension}-dim"
-        )
-    return _quantization_error(
-        np.asarray(som.prototypes, dtype=np.float64),
-        (data - som.feature_mean) / som.feature_std,
-    )
-
-
 def _nearest_units(som: SomMap, rows) -> list:
     """Grid coordinate (x, y) of each raw feature row's nearest prototype, searched
     unit by unit so that a row gets the same unit alone or in a batch."""
@@ -222,22 +209,13 @@ def _nearest_units(som: SomMap, rows) -> list:
     return [divmod(flat, som.width)[::-1] for flat in np.argmin(d2, axis=0).tolist()]
 
 
-def best_matching_unit(som: SomMap, features) -> tuple:
-    """Grid coordinate (x, y) of the nearest prototype in standardized space;
-    exact ties go to the smallest (y, x) lexicographically."""
-    features = np.asarray(features, dtype=np.float64).reshape(-1)
-    if features.shape[0] != som.dimension:
-        raise ShapeMismatchError(
-            f"feature vector is {features.shape[0]}-dim, map is {som.dimension}-dim"
-        )
-    return _nearest_units(som, features)[0]
-
-
 def assign_clusters(som: SomMap, thumbnails) -> list:
     """Partition thumbnails by BMU; nonempty units, largest first.
 
-    Equal-sized clusters are ordered by unit (y, x). Thumbnails without a
-    file_ref are labeled by their position in the input.
+    A thumbnail's BMU is the unit (x, y) of its nearest prototype in
+    standardized space; exact ties go to the smallest (y, x). Equal-sized
+    clusters are ordered by unit (y, x). Thumbnails without a file_ref
+    are labeled by their position in the input.
     """
     thumbnails = list(thumbnails)
     for i, thumb in enumerate(thumbnails):

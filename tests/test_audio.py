@@ -67,7 +67,7 @@ class TestWavCodec:
     def test_float32_round_trip_is_exact(self, tmp_path):
         buf = make_sine(rate=8000, seconds=0.25)
         path = tmp_path / "x.wav"
-        save_wav(buf, path, encoding="float32")
+        save_wav(buf, path)
         back = load_wav(path)
         assert back.sample_rate == buf.sample_rate
         assert np.array_equal(back.samples, buf.samples)
@@ -80,19 +80,42 @@ class TestWavCodec:
         with pytest.raises(MalformedWavError, match="non-finite"):
             load_wav(path)
 
-    def test_pcm16_round_trip_quantizes(self, tmp_path):
-        buf = make_sine(rate=8000, seconds=0.1)
-        path = tmp_path / "x.wav"
-        save_wav(buf, path, encoding="pcm16")
-        back = load_wav(path)
-        assert np.max(np.abs(back.samples - buf.samples)) <= 1.0 / 32768
-
     def test_pcm16_scaling(self, tmp_path):
         payload = struct.pack("<4h", -32768, -16384, 0, 16384)
         path = tmp_path / "x.wav"
         path.write_bytes(_wav_bytes(1, 1, 8000, 16, payload))
         back = load_wav(path)
         assert np.array_equal(back.samples, np.array([-1.0, -0.5, 0.0, 0.5], np.float32))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("extensible", [False, True])
+    def test_pcm24_matches_the_integer_oracle(self, tmp_path, channels, extensible):
+        rng = np.random.default_rng(channels)
+        ints = rng.integers(-2**23, 2**23, 3000 * channels)
+        ints[:6] = [-2**23, 2**23 - 1, 0, -1, 1, -2]  # the extremes and the sign boundary
+        payload = b"".join(int(i).to_bytes(3, "little", signed=True) for i in ints)
+        tag, ext = (0xFFFE, _extension(1, 24)) if extensible else (1, b"")
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(tag, channels, 8000, 24, payload, fmt_ext=ext))
+        values = ints.reshape(-1, channels) / 2.0**23  # exact in float64
+        want = values.mean(axis=1).astype(np.float32)
+        got = load_wav(path)
+        assert got.sample_rate == 8000 and got.samples.tobytes() == want.tobytes()
+
+    def test_pcm24_loads_in_one_array_beside_the_file_bytes(self, tmp_path):
+        n = 300_000
+        ints = np.random.default_rng(3).integers(-2**23, 2**23, n).astype("<i4")
+        path = tmp_path / "long.wav"
+        payload = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()  # the low three bytes
+        path.write_bytes(_wav_bytes(1, 1, 48000, 24, payload))
+        tracemalloc.start()
+        try:
+            got = load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n + 4 * n + 65536, peak  # the bytes read and the float32 samples
+        assert np.array_equal(got.samples * np.float32(2**23), ints)
 
     def test_stereo_downmix_is_mean(self, tmp_path):
         frames = np.array([[0.2, 0.4], [-1.0, 1.0], [0.5, 0.0]], dtype="<f4")
@@ -170,7 +193,7 @@ class TestWavCodec:
 
     def test_unsupported_bit_depth(self, tmp_path):
         path = tmp_path / "x.wav"
-        path.write_bytes(_wav_bytes(1, 1, 8000, 24, b"\x00" * 6))
+        path.write_bytes(_wav_bytes(1, 1, 8000, 8, b"\x00" * 6))
         with pytest.raises(UnsupportedEncodingError):
             load_wav(path)
 
@@ -187,7 +210,7 @@ class TestWavCodec:
         assert np.array_equal(got.samples, want.samples)
 
     @pytest.mark.parametrize("bits, extension", [
-        (24, _extension(1, 24)),
+        (24, _extension(3, 24)),  # float at 24 bits
         (16, _extension(1, 16, guid_tail=bytes(14))),
     ])
     def test_extensible_other_subformats_rejected(self, tmp_path, bits, extension):
@@ -207,33 +230,29 @@ class TestWavCodec:
         with pytest.raises(ValueError):
             save_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "x.wav")
 
-    def test_unknown_encoding(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_wav(make_sine(seconds=0.01), tmp_path / "x.wav", encoding="pcm24")
-
     def test_float32_limit_fills_the_riff_size(self):
         # RIFF size = "WAVE" + fmt chunk header and body + data chunk header + data
         header = 4 + (8 + 16) + 8
         assert header + 4 * MAX_FLOAT32_SAMPLES <= 2**32 - 1
         assert header + 4 * (MAX_FLOAT32_SAMPLES + 1) > 2**32 - 1
 
-    @pytest.mark.parametrize("encoding, size", [("float32", 4), ("pcm16", 2)])
-    def test_refuses_more_than_one_wav_holds(self, tmp_path, monkeypatch, encoding, size):
+    def test_refuses_more_than_one_wav_holds(self, tmp_path, monkeypatch):
         # a RIFF size limit of 100 samples stands in for the 32-bit one
-        monkeypatch.setattr(audio, "_RIFF_MAX", audio._RIFF_OVERHEAD + 100 * size)
-        save_wav(AudioBuffer(np.zeros(100), 8000), tmp_path / "full.wav", encoding)
+        monkeypatch.setattr(audio, "_RIFF_MAX", audio._RIFF_OVERHEAD + 100 * 4)
+        save_wav(AudioBuffer(np.zeros(100), 8000), tmp_path / "full.wav")
         assert len(load_wav(tmp_path / "full.wav")) == 100
-        with pytest.raises(ValueError, match=f"more than one {encoding} WAV holds"):
-            save_wav(AudioBuffer(np.zeros(101), 8000), tmp_path / "x.wav", encoding)
+        with pytest.raises(ValueError, match="more than one float32 WAV holds"):
+            save_wav(AudioBuffer(np.zeros(101), 8000), tmp_path / "x.wav")
         assert not (tmp_path / "x.wav").exists()
 
-    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
-    def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path, encoding):
+    # the dtype the middle block arrives in: each block is converted as it is written
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path, dtype):
         rng = np.random.default_rng(4)
         samples = rng.uniform(-1.2, 1.2, 1001).astype(np.float32)
-        save_wav(AudioBuffer(samples, 22050), tmp_path / "whole.wav", encoding)
-        blocks = (samples[:0], samples[:3], samples[3:500].astype(np.float64), samples[500:])
-        write_wav(iter(blocks), len(samples), 22050, tmp_path / "blocks.wav", encoding)
+        save_wav(AudioBuffer(samples, 22050), tmp_path / "whole.wav")
+        blocks = (samples[:0], samples[:3], samples[3:500].astype(dtype), samples[500:])
+        write_wav(iter(blocks), len(samples), 22050, tmp_path / "blocks.wav")
         assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
 
     @pytest.mark.parametrize("n_samples", [9, 11])
@@ -260,6 +279,8 @@ class TestWavCodec:
 def _fuzz_seeds():
     """A valid file of each accepted layout, built from fixed samples."""
     pcm = struct.pack("<6h", 0, 1, -2, 32767, -32768, 300)  # 3 stereo frames
+    pcm24 = b"".join(i.to_bytes(3, "little", signed=True)
+                     for i in (0, 1, -2, 2**23 - 1, -2**23, 300))
     # near the largest finite float32, one flipped bit often makes inf or NaN
     big = np.finfo(np.float32).max
     floats = np.array([0.5, -0.25, 1.0, 0.0, -1.0, *[big, -big] * 6], dtype="<f4").tobytes()
@@ -268,6 +289,8 @@ def _fuzz_seeds():
         "pcm16": _wav_bytes(1, 2, 8000, 16, pcm),
         "float32": _wav_bytes(3, 1, 44100, 32, floats, extra_chunk=odd_chunk),
         "extensible-pcm16": _wav_bytes(0xFFFE, 1, 8000, 16, pcm, fmt_ext=_extension(1, 16)),
+        "pcm24": _wav_bytes(1, 2, 8000, 24, pcm24),
+        "extensible-pcm24": _wav_bytes(0xFFFE, 1, 8000, 24, pcm24, fmt_ext=_extension(1, 24)),
     }
 
 

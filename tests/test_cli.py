@@ -169,7 +169,7 @@ class TestTrain:
             (bad_dir / src.name).write_bytes(src.read_bytes())
         samples = load_wav(bad_dir / "tone0.wav").samples.copy()
         samples[100] = np.nan
-        save_wav(AudioBuffer(samples, RATE), bad_dir / "tone0.wav", encoding="float32")
+        save_wav(AudioBuffer(samples, RATE), bad_dir / "tone0.wav")
         code = main([
             "train", "--dataset-dir", str(bad_dir),
             "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS,
@@ -557,6 +557,27 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "m.ckpt"), "--epochs", "three"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--epochs", "abc"), ("--hidden-sizes", "1,x")])
+    def test_unparsable_flag_value_names_its_flag(self, corpus, tmp_path, capsys, flag, value):
+        code = main(["train", "--dataset-dir", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt"), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and repr(value.split(",")[-1]) in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, line", [("train", "epochs=abc"),
+                                               ("synth step", "normalize=yes"),
+                                               ("synth step", "mode=median")])
+    def test_unparsable_config_value_names_file_line_and_key(self, tmp_path, capsys,
+                                                             command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"command={command}\n# a comment\n{line}\n")
+        assert main([*command.split(), "--config", str(cfg)]) == 2
+        key, _, value = line.partition("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: {key}: ") and repr(value) in err
 
     def test_missing_required_flag(self, corpus, capsys):
         code = main(["train", "--dataset-dir", str(corpus)])
@@ -1045,6 +1066,30 @@ class TestBench:
                      "--seconds", str(10.5 * WINDOW / RATE)])
         assert code == 2
         assert "seconds" in capsys.readouterr().err
+
+
+class TestCountTooLargeToAllocate:
+    """A count whose array no address space holds (10**14 float64 values are
+    over 700 TiB) is one error line and exit 2, and leaves no file behind."""
+
+    @pytest.mark.parametrize("command", ["train", "som build", "bench"])
+    def test_exits_2_without_traceback_or_artifact(self, checkpoint, corpus, tmp_path, capsys,
+                                                   command):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--dataset-dir", str(corpus), "--out", str(out),
+                      *TRAIN_FLAGS, "--epochs", str(10**14)],
+            "som build": ["som", "build", "--dataset-dir", str(corpus), "--out", str(out),
+                          *SOM_FLAGS, "--som-epochs", str(10**14)],
+            "bench": ["bench", "--checkpoint", str(checkpoint), "--seconds", "0.05",
+                      "--warmup", "1", "--reps", str(10**14)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "allocate" in captured.err
+        assert not list(tmp_path.iterdir())
 
 
 class TestExportLatents:

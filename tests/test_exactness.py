@@ -21,7 +21,6 @@ replaced, and the float32 run must stay within a stated tolerance of it.
 """
 
 import dataclasses
-import io
 import math
 import struct
 import tracemalloc
@@ -54,7 +53,6 @@ from latentaudio import (
     VaeHyperParams,
     adam_step,
     assign_clusters,
-    best_matching_unit,
     decode_path,
     encode_audio,
     export_latents,
@@ -63,6 +61,7 @@ from latentaudio import (
     init_model,
     load_checkpoint,
     load_som,
+    load_wav,
     meso_interpolate,
     save_checkpoint,
     save_som,
@@ -415,6 +414,17 @@ def reference_save_wav(buffer, path, encoding="float32"):
         fh.write(b"data" + struct.pack("<I", len(payload)) + payload + pad)
 
 
+def reference_load_mono_wav(path):
+    """The buffer in a file laid out as reference_save_wav writes it."""
+    raw = Path(path).read_bytes()
+    tag, _, rate = struct.unpack_from("<HHI", raw, 20)
+    (size,) = struct.unpack_from("<I", raw, 40)
+    if tag == 3:
+        return AudioBuffer(np.frombuffer(raw, "<f4", size // 4, 44), rate)
+    ints = np.frombuffer(raw, "<i2", size // 2, 44)
+    return AudioBuffer(ints.astype(np.float32) / np.float32(32768.0), rate)
+
+
 def reference_frame_features(frames, config):
     hann, bank, bin_freqs, dct = _spectral_tables(
         config.sample_rate, config.frame_size, config.n_mels, config.n_mfcc
@@ -503,7 +513,7 @@ def reference_array_blend(path_a, path_b, weights):
     """weights (N,) or per segment (S, 1) on a, complement on b; sigma floored."""
     w = weights[..., None]
     means = w * path_a.means() + (1.0 - w) * path_b.means()
-    stds = w * path_a.sigmas() + (1.0 - w) * path_b.sigmas()
+    stds = w * np.exp(path_a.logvar / 2) + (1.0 - w) * np.exp(path_b.logvar / 2)
     m = path_a.latent_dim
     return means.reshape(-1, m), np.maximum(stds, _SIGMA_FLOOR).reshape(-1, m)
 
@@ -749,14 +759,15 @@ class TestClustersMatchReference:
         assert assign_clusters(som, thumbs) == reference_assign_clusters(som, thumbs)
         for thumb in thumbs:
             want = reference_best_matching_unit(som, thumb.features)
-            assert best_matching_unit(som, thumb.features) == want
+            assert assign_clusters(som, [thumb])[0].unit == want
 
     def test_fresh_float64_map(self, corpus):
         som, thumbs = corpus
         assert som.prototypes.dtype == np.float64
         self._check(som, thumbs)
         tied = som.prototypes[0, 4] * som.feature_std + som.feature_mean
-        assert best_matching_unit(som, tied) == reference_best_matching_unit(som, tied) == (4, 0)
+        assert assign_clusters(som, [Thumbnail(tied)])[0].unit == (4, 0)
+        assert reference_best_matching_unit(som, tied) == (4, 0)
 
     def test_loaded_float32_map(self, corpus, tmp_path):
         som, thumbs = corpus
@@ -1098,6 +1109,7 @@ class TestReaderAndWavWriterMatchReference:
         for g, w in zip(got, want):
             assert same_bytes(g, w)
 
+    # the source file's encoding: both are read, and only float32 is written
     @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
     @pytest.mark.parametrize("n", [1, 2, 3, 1001])
     def test_wav_bytes(self, tmp_path, encoding, n):
@@ -1106,14 +1118,15 @@ class TestReaderAndWavWriterMatchReference:
         samples[::5] = -0.0
         buffers = [AudioBuffer(samples, 8000), AudioBuffer(samples[::-1], 44100)]
         for buf in buffers:
-            got, want = tmp_path / "got.wav", tmp_path / "want.wav"
-            save_wav(buf, got, encoding)
-            reference_save_wav(buf, want, encoding)
+            source, got, want = tmp_path / "in.wav", tmp_path / "got.wav", tmp_path / "want.wav"
+            reference_save_wav(buf, source, encoding)
+            save_wav(load_wav(source), got)
+            reference_save_wav(reference_load_mono_wav(source), want)
             assert got.read_bytes() == want.read_bytes()
 
 
 class TestLatentExportRoundTrip:
-    def test_every_field_parses_back_to_its_float32(self):
+    def test_every_field_parses_back_to_its_float32(self, tmp_path):
         info = np.finfo(np.float32)
         rng = np.random.default_rng(9)
         # values across the whole exponent range, with the extremes and signed zero
@@ -1122,9 +1135,8 @@ class TestLatentExportRoundTrip:
         mu[0, :6] = [0.0, -0.0, info.max, -info.max, info.tiny, info.smallest_subnormal]
         bits = rng.integers(0, 0x7F800000, (20, 16), dtype=np.uint32)  # random finite patterns
         logvar = bits.view(np.float32) * np.float32(-1) ** np.arange(16, dtype=np.float32)
-        sink = io.StringIO()
-        export_latents(LatentPath(mu, logvar), sink)
-        rows = sink.getvalue().splitlines()[1:]
+        export_latents(LatentPath(mu, logvar), tmp_path / "latents.csv")
+        rows = (tmp_path / "latents.csv").read_text().splitlines()[1:]
         assert len(rows) == 20
         for i, row in enumerate(rows):
             fields = row.split(",")

@@ -1,4 +1,3 @@
-import io
 import re
 import tracemalloc
 import warnings
@@ -56,7 +55,7 @@ def pair():
 
 def _reconstruction(model, buffer, hop=None):
     path = encode_audio(model, buffer, hop or model.hyper.window_size)
-    return decode_path(model, path.means(), path.sigmas(), MEAN)
+    return decode_path(model, path.means(), np.exp(path.logvar / 2), MEAN)
 
 
 class TestEncodeAudio:
@@ -424,18 +423,16 @@ class TestExportLatents:
         mu, logvar = np.random.default_rng(0).standard_normal((2, n, m)).astype(np.float32)
         return LatentPath(mu, logvar)
 
-    def test_row_and_field_counts(self):
-        sink = io.StringIO()
-        export_latents(self._path(n=4, m=8), sink)
-        lines = sink.getvalue().strip().split("\n")
+    def test_row_and_field_counts(self, tmp_path):
+        export_latents(self._path(n=4, m=8), tmp_path / "latents.csv")
+        lines = (tmp_path / "latents.csv").read_text().strip().split("\n")
         assert len(lines) == 5
         assert lines[0].split(",")[:2] == ["idx", "mu_0"]
         assert all(len(line.split(",")) == 1 + 8 + 8 for line in lines)
 
-    def test_empty_path_writes_header_only(self):
-        sink = io.StringIO()
-        export_latents(LatentPath(np.zeros((0, 2)), np.zeros((0, 2))), sink)
-        assert sink.getvalue() == "idx,mu_0,mu_1,lv_0,lv_1\n"
+    def test_empty_path_writes_header_only(self, tmp_path):
+        export_latents(LatentPath(np.zeros((0, 2)), np.zeros((0, 2))), tmp_path / "latents.csv")
+        assert (tmp_path / "latents.csv").read_text() == "idx,mu_0,mu_1,lv_0,lv_1\n"
 
     def test_reparse_recovers_float32_values(self, tmp_path):
         path = self._path(n=3, m=8)

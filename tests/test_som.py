@@ -19,12 +19,10 @@ from latentaudio import (
     ShapeMismatchError,
     Thumbnail,
     assign_clusters,
-    best_matching_unit,
     concatenate_cluster,
     default_grid_side,
     load_som,
     load_wav,
-    quantization_error,
     save_som,
     train_som,
 )
@@ -72,7 +70,6 @@ class TestTrainSom:
         thumbs = _thumbs(np.vstack([blob1, blob2]))
         som = train_som(thumbs, width=2, height=2, epochs=40, lr0=0.5, seed=0)
         assert som.qe_history[-1] < som.qe_history[0]
-        assert quantization_error(som, thumbs) == pytest.approx(som.qe_history[-1])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
@@ -147,6 +144,11 @@ class TestTrainSom:
         assert som.feature_std[3] == 1.0
 
 
+def _unit(som, features) -> tuple:
+    """The unit assign_clusters gives one thumbnail on its own."""
+    return assign_clusters(som, [Thumbnail(features, "q")])[0].unit
+
+
 class TestBmuAndClusters:
     def test_bmu_hits_exact_prototype(self):
         rng = np.random.default_rng(10)
@@ -155,20 +157,21 @@ class TestBmuAndClusters:
         for y in range(2):
             for x in range(3):
                 raw = som.prototypes[y, x] * som.feature_std + som.feature_mean
-                assert best_matching_unit(som, raw) == (x, y)
+                assert _unit(som, raw) == (x, y)
 
     def test_tie_breaks_to_smallest_row_then_column(self):
         rng = np.random.default_rng(10)
         thumbs = _thumbs(rng.standard_normal((30, 8)))
         som = train_som(thumbs, width=3, height=2, epochs=2, lr0=0.4, seed=4)
         som.prototypes[:] = 0.0  # every unit equally bad
-        assert best_matching_unit(som, np.ones(8)) == (0, 0)
+        assert _unit(som, np.ones(8)) == (0, 0)
 
     def test_bmu_rejects_wrong_dimension(self):
         rng = np.random.default_rng(0)
         som = train_som(_thumbs(rng.standard_normal((10, 4))), width=2, height=1, epochs=2)
-        with pytest.raises(ShapeMismatchError):
-            best_matching_unit(som, np.zeros(9))
+        thumbs = [Thumbnail(np.zeros(4), "fits"), Thumbnail(np.zeros(9), "q")]
+        with pytest.raises(ConfigMismatchError, match="thumbnail 1 is 9-dim, map wants 4"):
+            assign_clusters(som, thumbs)
 
     def test_clusters_partition_the_corpus(self):
         blob1, blob2 = _two_blobs(seed=5)
@@ -263,12 +266,6 @@ class TestConcatenate:
             concatenate_cluster(Cluster(unit=(0, 0), members=()), lambda r: None)
 
 
-def test_quantization_error_rejects_other_dimension():
-    som = train_som(_thumbs(np.eye(4)), width=2, height=1, epochs=1)
-    with pytest.raises(ShapeMismatchError, match="thumbnails are 3-dim, map is 4-dim"):
-        quantization_error(som, _thumbs(np.eye(3)))
-
-
 class TestGridSizing:
     @pytest.mark.parametrize(
         "n,side",
@@ -345,7 +342,7 @@ class TestSomPersistence:
         rng = np.random.default_rng(99)
         for _ in range(10):
             probe = rng.standard_normal(8)
-            assert best_matching_unit(loaded, probe) == best_matching_unit(trained, probe)
+            assert _unit(loaded, probe) == _unit(trained, probe)
 
     def test_feature_config_survives(self, tmp_path):
         cfg = FeatureConfig(sample_rate=22050, frame_size=1024, hop=512, n_mfcc=10, n_mels=20)

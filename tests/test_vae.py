@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -79,9 +80,15 @@ class TestPackageExports:
 
         for name in latentaudio.__all__:
             assert getattr(latentaudio, name) is not None
-        deleted = {"encoder_forward", "decoder_forward", "reparameterize", "elbo_loss", "backward"}
+        deleted = {"encoder_forward", "decoder_forward", "reparameterize", "elbo_loss", "backward",
+                   "quantization_error", "best_matching_unit"}
         assert not deleted & set(latentaudio.__all__)
         assert not any(hasattr(latentaudio, name) for name in deleted)
+        assert not any(hasattr(latentaudio.som, name) for name in deleted)
+        # WAVs are written as float32 only, and the blend takes its sigmas from logvar
+        assert not hasattr(latentaudio.LatentPath, "sigmas")
+        for writer in (latentaudio.save_wav, latentaudio.audio.write_wav):
+            assert "encoding" not in inspect.signature(writer).parameters
         assert {"encode_frames", "decode_frames"} <= set(latentaudio.__all__)
         # window() returns the frame array itself
         assert "WindowSet" not in latentaudio.__all__
