@@ -35,6 +35,7 @@ _RIFF_OVERHEAD = 4 + 8 + _FMT.size + 8
 _RIFF_MAX = 2**32 - 1
 MAX_FLOAT32_SAMPLES = (_RIFF_MAX - _RIFF_OVERHEAD) // 4  # the most one float32 WAV holds
 _RESAMPLE_BLOCK = 65536  # output samples interpolated at a time
+_DOWNMIX_BLOCK = 65536  # frames averaged at a time
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ def load_wav(path) -> AudioBuffer:
     PCM16 and PCM24 samples are scaled by 1/2**15 and 1/2**23, exactly;
     multichannel input is downmixed by arithmetic mean, taken in float64
     and rounded to float32 once, so loud finite channels cannot sum to
-    inf. The buffer keeps the file's native sample rate.
+    inf; the float64 means are taken _DOWNMIX_BLOCK frames at a time. The
+    buffer keeps the file's native sample rate.
 
     Raises:
         MalformedWavError: broken header or chunk bookkeeping, or NaN/inf
@@ -133,8 +135,12 @@ def _decode_wav(raw: bytes, path) -> AudioBuffer:
     if tag == _WAVE_PCM:
         samples /= np.float32(2.0 ** (bits - 1))  # a power of two: exact in float32
     if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1, dtype=np.float64)
-        samples = samples.astype(np.float32)
+        # each row's mean is independent of the others: blocks give the whole array's bits
+        frames = samples.reshape(-1, channels)
+        samples = np.empty(len(frames), dtype=np.float32)
+        for start in range(0, len(frames), _DOWNMIX_BLOCK):
+            block = frames[start : start + _DOWNMIX_BLOCK]
+            samples[start : start + len(block)] = block.mean(axis=1, dtype=np.float64)
     return AudioBuffer(samples, int(rate))
 
 

@@ -9,8 +9,11 @@ Layout, all little-endian:
     u32       CRC32 of every preceding byte
 
 Tensors are parsed until exactly four bytes (the checksum) remain, so the
-tensor count is implicit. Readers check, in order: magic prefix, version
-byte, checksum. Payloads are always float32 regardless of in-memory dtype.
+tensor count is implicit. Payloads are always float32 regardless of
+in-memory dtype. The reader makes one pass over the file and reads each
+payload into its own array, so a caller that keeps some tensors keeps
+only their bytes. It checks, in order: magic prefix, version byte,
+checksum, structure.
 
 Config records (the VAE hyperparameters, the feature recipe) are stored
 as one header field per dataclass field, keyed prefix + field name, in
@@ -108,84 +111,117 @@ def _container_parts(magic: bytes, header_bytes: bytes, tensors):
 def read_container(path, magic: bytes) -> tuple[dict, list]:
     """Read back (header dict, tensor list); tensors come out float32.
 
-    The file is read once into one byte buffer, placed so that every
-    payload starts on a 4-byte boundary; the tensors are writable,
-    C-contiguous views of that buffer, which they keep alive.
+    One pass over the open file: each payload is read straight into its
+    own writable, C-contiguous float32 array, and every byte is folded into
+    a running CRC32. Each size check runs against the file's size before
+    the array it guards is allocated, so a forged shape allocates nothing
+    the file does not hold. A structural fault found part way is raised
+    only after the rest of the body has been read and its checksum
+    checked, so the checks keep their order: magic prefix, version byte,
+    checksum, structure.
 
     Raises:
-        CorruptFileError: wrong magic prefix, bad checksum, truncation, or a
-            tensor shape numpy cannot hold.
+        CorruptFileError: not a regular file, wrong magic prefix, bad
+            checksum, truncation, or a tensor shape numpy cannot hold.
         FormatVersionMismatchError: right family, unknown version byte.
     """
-    raw = _read_aligned(path)
-    if len(raw) < MAGIC_LEN or raw[: MAGIC_LEN - 1].tobytes() != magic[: MAGIC_LEN - 1]:
-        raise CorruptFileError(f"{path}: magic bytes do not match")
-    if raw[MAGIC_LEN - 1] != magic[MAGIC_LEN - 1]:
-        raise FormatVersionMismatchError(
-            f"{path}: format version {raw[MAGIC_LEN - 1]}, "
-            f"expected {magic[MAGIC_LEN - 1]}"
-        )
-    if len(raw) < MAGIC_LEN + 8:
-        raise CorruptFileError(f"{path}: file truncated")
-    end = len(raw) - 4
-    (stored_crc,) = struct.unpack_from("<I", raw, end)
-    if zlib.crc32(raw[:end]) & 0xFFFFFFFF != stored_crc:
+    # before the open, which would block on a FIFO with no writer
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise CorruptFileError(f"{path}: not a regular file")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX_LEN)
+        if len(prefix) < MAGIC_LEN or prefix[: MAGIC_LEN - 1] != magic[: MAGIC_LEN - 1]:
+            raise CorruptFileError(f"{path}: magic bytes do not match")
+        if prefix[MAGIC_LEN - 1] != magic[MAGIC_LEN - 1]:
+            raise FormatVersionMismatchError(
+                f"{path}: format version {prefix[MAGIC_LEN - 1]}, "
+                f"expected {magic[MAGIC_LEN - 1]}"
+            )
+        if size < MAGIC_LEN + 8:
+            raise CorruptFileError(f"{path}: file truncated")
+        body = _Body(fh, path, prefix, end=size - 4)
+        fault = None
+        try:
+            header, tensors = _parse_body(body, struct.unpack_from("<I", prefix, MAGIC_LEN)[0])
+        except _Malformed as exc:
+            fault = exc
+            body.skip_rest()
+        stored_crc = fh.read(4)
+        if len(stored_crc) < 4:
+            raise CorruptFileError(f"{path}: file truncated")
+    if body.crc != struct.unpack("<I", stored_crc)[0]:
         raise CorruptFileError(f"{path}: checksum mismatch")
+    if fault is not None:
+        raise CorruptFileError(f"{path}: {fault}")
+    return header, tensors
 
-    (header_len,) = struct.unpack_from("<I", raw, MAGIC_LEN)
-    pos = _PREFIX_LEN
-    if pos + header_len > end:
-        raise CorruptFileError(f"{path}: header overruns file")
+
+class _Malformed(Exception):
+    """A structural fault; read_container raises it once the checksum holds."""
+
+
+class _Body:
+    """A container's bytes up to its checksum at offset end, read in order
+    and folded into a running CRC32."""
+
+    _SKIP = 1 << 16  # bytes per read when skipping the rest
+
+    def __init__(self, fh, path, prefix: bytes, end: int):
+        self.fh, self.path, self.end = fh, path, end
+        self.pos = len(prefix)
+        self.crc = zlib.crc32(prefix)
+
+    def need(self, n: int, what: str) -> None:
+        """_Malformed(what) unless n more bytes lie before the checksum."""
+        if self.pos + n > self.end:
+            raise _Malformed(what)
+
+    def read(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        data = self.fh.read(n)
+        self._fold(data, n)
+        return data
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Fill out's bytes; the caller has checked that they fit with need."""
+        view = out.reshape(-1).view(np.uint8)
+        self._fold(view[: self.fh.readinto(view)], len(view))
+
+    def skip_rest(self) -> None:
+        while self.pos < self.end:
+            self.read(min(self._SKIP, self.end - self.pos), "")
+
+    def _fold(self, data, n: int) -> None:
+        if len(data) < n:  # the file shrank since its size was taken
+            raise CorruptFileError(f"{self.path}: file truncated")
+        self.crc = zlib.crc32(data, self.crc)
+        self.pos += n
+
+
+def _parse_body(body: _Body, header_len: int) -> tuple[dict, list]:
     try:
-        header_text = raw[pos : pos + header_len].tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError(f"{path}: header is not UTF-8") from exc
+        header_text = body.read(header_len, "header overruns file").decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Malformed("header is not UTF-8") from None
     header = {}
     for line in header_text.splitlines():
         if line:
             key, _, value = line.partition("=")
             header[key] = value
-    pos += header_len
 
     tensors = []
-    while pos < end:
-        if pos + 4 > end:
-            raise CorruptFileError(f"{path}: dangling bytes after last tensor")
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + 4 * rank > end:
-            raise CorruptFileError(f"{path}: tensor shape overruns file")
-        shape = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        nbytes = 4 * math.prod(shape)
-        if pos + nbytes > end:
-            raise CorruptFileError(f"{path}: tensor payload overruns file")
+    while body.pos < body.end:
+        (rank,) = struct.unpack("<I", body.read(4, "dangling bytes after last tensor"))
+        shape = struct.unpack(f"<{rank}I", body.read(4 * rank, "tensor shape overruns file"))
+        body.need(4 * math.prod(shape), "tensor payload overruns file")
         try:  # a zero dim fits any other dims in the file, but numpy may not hold them
-            tensors.append(raw[pos : pos + nbytes].view("<f4").reshape(shape))
+            tensor = np.empty(shape, dtype="<f4")
         except ValueError as exc:
-            raise CorruptFileError(f"{path}: tensor shape {shape}: {exc}") from None
-        pos += nbytes
+            raise _Malformed(f"tensor shape {shape}: {exc}") from None
+        body.read_into(tensor)
+        tensors.append(tensor)
     return header, tensors
-
-
-def _read_aligned(path) -> np.ndarray:
-    """The file's bytes in a uint8 array placed so payloads are 4-aligned.
-
-    Payloads start at _PREFIX_LEN + header_len + 4k, so the array starts
-    -(_PREFIX_LEN + header_len) % 4 bytes into a fresh (16-aligned)
-    allocation. The header length comes from the file itself; a file too
-    short to hold one keeps offset 0 and fails the caller's size checks.
-    """
-    with open(path, "rb") as fh:
-        prefix = fh.read(_PREFIX_LEN)
-        shift = 0
-        if len(prefix) == _PREFIX_LEN:
-            (header_len,) = struct.unpack_from("<I", prefix, MAGIC_LEN)
-            shift = -(_PREFIX_LEN + header_len) % 4
-        raw = np.empty(shift + os.fstat(fh.fileno()).st_size, dtype=np.uint8)[shift:]
-        fh.seek(0)
-        filled = fh.readinto(raw)
-    return raw[:filled]
 
 
 # the type of a field's default -> (value to text, text to value)

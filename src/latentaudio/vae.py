@@ -361,7 +361,9 @@ def adam_step(params: list, grads: list, state: AdamState, learning_rate: float)
 class Checkpoint:
     """A trained model and its training record: hyperparameters,
     parameters, Adam moments and per-epoch losses. Nothing reads the
-    moments back; no command resumes training from a checkpoint.
+    moments back; no command resumes training from a checkpoint. After
+    load_checkpoint every tensor is its own array, so a model built from
+    one holds only the parameters, and the moments go with the Checkpoint.
 
     Tensors are float32, the dtype they were trained in; loss_history
     rows are per-epoch (mean reconstruction, mean KL).
@@ -437,9 +439,9 @@ def model_from_checkpoint(ckpt: Checkpoint) -> VaeModel:
     """Rebuild a float32 inference model from stored tensors.
 
     float32 tensors are used as they are, not copied: the model's weights
-    are ckpt.params, which after load_checkpoint are views of the one
-    buffer the file was read into. Writing to either writes to both, and
-    the model keeps that whole buffer alive, the Adam moments included.
+    are ckpt.params, so writing to either writes to both. After
+    load_checkpoint each is an array of its own, and the model holds only
+    its parameters, not the Adam moments or the loss history.
     """
     return VaeModel([np.asarray(p, dtype=np.float32) for p in ckpt.params], ckpt.hyper)
 

@@ -133,6 +133,26 @@ class TestWavCodec:
         assert np.isfinite(back.samples).all()
         assert np.array_equal(back.samples, np.float32([3e38, -3e38, 0.0]))
 
+    def test_stereo_downmix_holds_one_block_of_float64(self, tmp_path):
+        # 30 s of 48 kHz stereo PCM16: the file's bytes, the interleaved float32
+        # samples and the mono output, plus one block: its float64 means, and as
+        # much again for the reduction's cast buffer and small objects
+        n = 30 * 48000
+        ints = np.random.default_rng(5).integers(-32768, 32768, 2 * n, dtype="<i2")
+        path = tmp_path / "long.wav"
+        path.write_bytes(_wav_bytes(1, 2, 48000, 16, ints.tobytes()))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            got = load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = size + 4 * 2 * n + 4 * n + 2 * 8 * 65536
+        assert peak <= bound, (peak, bound)
+        want = (ints.reshape(-1, 2) / 2.0**15).mean(axis=1).astype(np.float32)
+        assert got.samples.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("tag", [1, 3])
     def test_stereo_downmix_bits_match_float32_mean(self, tmp_path, tag):
         # the float64 mean rounds to the bits the float32 mean gave for

@@ -14,6 +14,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import zlib
@@ -1128,6 +1129,21 @@ class TestExportLatents:
                      "--input", str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out)])
         assert code == 2 and not out.exists()
         assert "params[2] has shape (16, 8)" in capsys.readouterr().err
+
+    def test_checkpoint_that_is_a_fifo_exits_2_naming_it(self, corpus, tmp_path, capsys):
+        # no writer: opening it would block, so the check comes before the open
+        fifo = tmp_path / "fifo.ckpt"
+        os.mkfifo(fifo)
+        out = tmp_path / "latents.csv"
+        codes = []
+        run = threading.Thread(target=lambda: codes.append(main([
+            "export-latents", "--checkpoint", str(fifo),
+            "--input", str(sorted(corpus.glob("*.wav"))[0]), "--out", str(out)])), daemon=True)
+        run.start()
+        run.join(timeout=10)
+        assert not run.is_alive(), "export-latents blocked on the FIFO"
+        assert codes == [2] and not out.exists()
+        assert f"{fifo}: not a regular file" in capsys.readouterr().err
 
 
 CHECKPOINT_KEYS = ["window_size", "latent_dim", "hidden_sizes", "alpha", "learning_rate",

@@ -2,6 +2,7 @@ import os
 import stat
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -178,8 +179,76 @@ def test_tensors_are_aligned_writable_views(tmp_path, header_len):
         assert got.flags.writeable and got.flags.c_contiguous and got.flags.aligned
         assert got.ctypes.data % 4 == 0
         assert np.array_equal(got, want)
-    tensors[0][0, 0] = 42.0  # a view, but writable
+    tensors[0][0, 0] = 42.0  # each tensor is its own array, writable
     assert tensors[0][0, 0] == 42.0
+
+
+def _first_tensor_offset(raw: bytes) -> int:
+    (header_len,) = struct.unpack_from("<I", raw, MAGIC_LEN)
+    return MAGIC_LEN + 4 + header_len
+
+
+# offsets from the first tensor's rank field; a flip there breaks the structure
+# (rank and shape overrun, payloads shift) as well as the checksum
+@pytest.mark.parametrize("offset, value", [
+    (0, 0xFF), (0, 0x01), (3, 0x80), (4, 0xFF), (7, 0x40), (8, 0x05),
+], ids=["rank-low", "rank-bit", "rank-high", "dim0-low", "dim0-high", "dim1"])
+def test_flipped_rank_or_shape_byte_is_a_checksum_mismatch(tmp_path, offset, value):
+    path = tmp_path / "c.bin"
+    write_container(path, MAGIC, {"k": "v"}, _sample_tensors())
+    raw = bytearray(path.read_bytes())
+    raw[_first_tensor_offset(raw) + offset] ^= value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="checksum mismatch"):
+        read_container(path, MAGIC)
+
+
+def test_forged_shape_allocates_nothing_the_file_does_not_hold(tmp_path):
+    # checksummed, so the reader gets past the checksum to the structure: a
+    # 2**30-element (4 GiB) tensor claimed by a 1 MiB file
+    payload = np.random.default_rng(0).bytes(1 << 20)
+    path = tmp_path / "c.bin"
+    path.write_bytes(_with_crc(MAGIC + struct.pack("<I", 0) + struct.pack("<2I", 1, 1 << 30)
+                               + payload))
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFileError, match="tensor payload overruns file"):
+            read_container(path, MAGIC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size, (peak, size)
+
+
+def test_structural_fault_behind_a_bad_checksum_reports_the_checksum(tmp_path):
+    path = tmp_path / "c.bin"
+    body = MAGIC + struct.pack("<I", 0) + struct.pack("<I", 0xFFFFFFFF)  # rank overruns
+    path.write_bytes(body + struct.pack("<I", (zlib.crc32(body) ^ 1) & 0xFFFFFFFF))
+    with pytest.raises(CorruptFileError, match="checksum mismatch"):
+        read_container(path, MAGIC)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_path_that_is_not_a_regular_file_is_a_corrupt_file(tmp_path, kind):
+    path = tmp_path / "m.ckpt"
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    got = []
+
+    def read():  # a FIFO with no writer would block an open()
+        try:
+            read_container(path, MAGIC)
+        except CorruptFileError as exc:
+            got.append(str(exc))
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    assert not reader.is_alive(), "read_container blocked"
+    assert got == [f"{path}: not a regular file"]
 
 
 class _Boom(Exception):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -555,6 +556,23 @@ class TestCheckpointPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatVersionMismatchError):
             load_checkpoint(path)
+
+    def test_loaded_model_holds_only_its_parameters(self, tmp_path):
+        # the Adam moments are two thirds of the file; once the Checkpoint is
+        # gone, nothing the model holds may keep them alive
+        hyper = VaeHyperParams(window_size=256, latent_dim=16, hidden_sizes=(128,),
+                               epochs=1, batch_size=16, sample_rate=8000)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._trained(hyper), path)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            model = model_from_checkpoint(load_checkpoint(path))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.nbytes for p in model.params)
+        assert held <= param_bytes + 65536, (held, param_bytes)
 
     def test_model_from_checkpoint_is_float32_and_consistent(self, small_hyper, tmp_path):
         ckpt = self._trained(small_hyper)
