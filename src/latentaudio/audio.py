@@ -173,9 +173,10 @@ def write_wav(blocks, n_samples: int, sample_rate: int, path) -> None:
 
     The header is built and checked from n_samples before the file is
     opened, and each block is converted and written as it comes, so memory
-    is a block, not the whole output. If the blocks raise, or hold other
-    than n_samples samples, the error propagates and path keeps its old
-    content, as for any atomic_write.
+    is a block, not the whole output. If the blocks raise, hold a NaN or an
+    inf (load_wav would refuse the file), or hold other than n_samples
+    samples, the error propagates and path keeps its old content, as for
+    any atomic_write.
     """
     if n_samples == 0:
         raise ValueError("refusing to write an empty buffer")
@@ -192,6 +193,9 @@ def write_wav(blocks, n_samples: int, sample_rate: int, path) -> None:
         written = 0
         for block in blocks:
             payload = np.ascontiguousarray(block, dtype="<f4")
+            if not np.isfinite(payload).all():
+                raise ValueError(f"{path}: non-finite samples in the block from sample "
+                                 f"{written}; nothing was written")
             fh.write(payload)
             written += len(payload)
         if written != n_samples:

@@ -43,9 +43,10 @@ from .exceptions import (
 )
 from .features import FeatureConfig, Thumbnail, extract_thumbnail
 from .interpolate import (
+    RECIPE,
     SynthesisMode,
     decode_path,
-    encode_audio,
+    encode_blocks,
     export_latents,
     generate_curve,
     render_extended,
@@ -100,7 +101,7 @@ def _convert(raw, field: Field, source: str):
         raise ConfigMismatchError(f"{source}: {exc}") from None
     if field.choices and value not in field.choices:
         raise ConfigMismatchError(
-            f"{source}: must be one of {', '.join(field.choices)}, got {value!r}"
+            f"{source}: must be one of {', '.join(map(str, field.choices))}, got {value!r}"
         )
     return value
 
@@ -133,7 +134,8 @@ def _add_flags(parser: argparse.ArgumentParser, fields) -> None:
 
 def _read_config(path, command: str, fields) -> dict:
     by_name = {f.name: f for f in fields}
-    values = {}
+    # a config without a recipe key was written before recipe 2 existed
+    values = {"recipe": 1} if "recipe" in by_name else {}
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -237,6 +239,9 @@ def _cmd_train(cfg: dict) -> str:
 
 # ---------------------------------------------------------------- synth
 
+# synth and export-latents; _read_config resolves a config file without it to 1
+_RECIPE = Field("recipe", "int", RECIPE, choices=tuple(range(1, RECIPE + 1)),
+                help="encoding recipe: 2 encodes in blocks, 1 as runs before it did")
 SYNTH_FIELDS = (  # read by every strategy
     Field("checkpoint", "path", required=True),
     Field("in1", "path", required=True, help="input recording 1 (weighted by w)"),
@@ -246,6 +251,7 @@ SYNTH_FIELDS = (  # read by every strategy
     Field("seed", "int", 0, help="eps seed for sample mode"),
     Field("crossfade", "int", 0, help="seam crossfade in samples"),
     Field("normalize", "bool", False, help="peak-normalize inputs on load"),
+    _RECIPE,
 )
 _CURVE = Field("curve", "str", "lin:0:1", help="per-window weight curve spec")
 SYNTH_STRATEGIES = {  # strategy -> (help, the options it adds to SYNTH_FIELDS)
@@ -270,12 +276,13 @@ def _cmd_synth(strategy: str, cfg: dict) -> str:
     b = _load_input(cfg["in2"], model.hyper, cfg["normalize"])
 
     if strategy == "step":
-        out = render_stepwise(model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"])
+        out = render_stepwise(model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"],
+                              cfg["recipe"])
     else:
         hop = cfg.get("hop", model.hyper.window_size)  # meso has no hop: windows abut
         count = window_count(min(len(a), len(b)), model.hyper.window_size, hop)
         curve = generate_curve(cfg["curve"], count)
-        out = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"])
+        out = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"], cfg["recipe"])
     # each block is decoded as the writer reaches it: memory holds a few, not the output
     write_wav(out.blocks, out.length, out.sample_rate, cfg["out"])
     return f"wrote {cfg['out']}: {out.length / out.sample_rate:.2f} s at {out.sample_rate} Hz"
@@ -466,6 +473,7 @@ EXPORT_FIELDS = (
     Field("out", "path", required=True, help="CSV output path"),
     Field("hop", "int", help="encode hop (default: window size)"),
     Field("normalize", "bool", False),
+    _RECIPE,
 )
 
 
@@ -473,9 +481,9 @@ def _cmd_export_latents(cfg: dict) -> str:
     model = model_from_checkpoint(load_checkpoint(cfg["checkpoint"]))
     buf = _load_input(cfg["input"], model.hyper, cfg["normalize"])
     hop = model.hyper.window_size if cfg["hop"] is None else cfg["hop"]
-    path = encode_audio(model, buf, hop)
-    export_latents(path, cfg["out"])
-    return f"wrote {len(path)} latent rows to {cfg['out']}"
+    # each block of rows is encoded as the writer reaches it
+    n_rows = export_latents(encode_blocks(model, buf, hop, cfg["recipe"]), cfg["out"])
+    return f"wrote {n_rows} latent rows to {cfg['out']}"
 
 
 # ---------------------------------------------------------------- wiring

@@ -21,20 +21,33 @@ sample i * (W - k); array passes ramp seams in frame order, so once block
 [i0, i1) is joined, every sample before i1 * (W - k) is final. A
 Rendering yields those samples block by block and carries only the k
 after them: the render_* functions hand it to a writer (the CLI streams
-it into the WAV, so memory beyond the encoded paths is a few blocks),
-and the *_interpolate functions fill one AudioBuffer from it. Encoding
-stays whole-path: batches of other row counts can give other bits.
+it into the WAV, so memory is a few blocks), and the *_interpolate
+functions fill one AudioBuffer from it.
+
+Encoding follows a numbered recipe, which synth and export-latents
+sidecars record. Recipe 2 (RECIPE, every new run) encodes at most _BLOCK
+windows at a time, copied out of the input and zero-padded to a multiple
+of 8 rows: so padded, a row's bits do not depend on the rows beside it,
+while a batch of fewer than 8 rows, or of every window of a long input,
+can give other bits. meso and extend encode each decode block's windows
+as the decoder reaches them; stepwise cycles over its paths, so it keeps
+them whole. Recipe 1 encodes a copy of every window in one batch, as
+runs made before recipe 2 did, so that their sidecars regenerate
+bit-exactly. Mean mode runs the mu head only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import MAX_FLOAT32_SAMPLES, AudioBuffer, truncate_pair, window
+from .audio import (
+    MAX_FLOAT32_SAMPLES, AudioBuffer, frame_view, truncate_pair, window, window_count,
+)
 from .container import atomic_write
 from .exceptions import (
     BadStepError,
@@ -44,8 +57,11 @@ from .exceptions import (
 )
 from .vae import VaeModel, decode_frames, encode_frames
 
+RECIPE = 2  # the encoding recipe of new runs; a sidecar without one was made by recipe 1
 _SIGMA_FLOOR = 1e-6
-_BLOCK = 256  # windows blended and decoded at a time
+_BLOCK = 256  # windows encoded, blended and decoded at a time
+_ROW_ALIGN = 8  # recipe-2 encode blocks are zero-padded to a multiple of this many rows
+_CSV_ROWS = 1024  # latent rows formatted at a time
 
 
 @dataclass(frozen=True)
@@ -115,13 +131,51 @@ class SynthesisMode:
         return cls("sampled", seed)
 
 
-def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int) -> LatentPath:
+def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = RECIPE
+                 ) -> LatentPath:
     """Window the buffer and encode every window, order preserved.
 
     The buffer must already be at the model's sample rate; the caller
-    owns resampling.
+    owns resampling. recipe picks the batching (module docstring).
     """
-    return LatentPath(*encode_frames(model, window(buffer, model.hyper.window_size, hop)))
+    return LatentPath(*_encode_path(model, buffer, hop, recipe))
+
+
+def encode_blocks(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = RECIPE
+                  ) -> Iterator[LatentPath]:
+    """encode_audio's path as consecutive LatentPaths, each encoded when it is
+    reached: _BLOCK windows at a time under recipe 2, one path under recipe 1."""
+    return (LatentPath(*stats) for stats in _encoded(model, buffer, hop, recipe))
+
+
+def _encoded(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int, with_logvar=True):
+    """Yield (mu, logvar or None) for runs of consecutive windows of buffer."""
+    if recipe < 2:  # every window in one batch: its bits can depend on the window count
+        yield encode_frames(model, window(buffer, model.hyper.window_size, hop), with_logvar)
+        return
+    frames = frame_view(buffer.samples, model.hyper.window_size, hop)
+    for i in range(0, len(frames), _BLOCK):
+        yield _encode_block(model, frames[i : i + _BLOCK], with_logvar)
+
+
+def _encode_path(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int,
+                 with_logvar=True):
+    """_encoded's runs joined into one (mu, logvar or None) pair."""
+    runs = list(_encoded(model, buffer, hop, recipe, with_logvar))
+    if len(runs) == 1:
+        return runs[0]
+    mu, logvar = zip(*runs)
+    return np.concatenate(mu), np.concatenate(logvar) if with_logvar else None
+
+
+def _encode_block(model: VaeModel, frames: np.ndarray, with_logvar=True):
+    """encode_frames of at most _BLOCK frames, copied into a batch zero-padded
+    to a multiple of _ROW_ALIGN rows; the padding rows are dropped."""
+    n = len(frames)
+    batch = np.zeros((-(-n // _ROW_ALIGN) * _ROW_ALIGN, frames.shape[1]), dtype=model.dtype)
+    batch[:n] = frames
+    mu, logvar = encode_frames(model, batch, with_logvar)
+    return mu[:n], None if logvar is None else logvar[:n]
 
 
 def _number(item: str, text: str) -> float:
@@ -284,24 +338,32 @@ def decode_path(
     return _render(model, len(means), lambda i, _: (means[i], stds[i]), mode, crossfade).buffer()
 
 
-def _blend_rows(path_a: LatentPath, path_b: LatentPath, weight):
-    """rows for _decode_blocks: row i blends window i % N, weight(i) on a; sigma floored.
-    Only sampled rows read the sigmas, so only they exponentiate a block's logvar."""
+def _path_rows(mu: np.ndarray, logvar):
+    """stats(i, sampled) -> (mu, logvar or None) of windows i % N of a whole path;
+    logvar may be None when nothing samples."""
+    return lambda i, sampled: (mu[i % len(mu)], logvar[i % len(mu)] if sampled else None)
+
+
+def _frame_rows(model: VaeModel, frames: np.ndarray):
+    """stats(i, sampled) of the consecutive windows i of frames, encoded when asked for."""
+    return lambda i, sampled: _encode_block(model, frames[i[0] : i[-1] + 1], sampled)
+
+
+def _blend_rows(stats_a, stats_b, weight):
+    """rows for _decode_blocks: row i blends stats_a(i) and stats_b(i), weight(i)
+    on a; sigma floored. Only sampled rows read the sigmas, so only they ask
+    for and exponentiate a block's logvar."""
 
     def rows(i, sampled):
-        w, i = weight(i)[:, None], i % len(path_a)
-        means = w * path_a.mu[i] + (1.0 - w) * path_b.mu[i]
+        w = weight(i)[:, None]
+        (mu_a, logvar_a), (mu_b, logvar_b) = stats_a(i, sampled), stats_b(i, sampled)
+        means = w * mu_a + (1.0 - w) * mu_b
         if not sampled:
             return means, None
-        stds = w * np.exp(path_a.logvar[i] / 2) + (1.0 - w) * np.exp(path_b.logvar[i] / 2)
+        stds = w * np.exp(logvar_a / 2) + (1.0 - w) * np.exp(logvar_b / 2)
         return means, np.maximum(stds, _SIGMA_FLOOR)
 
     return rows
-
-
-def _encode_pair(model, a: AudioBuffer, b: AudioBuffer, hop: int):
-    a, b = truncate_pair(a, b)
-    return encode_audio(model, a, hop), encode_audio(model, b, hop)
 
 
 def stepwise_interpolate(
@@ -331,6 +393,7 @@ def render_stepwise(
     step_s: float,
     mode: SynthesisMode,
     crossfade: int = 0,
+    recipe: int = RECIPE,
 ) -> Rendering:
     """stepwise_interpolate's output as a Rendering: the inputs are encoded
     and every argument is checked now, the blocks are decoded as they are read."""
@@ -341,9 +404,12 @@ def render_stepwise(
     # small epsilon so ratios like 0.8/0.2 land on their exact integer
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
     _check_crossfade(model, crossfade)
-    path_a, path_b = _encode_pair(model, a, b, model.hyper.window_size)
-    rows = _blend_rows(path_a, path_b, lambda i: i // len(path_a) * step_s)
-    return _render(model, n_segments * len(path_a), rows, mode, crossfade)
+    path_a, path_b = (_encode_path(model, x, model.hyper.window_size, recipe,
+                                   mode.kind == "sampled") for x in truncate_pair(a, b))
+    n_windows = len(path_a[0])
+    rows = _blend_rows(_path_rows(*path_a), _path_rows(*path_b),
+                       lambda i: i // n_windows * step_s)
+    return _render(model, n_segments * n_windows, rows, mode, crossfade)
 
 
 def meso_interpolate(
@@ -389,31 +455,50 @@ def render_extended(
     mode: SynthesisMode,
     hop: int = 256,
     crossfade: int = 0,
+    recipe: int = RECIPE,
 ) -> Rendering:
     """extended_interpolate's output (meso_interpolate's at hop = window size)
-    as a Rendering: checked and encoded now, decoded as it is read."""
+    as a Rendering: checked now, encoded and decoded as it is read (recipe 1
+    encodes both paths now)."""
     _check_crossfade(model, crossfade)
-    path_a, path_b = _encode_pair(model, a, b, hop)
-    if len(curve) != len(path_a):
+    pair = truncate_pair(a, b)
+    n_windows = window_count(len(pair[0]), model.hyper.window_size, hop)
+    if len(curve) != n_windows:
         raise CurveLengthMismatchError(
-            f"curve has {len(curve)} values but the inputs give {len(path_a)} windows"
+            f"curve has {len(curve)} values but the inputs give {n_windows} windows"
         )
-    rows = _blend_rows(path_a, path_b, lambda i: curve.values[i])
-    return _render(model, len(path_a), rows, mode, crossfade)
+    if recipe < 2:
+        stats = [_path_rows(*_encode_path(model, x, hop, recipe, mode.kind == "sampled"))
+                 for x in pair]
+    else:  # each decode block's windows of both inputs, encoded as the decoder reaches them
+        stats = [_frame_rows(model, frame_view(x.samples, model.hyper.window_size, hop))
+                 for x in pair]
+    rows = _blend_rows(*stats, lambda i: curve.values[i])
+    return _render(model, n_windows, rows, mode, crossfade)
 
 
-def export_latents(path: LatentPath, file) -> None:
+def export_latents(path, file) -> int:
     """Write one CSV row per window to the file path, atomically: index, mu
-    entries, logvar entries.
+    entries, logvar entries. Return the row count.
 
-    Values are float32 printed to 9 significant digits, which parse back
-    to the same float32; an empty (0, M) path writes just the header.
+    path is a LatentPath, or consecutive LatentPaths of one path (as
+    encode_blocks yields them), each written as it arrives and formatted
+    _CSV_ROWS rows at a time. Values are float32 printed to 9 significant
+    digits, which parse back to the same float32; an empty (0, M) path
+    writes just the header.
     """
-    m = path.latent_dim
+    blocks = iter([path] if isinstance(path, LatentPath) else path)
+    first = next(blocks)
+    m = first.latent_dim
     columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
     row_format = "%d" + ",%.9g" * (2 * m) + "\n"
-    rows = np.concatenate([path.mu, path.logvar], axis=1).astype(np.float32)
+    idx = 0
     with atomic_write(file, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for idx, values in enumerate(rows.tolist()):
-            fh.write(row_format % (idx, *values))
+        for block in itertools.chain([first], blocks):
+            for s in range(0, len(block), _CSV_ROWS):
+                part = [block.mu[s : s + _CSV_ROWS], block.logvar[s : s + _CSV_ROWS]]
+                for values in np.concatenate(part, axis=1, dtype=np.float32).tolist():
+                    fh.write(row_format % (idx, *values))
+                    idx += 1
+    return idx

@@ -200,8 +200,12 @@ def init_model(hyper: VaeHyperParams, rng=None, dtype=np.float64) -> VaeModel:
     return VaeModel(params, hyper)
 
 
-def encode_frames(model: VaeModel, frames: np.ndarray):
-    """Batched encoder: (B, window_size) -> mu, logvar of shape (B, M)."""
+def encode_frames(model: VaeModel, frames: np.ndarray, with_logvar: bool = True):
+    """Batched encoder: (B, window_size) -> mu, logvar of shape (B, M).
+
+    with_logvar=False runs the mu head only and returns None for logvar;
+    the heads are separate matmuls, so mu has the same bits either way.
+    """
     h = np.asarray(frames, dtype=model.dtype)
     if h.ndim != 2 or h.shape[1] != model.hyper.window_size:
         raise ShapeMismatchError(
@@ -209,7 +213,7 @@ def encode_frames(model: VaeModel, frames: np.ndarray):
         )
     encoder, mu_head, logvar_head, _ = model.layers()
     h = _forward_layers(h, encoder)
-    return _affine(h, *mu_head), _affine(h, *logvar_head)
+    return _affine(h, *mu_head), _affine(h, *logvar_head) if with_logvar else None
 
 
 def decode_frames(model: VaeModel, z: np.ndarray) -> np.ndarray:
@@ -469,6 +473,9 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: {('params', 'adam_m', 'adam_v')[group]}[{k}] has shape "
                 f"{t.shape}, the header's hyperparameters give {shapes[k]}"
             )
+        # the checksum proves the bytes are as written, not that a model can use them
+        if group == 0 and not np.isfinite(t).all():
+            raise CorruptFileError(f"{path}: params[{k}] holds non-finite values")
     loss_history = tensors[-1]
     if loss_history.ndim != 2 or loss_history.shape[1] != 2:
         raise CorruptFileError(f"{path}: loss history has shape {loss_history.shape}")

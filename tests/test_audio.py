@@ -285,6 +285,18 @@ class TestWavCodec:
         assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
         assert path.read_bytes() == b"earlier"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_writes_nothing(self, tmp_path, bad):
+        # load_wav refuses such a file, so the writer does not make one
+        path = tmp_path / "x.wav"
+        second = np.zeros(6, dtype=np.float32)
+        second[4] = bad
+        with pytest.raises(ValueError, match="non-finite samples in the block from sample 4"):
+            write_wav((np.zeros(4, dtype=np.float32), second), 10, 8000, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            save_wav(AudioBuffer(second, 8000), path)
+        assert not list(tmp_path.iterdir())
+
     def test_length_is_checked_before_the_first_block(self, tmp_path):
         def blocks():
             raise AssertionError("a block was read")

@@ -29,6 +29,7 @@ from latentaudio import (
     CorruptFileError,
     SynthesisMode,
     encode_audio,
+    export_latents,
     extended_interpolate,
     generate_curve,
     load_checkpoint,
@@ -168,9 +169,10 @@ class TestTrain:
         bad_dir.mkdir()
         for src in corpus.glob("*.wav"):
             (bad_dir / src.name).write_bytes(src.read_bytes())
-        samples = load_wav(bad_dir / "tone0.wav").samples.copy()
-        samples[100] = np.nan
-        save_wav(AudioBuffer(samples, RATE), bad_dir / "tone0.wav")
+        # save_wav refuses a NaN, so the sample's bytes are patched in place
+        raw = bytearray((bad_dir / "tone0.wav").read_bytes())
+        raw[44 + 4 * 100 : 44 + 4 * 101] = np.float32(np.nan).tobytes()
+        (bad_dir / "tone0.wav").write_bytes(raw)
         code = main([
             "train", "--dataset-dir", str(bad_dir),
             "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS,
@@ -328,7 +330,7 @@ class TestSynth:
         assert _synth(strategy, checkpoint, corpus, out) == 0
         lines = (tmp_path / "o.wav.cfg").read_text().splitlines()
         common = {"command", "checkpoint", "in1", "in2", "out", "mode",  # mean mode: no seed
-                  "crossfade", "normalize"}
+                  "crossfade", "normalize", "recipe"}
         assert {line.partition("=")[0] for line in lines} == common | own
 
     def test_mean_mode_accepts_seed_and_records_none(self, checkpoint, corpus, tmp_path):
@@ -362,8 +364,9 @@ class TestSynth:
         pre_split = ("checkpoint", "in1", "in2", "out", "mode", "seed", "range", "step",
                      "curve", "hop", "crossfade", "normalize")
         first = tmp_path / "first.wav"
+        # such sidecars predate the recipe key, so they regenerate through recipe 1
         assert _synth(strategy, checkpoint, corpus, first,
-                      "--mode", "sample", "--seed", "4", *flags) == 0
+                      "--mode", "sample", "--seed", "4", "--recipe", "1", *flags) == 0
         written = (tmp_path / "first.wav.cfg").read_text().splitlines()
         # the other strategies' keys at values that would change the artifact if read
         values = {"range": "2.0", "step": "0.5", "curve": "const:1", "hop": "16",
@@ -1069,6 +1072,45 @@ class TestBench:
         assert "seconds" in capsys.readouterr().err
 
 
+class TestNonFinite:
+    """Neither a loud input nor a damaged model yields audio or latents that
+    are not finite: the command exits 2 and leaves no file behind."""
+
+    # exp(logvar / 2) overflows on these inputs, and numpy warns of it
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_sampled_synth_of_loud_input_writes_nothing(self, checkpoint, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for i in range(2):  # finite float32 samples, which load_wav accepts
+            loud = (rng.uniform(-1.0, 1.0, RATE) * 1e37).astype(np.float32)
+            save_wav(AudioBuffer(loud, RATE), tmp_path / f"loud{i}.wav")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "meso", "--checkpoint", str(checkpoint),
+                     "--in1", str(tmp_path / "loud0.wav"), "--in2", str(tmp_path / "loud1.wav"),
+                     "--out", str(out / "o.wav"), "--mode", "sample"]) == 2
+        assert "non-finite samples" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command, bad", [("synth meso", np.nan),
+                                              ("export-latents", np.inf)])
+    def test_checkpoint_with_non_finite_weight(self, checkpoint, corpus, tmp_path, capsys,
+                                               command, bad):
+        ckpt = load_checkpoint(checkpoint)
+        ckpt.params[2][0, 0] = bad  # written with a valid checksum
+        damaged = tmp_path / "damaged.ckpt"
+        save_checkpoint(ckpt, damaged)
+        with pytest.raises(CorruptFileError, match=f"{re.escape(str(damaged))}: params\\[2\\]"):
+            load_checkpoint(damaged)
+        out = tmp_path / "out"
+        out.mkdir()
+        wavs = [str(w) for w in sorted(corpus.glob("*.wav"))[:2]]
+        argv = {"synth meso": ["synth", "meso", "--in1", wavs[0], "--in2", wavs[1]],
+                "export-latents": ["export-latents", "--input", wavs[0]]}[command]
+        assert main([*argv, "--checkpoint", str(damaged), "--out", str(out / "o")]) == 2
+        assert "non-finite values" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+
 class TestCountTooLargeToAllocate:
     """A count whose array no address space holds (10**14 float64 values are
     over 700 TiB) is one error line and exit 2, and leaves no file behind."""
@@ -1116,6 +1158,27 @@ class TestExportLatents:
         assert len(rows) == len(path)
         got_mu0 = np.array([np.float32(r.split(",")[1]) for r in rows])
         assert np.array_equal(got_mu0, path.means()[:, 0].astype(np.float32))
+
+    def test_streamed_csv_is_the_export_of_the_whole_path(self, checkpoint, corpus, tmp_path,
+                                                          monkeypatch):
+        # 249 rows in blocks of 16: the last one is short
+        monkeypatch.setattr(interpolate, "_BLOCK", 16)
+        wav = sorted(corpus.glob("*.wav"))[0]
+        out = tmp_path / "latents.csv"
+        assert main(["export-latents", "--checkpoint", str(checkpoint),
+                     "--input", str(wav), "--out", str(out), "--hop", "32"]) == 0
+        assert "recipe=2" in (tmp_path / "latents.csv.cfg").read_text().splitlines()
+        model = model_from_checkpoint(load_checkpoint(checkpoint))
+        export_latents(encode_audio(model, resample(load_wav(wav), RATE), 32), tmp_path / "w.csv")
+        assert out.read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["0", "3"])
+    def test_unknown_recipe_is_usage_error(self, checkpoint, corpus, tmp_path, capsys, value):
+        wav = sorted(corpus.glob("*.wav"))[0]
+        assert main(["export-latents", "--checkpoint", str(checkpoint), "--input", str(wav),
+                     "--out", str(tmp_path / "x.csv"), "--recipe", value]) == 2
+        assert "--recipe: must be one of 1, 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_checkpoint_header_disagreeing_with_tensors_exits_2(
         self, checkpoint, corpus, tmp_path, capsys

@@ -15,12 +15,18 @@ buffer. None of that may change a single bit: each reference below is
 the plain numpy code the kernel replaced, and results must be
 np.array_equal (or equal as bytes), not merely close.
 
+Encoding has two references, one per recipe. Recipe 1 encodes every
+window of an input in one batch; recipe 2 encodes blocks of at most 256
+windows, zero-padded to a multiple of 8 rows, and its results must not
+depend on where the block boundaries fall.
+
 Training is the one kernel whose numbers were meant to change: it moved
 from float64 to float32. Its reference is the float64 training loop it
 replaced, and the float32 run must stay within a stated tolerance of it.
 """
 
 import dataclasses
+import functools
 import math
 import struct
 import tracemalloc
@@ -58,6 +64,7 @@ from latentaudio import (
     export_latents,
     extended_interpolate,
     extract_thumbnail,
+    generate_curve,
     init_model,
     load_checkpoint,
     load_som,
@@ -75,9 +82,12 @@ from latentaudio import (
 from latentaudio import interpolate as interpolate_module
 from latentaudio import vae as vae_module
 from latentaudio.audio import frame_view
+from latentaudio.cli import main as cli_main
 from latentaudio.container import MAGIC_LEN, read_container, write_container
 from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
-from latentaudio.interpolate import _SIGMA_FLOOR, _blend_rows
+from latentaudio.interpolate import (
+    _SIGMA_FLOOR, _blend_rows, _path_rows, render_extended, render_stepwise,
+)
 from latentaudio.som import _LR_FLOOR_FACTOR, _RADIUS_FLOOR, _quantization_error
 from latentaudio.vae import (
     _ADAM_BETA1,
@@ -518,21 +528,56 @@ def reference_array_blend(path_a, path_b, weights):
     return means.reshape(-1, m), np.maximum(stds, _SIGMA_FLOOR).reshape(-1, m)
 
 
-def reference_stepwise(model, a, b, range_r, step_s, mode, crossfade):
+def reference_encode_whole(model, buffer, hop):
+    """Recipe 1: every window of the buffer encoded in one batch."""
+    return LatentPath(*encode_frames(model, window(buffer, model.hyper.window_size, hop)))
+
+
+def reference_encode_blocks(model, buffer, hop, cuts=None):
+    """Recipe 2: windows [cuts[j], cuts[j + 1]) copied into a batch zero-padded
+    to a multiple of 8 rows, encoded, the padding rows dropped; by default
+    blocks of 256 from window 0."""
+    frames = window(buffer, model.hyper.window_size, hop)
+    if cuts is None:
+        cuts = [*range(0, len(frames), 256), len(frames)]
+    mu, logvar = [], []
+    for i0, i1 in zip(cuts, cuts[1:]):
+        batch = np.zeros((-(-(i1 - i0) // 8) * 8, frames.shape[1]), dtype=model.dtype)
+        batch[: i1 - i0] = frames[i0:i1]
+        block_mu, block_logvar = encode_frames(model, batch)
+        mu.append(block_mu[: i1 - i0])
+        logvar.append(block_logvar[: i1 - i0])
+    return LatentPath(np.concatenate(mu), np.concatenate(logvar))
+
+
+def reference_stepwise(model, a, b, range_r, step_s, mode, crossfade,
+                       encode=reference_encode_blocks):
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
     a, b = truncate_pair(a, b)
     width = model.hyper.window_size
-    path_a, path_b = encode_audio(model, a, width), encode_audio(model, b, width)
+    path_a, path_b = encode(model, a, width), encode(model, b, width)
     weights = (np.arange(n_segments) * step_s)[:, None]
     means, stds = reference_array_blend(path_a, path_b, weights)
     return reference_decode_path(model, means, stds, mode, crossfade)
 
 
-def reference_extended(model, a, b, curve, mode, hop, crossfade):
+def reference_extended(model, a, b, curve, mode, hop, crossfade, encode=reference_encode_blocks):
     a, b = truncate_pair(a, b)
-    path_a, path_b = encode_audio(model, a, hop), encode_audio(model, b, hop)
+    path_a, path_b = encode(model, a, hop), encode(model, b, hop)
     means, stds = reference_array_blend(path_a, path_b, curve.values)
     return reference_decode_path(model, means, stds, mode, crossfade)
+
+
+def reference_export_latents(path, file):
+    """The export that formatted every row of the path in one call."""
+    m = path.latent_dim
+    columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
+    row_format = "%d" + ",%.9g" * (2 * m) + "\n"
+    rows = np.concatenate([path.mu, path.logvar], axis=1).astype(np.float32)
+    with open(file, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for idx, values in enumerate(rows.tolist()):
+            fh.write(row_format % (idx, *values))
 
 
 class TestAdamMatchesReference:
@@ -805,19 +850,19 @@ class TestFeatureTables:
 class TestBlendMatchesReference:
     N_WINDOWS = 13
 
-    def _paths(self, m):
+    def _stats(self, m):
         rng = np.random.default_rng(m)
         mu_a, lv_a, mu_b, lv_b = rng.standard_normal((4, self.N_WINDOWS, m)).astype(np.float32)
         ref_a = ReferencePath(LatentStats(mu, lv) for mu, lv in zip(mu_a, lv_a))
         ref_b = ReferencePath(LatentStats(mu, lv) for mu, lv in zip(mu_b, lv_b))
-        return LatentPath(mu_a, lv_a), LatentPath(mu_b, lv_b), ref_a, ref_b
+        return _path_rows(mu_a, lv_a), _path_rows(mu_b, lv_b), ref_a, ref_b
 
     @pytest.mark.parametrize("m", [8, 256])
     @pytest.mark.parametrize("segments", [1, 2, 21])
     def test_stepwise_segments(self, m, segments):
-        path_a, path_b, ref_a, ref_b = self._paths(m)
+        stats_a, stats_b, ref_a, ref_b = self._stats(m)
         sweep = np.arange(segments) * 0.05
-        rows = _blend_rows(path_a, path_b, lambda i: i // self.N_WINDOWS * 0.05)
+        rows = _blend_rows(stats_a, stats_b, lambda i: i // self.N_WINDOWS * 0.05)
         means, stds = rows(np.arange(segments * self.N_WINDOWS), True)
         want_means, want_stds = reference_blend(
             reference_tile_path(ref_a, segments), reference_tile_path(ref_b, segments),
@@ -828,17 +873,17 @@ class TestBlendMatchesReference:
 
     @pytest.mark.parametrize("m", [8, 256])
     def test_per_window_curve(self, m):
-        path_a, path_b, ref_a, ref_b = self._paths(m)
+        stats_a, stats_b, ref_a, ref_b = self._stats(m)
         curve = InterpolationCurve(np.sin(np.arange(self.N_WINDOWS) / 2.0))
-        rows = _blend_rows(path_a, path_b, lambda i: curve.values[i])
+        rows = _blend_rows(stats_a, stats_b, lambda i: curve.values[i])
         means, stds = rows(np.arange(self.N_WINDOWS), True)
         want_means, want_stds = reference_blend(ref_a, ref_b, curve.values)
         assert np.array_equal(means, want_means)
         assert np.array_equal(stds, want_stds)
 
     def test_mean_only_rows_skip_stds(self):
-        path_a, path_b, ref_a, ref_b = self._paths(8)
-        rows = _blend_rows(path_a, path_b, lambda i: i * 0.1)
+        stats_a, stats_b, ref_a, ref_b = self._stats(8)
+        rows = _blend_rows(stats_a, stats_b, lambda i: i * 0.1)
         means, stds = rows(np.arange(self.N_WINDOWS), False)
         assert stds is None
         want_means, _ = reference_blend(ref_a, ref_b, np.arange(self.N_WINDOWS) * 0.1)
@@ -970,6 +1015,29 @@ class TestBlockwiseSynthesisMatchesReference:
             assert max(sizes) <= self.BLOCK
             assert min(sizes) >= min(total, 2)
 
+    @pytest.mark.parametrize("segments,windows", [(1, 17), (21, 5)])
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    @pytest.mark.parametrize("crossfade", [0, 30])
+    def test_recipe_1_stepwise(self, model, small_blocks, segments, windows, mode, crossfade):
+        a, b = self._pair(windows, self.HYPER.window_size)
+        range_r, step_s = {1: (0.0, 0.5), 21: (1.0, 0.05)}[segments]
+        got = render_stepwise(model, a, b, range_r, step_s, mode, crossfade, recipe=1)
+        want = reference_stepwise(model, a, b, range_r, step_s, mode, crossfade,
+                                  encode=reference_encode_whole)
+        self._assert_same(got.buffer(), want)
+
+    # 700 windows: at this shape one batch of them encodes to other bits than blocks do
+    @pytest.mark.parametrize("windows,hop", [(1, 48), (17, 48), (17, 16), (700, 16)])
+    @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
+    @pytest.mark.parametrize("crossfade", [0, 30])
+    def test_recipe_1_extended_and_meso(self, model, windows, hop, mode, crossfade):
+        a, b = self._pair(windows, hop)
+        curve = InterpolationCurve(1.5 * np.sin(np.arange(windows) * 0.7))
+        got = render_extended(model, a, b, curve, mode, hop, crossfade, recipe=1)
+        want = reference_extended(model, a, b, curve, mode, hop, crossfade,
+                                  encode=reference_encode_whole)
+        self._assert_same(got.buffer(), want)
+
 
 @settings(max_examples=40, deadline=None)
 @given(width=st.integers(2, 24), rows=st.integers(0, 20), seed=st.integers(0, 2**16),
@@ -987,6 +1055,48 @@ def test_every_crossfade_joins_like_the_reference(width, rows, seed, sampled):
             got = decode_path(model, means, stds, mode, crossfade)
             want = reference_decode_path(model, means, stds, mode, crossfade)
             assert same_bytes(got.samples, want.samples), crossfade
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_model(shape):
+    return float32_model({"48-wide": TestBlockwiseSynthesisMatchesReference.HYPER,
+                          "default": VaeHyperParams()}[shape])
+
+
+@st.composite
+def _partitions(draw, n):
+    """Cut points 0 = c0 < c1 < ... = n, blocks of 1 to 256 rows."""
+    cuts = [0]
+    while cuts[-1] < n:
+        cuts.append(min(n, cuts[-1] + draw(st.integers(1, 256))))
+    return cuts
+
+
+@pytest.mark.parametrize("shape", ["48-wide", "default"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), windows=st.integers(1, 700), hop_den=st.sampled_from([1, 2, 4]),
+       block=st.integers(8, 256), sampled=st.booleans(), crossfade=st.sampled_from([0, 5]))
+def test_recipe_2_bits_do_not_depend_on_the_block_partition(shape, data, windows, hop_den,
+                                                              block, sampled, crossfade):
+    """Any partition into padded blocks of at most 256 windows gives each window's
+    latents, and so the render, the bits of encode_audio's 256-row blocks."""
+    model = _partition_model(shape)
+    width = model.hyper.window_size
+    hop = width // hop_den
+    a = _noise(width + (windows - 1) * hop, 1)
+    b = _noise(width + (windows - 1) * hop, 2)
+    path_a = reference_encode_blocks(model, a, hop, data.draw(_partitions(windows)))
+    path_b = reference_encode_blocks(model, b, hop, data.draw(_partitions(windows)))
+    want_a = encode_audio(model, a, hop)
+    assert same_bytes(path_a.mu, want_a.mu) and same_bytes(path_a.logvar, want_a.logvar)
+    mode = SynthesisMode.sampled(windows) if sampled else SynthesisMode.mean_only()
+    curve = InterpolationCurve(np.linspace(-0.5, 1.5, windows))
+    means, stds = reference_array_blend(path_a, path_b, curve.values)
+    # decode blocks of at most `block` rows; the render encodes each as it decodes it
+    with mock.patch.object(interpolate_module, "_BLOCK", block):
+        got = extended_interpolate(model, a, b, curve, mode, hop, crossfade)
+        want = decode_path(model, means, stds, mode, crossfade)
+    assert same_bytes(got.samples, want.samples)
 
 
 class TestInferenceMatchesReference:
@@ -1123,6 +1233,66 @@ class TestReaderAndWavWriterMatchReference:
             save_wav(load_wav(source), got)
             reference_save_wav(reference_load_mono_wav(source), want)
             assert got.read_bytes() == want.read_bytes()
+
+
+class TestParentSidecarsRegenerate:
+    """A sidecar as the commands wrote it before the recipe key existed (paths
+    aside, byte for byte) regenerates the whole-path encode's artifact."""
+
+    HYPER = TestBlockwiseSynthesisMatchesReference.HYPER
+    COMMON = "checkpoint={ckpt}\nin1={in1}\nin2={in2}\nout={out}\n"
+    SIDECARS = {
+        "step": "command=synth step\n" + COMMON +
+                "mode=mean\ncrossfade=5\nnormalize=0\nrange=1.0\nstep=0.5\n",
+        "meso": "command=synth meso\n" + COMMON +
+                "mode=mean\ncrossfade=0\nnormalize=0\ncurve=sine:p=50\n",
+        "extend": "command=synth extend\n" + COMMON +
+                  "mode=sample\nseed=7\ncrossfade=20\nnormalize=0\ncurve=lin:0:1\nhop=16\n",
+        "export-latents": "command=export-latents\ncheckpoint={ckpt}\ninput={in1}\n"
+                          "out={out}\nhop=16\nnormalize=0\n",
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parent")
+        model = float32_model(self.HYPER)
+        zeros = [np.zeros_like(p) for p in model.params]
+        save_checkpoint(Checkpoint(self.HYPER, model.params, zeros, zeros, 0,
+                                   np.zeros((1, 2), np.float32)), root / "m.ckpt")
+        # 748 windows at hop 16: one batch of them encodes to other bits than blocks do
+        for i in (1, 2):
+            save_wav(_noise(12000, i), root / f"in{i}.wav")
+        return root, model
+
+    def _want(self, command, model, root, out):
+        a, b = (load_wav(root / f"in{i}.wav") for i in (1, 2))
+        whole = reference_encode_whole
+        if command == "export-latents":
+            return reference_export_latents(whole(model, a, 16), out)
+        if command == "step":
+            buf = reference_stepwise(model, a, b, 1.0, 0.5, SynthesisMode.mean_only(), 5,
+                                     encode=whole)
+        else:
+            hop, curve, mode, crossfade = {
+                "meso": (48, "sine:p=50", SynthesisMode.mean_only(), 0),
+                "extend": (16, "lin:0:1", SynthesisMode.sampled(7), 20)}[command]
+            n = (len(a) - 48) // hop + 1
+            buf = reference_extended(model, a, b, generate_curve(curve, n), mode, hop,
+                                     crossfade, encode=whole)
+        reference_save_wav(buf, out)
+
+    @pytest.mark.parametrize("command", ["step", "meso", "extend", "export-latents"])
+    def test_regenerates_through_recipe_1(self, files, tmp_path, command):
+        root, model = files
+        out = tmp_path / "regenerated"
+        sidecar = tmp_path / "parent.cfg"
+        sidecar.write_text(self.SIDECARS[command].format(
+            ckpt=root / "m.ckpt", in1=root / "in1.wav", in2=root / "in2.wav", out=out))
+        argv = ["export-latents"] if command == "export-latents" else ["synth", command]
+        assert cli_main([*argv, "--config", str(sidecar)]) == 0
+        self._want(command, model, root, tmp_path / "want")
+        assert out.read_bytes() == (tmp_path / "want").read_bytes()
+        assert "recipe=1" in (tmp_path / "regenerated.cfg").read_text().splitlines()
 
 
 class TestLatentExportRoundTrip:
