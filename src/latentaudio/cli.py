@@ -38,6 +38,7 @@ from .exceptions import (
     ConfigMismatchError,
     EmptyDatasetError,
     LatentAudioError,
+    LoudInputError,
     NonFiniteLossError,
     TooShortError,
 )
@@ -283,8 +284,10 @@ def _cmd_synth(strategy: str, cfg: dict) -> str:
         count = window_count(min(len(a), len(b)), model.hyper.window_size, hop)
         curve = generate_curve(cfg["curve"], count)
         out = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"], cfg["recipe"])
-    # each block is decoded as the writer reaches it: memory holds a few, not the output
-    write_wav(out.blocks, out.length, out.sample_rate, cfg["out"])
+    try:  # each block is decoded as the writer reaches it: memory holds a few, not the output
+        write_wav(out.blocks, out.length, out.sample_rate, cfg["out"])
+    except LoudInputError as exc:  # name the input by its path
+        raise LoudInputError(exc.index, exc.window, cfg[("in1", "in2")[exc.index]]) from None
     return f"wrote {cfg['out']}: {out.length / out.sample_rate:.2f} s at {out.sample_rate} Hz"
 
 

@@ -67,5 +67,17 @@ class EmptySpecError(LatentAudioError):
     """Curve specification with no content."""
 
 
+class LoudInputError(LatentAudioError):
+    """Sampled synthesis input too loud for the model: at some window its
+    posterior sigma, exp(logvar / 2), is not finite. index is 0 for the first
+    input (a) and 1 for the second (b); name defaults to "input a" or "input b"."""
+
+    def __init__(self, index: int, window: int, name: str = ""):
+        super().__init__(f"{name or 'input ' + 'ab'[index]}: window {window} encodes to a "
+                         "non-finite sigma in sample mode, so the input is too loud for the "
+                         "model; peak-normalize it (--normalize)")
+        self.index, self.window = index, window
+
+
 class NonFiniteLossError(LatentAudioError):
     """Training loss became NaN or infinite."""

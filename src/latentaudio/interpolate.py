@@ -31,9 +31,9 @@ of 8 rows: so padded, a row's bits do not depend on the rows beside it,
 while a batch of fewer than 8 rows, or of every window of a long input,
 can give other bits. meso and extend encode each decode block's windows
 as the decoder reaches them; stepwise cycles over its paths, so it keeps
-them whole. Recipe 1 encodes a copy of every window in one batch, as
-runs made before recipe 2 did, so that their sidecars regenerate
-bit-exactly. Mean mode runs the mu head only.
+them whole. Recipe 1 is one unpadded batch of every window through the
+same block encoder, as runs made before recipe 2 encoded, so that their
+sidecars regenerate bit-exactly. Mean mode runs the mu head only.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import (
-    MAX_FLOAT32_SAMPLES, AudioBuffer, frame_view, truncate_pair, window, window_count,
-)
+from .audio import MAX_FLOAT32_SAMPLES, AudioBuffer, frame_view, truncate_pair, window_count
 from .container import atomic_write
 from .exceptions import (
     BadStepError,
     CurveLengthMismatchError,
     EmptySpecError,
+    LoudInputError,
     ShapeMismatchError,
 )
 from .vae import VaeModel, decode_frames, encode_frames
@@ -131,14 +130,14 @@ class SynthesisMode:
         return cls("sampled", seed)
 
 
-def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = RECIPE
-                 ) -> LatentPath:
+def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int) -> LatentPath:
     """Window the buffer and encode every window, order preserved.
 
     The buffer must already be at the model's sample rate; the caller
-    owns resampling. recipe picks the batching (module docstring).
+    owns resampling. Windows are encoded by recipe 2 (module docstring);
+    encode_blocks(..., recipe=1) yields recipe 1's path as its one block.
     """
-    return LatentPath(*_encode_path(model, buffer, hop, recipe))
+    return LatentPath(*_encode_path(model, buffer, hop, RECIPE))
 
 
 def encode_blocks(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = RECIPE
@@ -149,13 +148,12 @@ def encode_blocks(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = 
 
 
 def _encoded(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int, with_logvar=True):
-    """Yield (mu, logvar or None) for runs of consecutive windows of buffer."""
-    if recipe < 2:  # every window in one batch: its bits can depend on the window count
-        yield encode_frames(model, window(buffer, model.hyper.window_size, hop), with_logvar)
-        return
+    """Yield (mu, logvar or None) for runs of consecutive windows of buffer,
+    each run one _encode_block batch of the recipe's shape."""
     frames = frame_view(buffer.samples, model.hyper.window_size, hop)
-    for i in range(0, len(frames), _BLOCK):
-        yield _encode_block(model, frames[i : i + _BLOCK], with_logvar)
+    rows, align = (_BLOCK, _ROW_ALIGN) if recipe >= 2 else (len(frames), 1)
+    for i in range(0, len(frames), rows):
+        yield _encode_block(model, frames[i : i + rows], align, with_logvar)
 
 
 def _encode_path(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int,
@@ -168,11 +166,11 @@ def _encode_path(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int,
     return np.concatenate(mu), np.concatenate(logvar) if with_logvar else None
 
 
-def _encode_block(model: VaeModel, frames: np.ndarray, with_logvar=True):
-    """encode_frames of at most _BLOCK frames, copied into a batch zero-padded
-    to a multiple of _ROW_ALIGN rows; the padding rows are dropped."""
+def _encode_block(model: VaeModel, frames: np.ndarray, align: int, with_logvar=True):
+    """encode_frames of frames, copied into a batch zero-padded to a multiple
+    of align rows; the padding rows are dropped."""
     n = len(frames)
-    batch = np.zeros((-(-n // _ROW_ALIGN) * _ROW_ALIGN, frames.shape[1]), dtype=model.dtype)
+    batch = np.zeros((-(-n // align) * align, frames.shape[1]), dtype=model.dtype)
     batch[:n] = frames
     mu, logvar = encode_frames(model, batch, with_logvar)
     return mu[:n], None if logvar is None else logvar[:n]
@@ -346,13 +344,15 @@ def _path_rows(mu: np.ndarray, logvar):
 
 def _frame_rows(model: VaeModel, frames: np.ndarray):
     """stats(i, sampled) of the consecutive windows i of frames, encoded when asked for."""
-    return lambda i, sampled: _encode_block(model, frames[i[0] : i[-1] + 1], sampled)
+    return lambda i, sampled: _encode_block(model, frames[i[0] : i[-1] + 1], _ROW_ALIGN, sampled)
 
 
 def _blend_rows(stats_a, stats_b, weight):
     """rows for _decode_blocks: row i blends stats_a(i) and stats_b(i), weight(i)
     on a; sigma floored. Only sampled rows read the sigmas, so only they ask
-    for and exponentiate a block's logvar."""
+    for and exponentiate a block's logvar. LoudInputError names the input and
+    window of the first sigma that is not finite, before a weight of 0 times
+    inf turns it into a NaN of no input."""
 
     def rows(i, sampled):
         w = weight(i)[:, None]
@@ -360,7 +360,13 @@ def _blend_rows(stats_a, stats_b, weight):
         means = w * mu_a + (1.0 - w) * mu_b
         if not sampled:
             return means, None
-        stds = w * np.exp(logvar_a / 2) + (1.0 - w) * np.exp(logvar_b / 2)
+        with np.errstate(over="ignore"):  # the error below is the diagnosis
+            sigmas = [np.exp(logvar_a / 2), np.exp(logvar_b / 2)]
+        for index, sigma in enumerate(sigmas):
+            bad = ~np.isfinite(sigma).all(axis=1)
+            if bad.any():  # stepwise's first segment holds every window, so i is one
+                raise LoudInputError(index, int(i[bad.argmax()]))
+        stds = w * sigmas[0] + (1.0 - w) * sigmas[1]
         return means, np.maximum(stds, _SIGMA_FLOOR)
 
     return rows
@@ -485,10 +491,13 @@ def export_latents(path, file) -> int:
     encode_blocks yields them), each written as it arrives and formatted
     _CSV_ROWS rows at a time. Values are float32 printed to 9 significant
     digits, which parse back to the same float32; an empty (0, M) path
-    writes just the header.
+    writes just the header, and no block at all is a ValueError that writes
+    nothing.
     """
     blocks = iter([path] if isinstance(path, LatentPath) else path)
-    first = next(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError(f"{file}: no latent blocks to export; nothing was written")
     m = first.latent_dim
     columns = ["idx"] + [f"mu_{i}" for i in range(m)] + [f"lv_{i}" for i in range(m)]
     row_format = "%d" + ",%.9g" * (2 * m) + "\n"

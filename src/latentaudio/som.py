@@ -288,10 +288,16 @@ def load_som(path) -> SomMap:
     dim = prototypes.shape[-1:]  # (D,)
     wanted = (("prototypes", prototypes, (settings["height"], settings["width"], *dim)),
               ("feature mean", mean, dim), ("feature std", std, dim),
+              ("qe_history", qe_history, qe_history.shape),  # any length
               ("thumbnail rows", rows, (len(keys), *dim)))
     for name, t, shape in wanted:
         if t.shape != shape:
             raise CorruptFileError(f"{path}: {name} shape {t.shape}, expected {shape}")
+        # the checksum proves the bytes are as written, not that a map can use them
+        if not np.isfinite(t).all():
+            raise CorruptFileError(f"{path}: non-finite values in {name}")
+    if not (std > 0).all():
+        raise CorruptFileError(f"{path}: values <= 0 in feature std, which no trained map has")
     return SomMap(
         **settings,
         prototypes=prototypes,

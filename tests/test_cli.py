@@ -1076,8 +1076,8 @@ class TestNonFinite:
     """Neither a loud input nor a damaged model yields audio or latents that
     are not finite: the command exits 2 and leaves no file behind."""
 
-    # exp(logvar / 2) overflows on these inputs, and numpy warns of it
-    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    # exp(logvar / 2) overflows on these inputs; the error line, not a numpy
+    # overflow warning, says so
     def test_sampled_synth_of_loud_input_writes_nothing(self, checkpoint, tmp_path, capsys):
         rng = np.random.default_rng(0)
         for i in range(2):  # finite float32 samples, which load_wav accepts
@@ -1088,7 +1088,50 @@ class TestNonFinite:
         assert main(["synth", "meso", "--checkpoint", str(checkpoint),
                      "--in1", str(tmp_path / "loud0.wav"), "--in2", str(tmp_path / "loud1.wav"),
                      "--out", str(out / "o.wav"), "--mode", "sample"]) == 2
-        assert "non-finite samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {(tmp_path / 'loud0.wav').resolve()}: window 0 encodes "
+                              "to a non-finite sigma in sample mode")
+        assert err.endswith("(--normalize)\n") and err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("slot", ["--in1", "--in2"])
+    def test_loud_window_is_named_by_input_path_and_window(self, checkpoint, corpus, tmp_path,
+                                                           capsys, slot):
+        quiet = load_wav(sorted(corpus.glob("*.wav"))[0])
+        loud = quiet.samples.copy()
+        loud[5 * WINDOW + 3] = 1e37  # window 5 of meso's abutting windows
+        save_wav(AudioBuffer(loud, RATE), tmp_path / "loud.wav")
+        other = {"--in1": "--in2", "--in2": "--in1"}[slot]
+        argv = ["synth", "meso", "--checkpoint", str(checkpoint), slot, str(tmp_path / "loud.wav"),
+                other, str(sorted(corpus.glob("*.wav"))[0]), "--out", str(tmp_path / "o.wav"),
+                "--mode", "sample"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {(tmp_path / 'loud.wav').resolve()}: window 5 ")
+        assert not (tmp_path / "o.wav").exists()
+        assert main([*argv, "--normalize"]) == 0
+
+    @pytest.mark.parametrize("damage", ["nan-prototype", "zero-std"])
+    @pytest.mark.parametrize("command", ["som clusters", "som concat"])
+    def test_map_with_unusable_tensor(self, som_map, corpus, tmp_path, capsys, command, damage):
+        som = load_som(som_map)
+        if damage == "nan-prototype":
+            som.prototypes[1, 0, 2] = np.nan
+            message = "non-finite values in prototypes"
+        else:
+            som.feature_std[3] = 0.0
+            message = "values <= 0 in feature std"
+        damaged = tmp_path / "damaged.som"
+        save_som(som, damaged)  # written with a valid checksum
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"som clusters": ["som", "clusters", "--out", str(out / "listing.txt")],
+                "som concat": ["som", "concat", "--unit", "0,0", "--out", str(out / "o.wav")]}
+        assert main([*argv[command], "--map", str(damaged), "--dataset-dir", str(corpus)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {damaged.resolve()}: {message}" + (
+            ", which no trained map has\n" if damage == "zero-std" else "\n")
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command, bad", [("synth meso", np.nan),

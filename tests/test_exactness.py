@@ -61,6 +61,7 @@ from latentaudio import (
     assign_clusters,
     decode_path,
     encode_audio,
+    encode_blocks,
     export_latents,
     extended_interpolate,
     extract_thumbnail,
@@ -1025,6 +1026,14 @@ class TestBlockwiseSynthesisMatchesReference:
         want = reference_stepwise(model, a, b, range_r, step_s, mode, crossfade,
                                   encode=reference_encode_whole)
         self._assert_same(got.buffer(), want)
+
+    # 748 windows: at this shape one batch of them encodes to other bits than blocks do
+    @pytest.mark.parametrize("windows,hop", [(1, 48), (17, 16), (748, 16)])
+    def test_recipe_1_encode_blocks_is_one_batch(self, model, small_blocks, windows, hop):
+        a, _ = self._pair(windows, hop)
+        (got,) = encode_blocks(model, a, hop, recipe=1)
+        want = reference_encode_whole(model, a, hop)
+        assert same_bytes(got.mu, want.mu) and same_bytes(got.logvar, want.logvar)
 
     # 700 windows: at this shape one batch of them encodes to other bits than blocks do
     @pytest.mark.parametrize("windows,hop", [(1, 48), (17, 48), (17, 16), (700, 16)])

@@ -15,11 +15,13 @@ from latentaudio import (
     EmptySpecError,
     InterpolationCurve,
     LatentPath,
+    LoudInputError,
     ShapeMismatchError,
     SynthesisMode,
     VaeHyperParams,
     decode_path,
     encode_audio,
+    encode_blocks,
     encode_frames,
     export_latents,
     extended_interpolate,
@@ -28,6 +30,7 @@ from latentaudio import (
     meso_interpolate,
     stepwise_interpolate,
     window,
+    window_count,
 )
 from latentaudio import interpolate as interpolate_module
 
@@ -76,6 +79,27 @@ class TestEncodeAudio:
         path = encode_audio(model, pair[0], 32)
         probe_mu, _ = encode_frames(model, window(pair[0], 64, 32)[3:4])
         assert np.allclose(path.mu[3], probe_mu[0])
+
+
+    def test_recipe_1_batch_is_the_only_copy_of_the_windows(self):
+        # recipe 1 encodes every window in one unpadded batch: one float32 copy of
+        # the windows, beside which only the encoder's activations are allocated
+        hidden, latent = 32, 8
+        model = float32_model(VaeHyperParams(window_size=256, latent_dim=latent,
+                                             hidden_sizes=(hidden,), sample_rate=8000))
+        buf = make_noise(seconds=3000 * 64 / 8000, rate=8000, seed=6)
+        n = window_count(len(buf), 256, 64)
+        frame_bytes = n * 256 * 4
+        # a hidden layer's output and the leaky ReLU's temporary, then mu and logvar
+        activation_bytes = n * (2 * hidden + 2 * latent) * 4
+        tracemalloc.start()
+        try:
+            (path,) = encode_blocks(model, buf, 64, recipe=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path) == n > 2000
+        assert peak <= frame_bytes + activation_bytes + 64 * 1024, (peak, frame_bytes)
 
 
 class TestGenerateCurve:
@@ -418,6 +442,39 @@ class TestExtended:
             )
 
 
+class TestLoudInput:
+    """A sampled blend of an input whose sigma, exp(logvar / 2), overflows names
+    the input and its first such window, before anything is decoded."""
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("strategy, recipe, window", [
+        ("step", 2, 3), ("step", 1, 3), ("extend", 2, 11), ("extend", 1, 11),
+    ])
+    def test_names_input_and_window(self, model, pair, monkeypatch, index, strategy, recipe,
+                                    window):
+        def no_decode(*args):
+            raise AssertionError("decode_frames ran")
+
+        inputs = list(pair)
+        loud = inputs[index].samples.copy()
+        loud[3 * 64 + 40] = 1e37  # in window 3 at hop 64, windows 11-14 at hop 16
+        inputs[index] = type(inputs[index])(loud, inputs[index].sample_rate)
+        mode = SynthesisMode.sampled(1)
+        if strategy == "step":
+            rendering = interpolate_module.render_stepwise(model, *inputs, 1.0, 0.5, mode,
+                                                           recipe=recipe)
+        else:
+            n = (min(len(inputs[0]), len(inputs[1])) - 64) // 16 + 1
+            rendering = interpolate_module.render_extended(
+                model, *inputs, generate_curve("const:1", n), mode, 16, recipe=recipe)
+        monkeypatch.setattr(interpolate_module, "decode_frames", no_decode)
+        with pytest.raises(LoudInputError) as info:
+            rendering.buffer()
+        assert (info.value.index, info.value.window) == (index, window)
+        assert str(info.value).startswith(f"input {'ab'[index]}: window {window} encodes to a "
+                                          "non-finite sigma")
+
+
 class TestExportLatents:
     def _path(self, n=4, m=8):
         mu, logvar = np.random.default_rng(0).standard_normal((2, n, m)).astype(np.float32)
@@ -433,6 +490,11 @@ class TestExportLatents:
     def test_empty_path_writes_header_only(self, tmp_path):
         export_latents(LatentPath(np.zeros((0, 2)), np.zeros((0, 2))), tmp_path / "latents.csv")
         assert (tmp_path / "latents.csv").read_text() == "idx,mu_0,mu_1,lv_0,lv_1\n"
+
+    def test_no_blocks_is_value_error_and_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="no latent blocks to export"):
+            export_latents(iter([]), tmp_path / "x.csv")
+        assert not list(tmp_path.iterdir())
 
     def test_reparse_recovers_float32_values(self, tmp_path):
         path = self._path(n=3, m=8)

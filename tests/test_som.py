@@ -6,6 +6,8 @@ of the update rule), and well-separated blobs must claim one prototype
 each.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,28 @@ class TestSomPersistence:
         tensors[index] = np.ascontiguousarray(bad(tensors[index]))
         write_container(path, SOM_MAGIC, header, tensors)
         with pytest.raises(CorruptFileError, match="shape"):
+            load_som(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("prototypes", np.nan, "non-finite values in prototypes"),
+        ("feature_mean", np.inf, "non-finite values in feature mean"),
+        ("feature_std", np.inf, "non-finite values in feature std"),
+        ("feature_std", 0.0, "values <= 0 in feature std"),
+        ("feature_std", -1.0, "values <= 0 in feature std"),
+        ("qe_history", np.nan, "non-finite values in qe_history"),
+        ("thumbnail_rows", -np.inf, "non-finite values in thumbnail rows"),
+    ], ids=["nan-prototype", "inf-mean", "inf-std", "zero-std", "negative-std", "nan-qe",
+            "inf-thumbnail"])
+    def test_unusable_tensor_detected(self, trained, tmp_path, field, value, message):
+        # save_som writes the damage with a valid checksum
+        from latentaudio import CorruptFileError
+
+        trained.thumbnail_rows = {(40, 7): np.zeros(8), (41, 9): np.ones(8)}
+        tensors = {**vars(trained), "thumbnail_rows": trained.thumbnail_rows[(41, 9)]}
+        tensors[field].flat[-1] = value
+        path = tmp_path / "map.som"
+        save_som(trained, path)
+        with pytest.raises(CorruptFileError, match=re.escape(f"{path}: {message}")):
             load_som(path)
 
     def test_wrong_tensor_count_detected(self, trained, tmp_path):
