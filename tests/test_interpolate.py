@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import float32_model, make_noise, make_sine
 from latentaudio import (
+    AudioBuffer,
     BadStepError,
     CurveLengthMismatchError,
     EmptySpecError,
@@ -458,7 +459,7 @@ class TestLoudInput:
         inputs = list(pair)
         loud = inputs[index].samples.copy()
         loud[3 * 64 + 40] = 1e37  # in window 3 at hop 64, windows 11-14 at hop 16
-        inputs[index] = type(inputs[index])(loud, inputs[index].sample_rate)
+        inputs[index] = AudioBuffer(loud, inputs[index].sample_rate)
         mode = SynthesisMode.sampled(1)
         if strategy == "step":
             rendering = interpolate_module.render_stepwise(model, *inputs, 1.0, 0.5, mode,
