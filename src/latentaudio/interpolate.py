@@ -491,8 +491,9 @@ def export_latents(path, file) -> int:
     encode_blocks yields them), each written as it arrives and formatted
     _CSV_ROWS rows at a time. Values are float32 printed to 9 significant
     digits, which parse back to the same float32; an empty (0, M) path
-    writes just the header, and no block at all is a ValueError that writes
-    nothing.
+    writes just the header. No block at all is a ValueError, and a block
+    whose latent width differs from the first block's a ShapeMismatchError;
+    either writes nothing.
     """
     blocks = iter([path] if isinstance(path, LatentPath) else path)
     first = next(blocks, None)
@@ -504,7 +505,10 @@ def export_latents(path, file) -> int:
     idx = 0
     with atomic_write(file, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for block in itertools.chain([first], blocks):
+        for k, block in enumerate(itertools.chain([first], blocks)):
+            if block.latent_dim != m:
+                raise ShapeMismatchError(f"{file}: latent block {k} is {block.latent_dim} wide, "
+                                         f"block 0 is {m} wide; nothing was written")
             for s in range(0, len(block), _CSV_ROWS):
                 part = [block.mu[s : s + _CSV_ROWS], block.logvar[s : s + _CSV_ROWS]]
                 for values in np.concatenate(part, axis=1, dtype=np.float32).tolist():

@@ -9,8 +9,12 @@ tanh so samples stay inside (-1, 1).
 Inference and training share one in-place layer walk. Training keeps
 activations only, and its backward walk forms no frame gradient. It
 gathers each batch from the arrays it was given, views included, into
-one buffer, and writes each step's gradients into arrays it allocates
-once.
+one buffer. Each training step is fused: the backward walk hands over
+each tensor's gradient as soon as it has made its last read of the
+tensor, and the tensor's Adam update runs then, before the walk goes on
+(after LOMO, Lv et al., arXiv:2306.09782). Every gradient is written
+into one scratch buffer the size of the largest tensor, so training
+holds no parameter-sized set of gradients.
 
 Training, checkpoints and inference are all float32. Only the gradient
 checker runs in float64, on a model it builds for itself, so that finite
@@ -75,21 +79,29 @@ def _forward_layers(h: np.ndarray, layers: list, acts: list | None = None) -> np
     return h
 
 
-def _layer_grads(pair: list, layer_in: np.ndarray, d_pre: np.ndarray) -> None:
-    """Sets pair to the [W, b] gradients of one affine layer, written into the
-    arrays pair holds, or into fresh ones where it holds None."""
-    pair[0] = np.matmul(layer_in.T, d_pre, out=pair[0])
-    pair[1] = np.sum(d_pre, axis=0, out=pair[1])
+def _slot(scratch: np.ndarray | None, like: np.ndarray) -> np.ndarray | None:
+    """The head of scratch shaped like a tensor, to write its gradient into;
+    None (a fresh array) without scratch."""
+    return None if scratch is None else scratch[: like.size].reshape(like.shape)
 
 
-def _backward_layers(upstream, layers: list, acts: list, grads: list, to_input: bool):
-    """Sets grads[i], a [W, b] pair, for each layer _forward_layers recorded in acts,
-    last first, from upstream = dloss/dacts[-1]; forms dloss/dacts[0] only if to_input."""
+def _backward_layers(d_pre, layers: list, acts: list, first: int, scratch, to_input: bool):
+    """Yields (params index, gradient) for the W and b of each [W, b] in layers,
+    last layer first, and returns dloss/dacts[0] if to_input, else None.
+
+    d_pre is dloss/d(pre-activation) of the last layer; layer i reads acts[i],
+    and for i >= 1 acts[i] is the leaky output of layer i - 1. layers[i]'s W is
+    params[first + 2 * i]. W's last read, for the upstream gradient, comes
+    before either gradient is yielded, so the consumer may update W and b in
+    place before it resumes the walk.
+    """
     for i in reversed(range(len(layers))):
-        d_pre = upstream * _leaky_grad(acts[i + 1])
-        _layer_grads(grads[i], acts[i], d_pre)
-        if i or to_input:
-            upstream = d_pre @ layers[i][0].T
+        w, b = layers[i]
+        upstream = d_pre @ w.T if i or to_input else None
+        yield first + 2 * i, np.matmul(acts[i].T, d_pre, out=_slot(scratch, w))
+        yield first + 2 * i + 1, np.sum(d_pre, axis=0, out=_slot(scratch, b))
+        if i:
+            d_pre = upstream * _leaky_grad(acts[i])
     return upstream
 
 
@@ -264,30 +276,31 @@ def _batch_losses(frames, cache, alpha):
     return recon + alpha * kl, recon, kl
 
 
-def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha: float,
-                    grads: list | None = None):
-    """Analytic gradients of the batch-mean loss; returns (grads, losses).
+def _backward_walk(model: VaeModel, frames, eps, alpha: float, cache: dict, scratch=None):
+    """Yields (params index, gradient) for every tensor of the batch-mean loss,
+    last layer first, each once the walk has made its last read of that tensor.
 
     The loss is mean-over-batch of (per-window MSE + alpha * KL sum), so
-    every upstream gradient carries the 1/batch factor once. Gradients come
-    back in the canonical parameter order. Given grads, arrays of the
-    parameters' shapes in that order, each gradient is written into its
-    array and the returned list holds those arrays; otherwise each is fresh.
+    every upstream gradient carries the 1/batch factor once. cache is
+    _forward_batch's for these frames and eps; the output stage is computed
+    in place in its x_hat, so take the losses first. With scratch, a flat
+    array at least as large as the largest tensor, every gradient is written
+    into its head and holds until the walk resumes; without, each is fresh.
     """
     encoder, mu_head, logvar_head, decoder = model.layers()
-    cache = _forward_batch(model, frames, eps)
+    n_enc = 2 * len(encoder)
     batch, width = frames.shape
-    total, recon, kl = _batch_losses(frames, cache, alpha)
 
-    slots = [None] * len(model.params) if grads is None else grads
-    g_encoder, g_mu, g_logvar, g_decoder = VaeModel(slots, model.hyper).layers()
-    # decoder output stage, through tanh
-    d_xhat = 2.0 * (cache["x_hat"] - frames) / (batch * width)
-    d_pre = d_xhat * (1.0 - cache["x_hat"] ** 2)
-    _layer_grads(g_decoder[-1], cache["dec_acts"][-1], d_pre)
-    upstream = d_pre @ decoder[-1][0].T
-    d_z = _backward_layers(upstream, decoder[:-1], cache["dec_acts"], g_decoder[:-1],
-                           to_input=True)
+    # decoder output stage, through tanh: 2 (x_hat - x) / (B W) * (1 - x_hat^2)
+    x_hat = cache["x_hat"]
+    d_pre = np.subtract(x_hat, frames)
+    np.multiply(2.0, d_pre, out=d_pre)
+    np.divide(d_pre, batch * width, out=d_pre)
+    np.square(x_hat, out=x_hat)
+    np.subtract(1.0, x_hat, out=x_hat)
+    np.multiply(d_pre, x_hat, out=d_pre)
+    d_z = yield from _backward_layers(d_pre, decoder, cache["dec_acts"], n_enc + 4, scratch,
+                                      to_input=True)
 
     # reparameterization split: z = mu + sigma * eps
     d_mu = d_z + alpha * cache["mu"] / batch
@@ -296,13 +309,24 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     )
 
     head_in = cache["enc_acts"][-1]
-    _layer_grads(g_logvar, head_in, d_logvar)
-    _layer_grads(g_mu, head_in, d_mu)
-    upstream = d_mu @ mu_head[0].T + d_logvar @ logvar_head[0].T
-    _backward_layers(upstream, encoder, cache["enc_acts"], g_encoder, to_input=False)
+    # both heads' weights are read before either is updated
+    upstream = d_mu @ mu_head[0].T + d_logvar @ logvar_head[0].T if encoder else None
+    yield from _backward_layers(d_logvar, [logvar_head], [head_in], n_enc + 2, scratch, False)
+    yield from _backward_layers(d_mu, [mu_head], [head_in], n_enc, scratch, False)
+    if encoder:
+        yield from _backward_layers(upstream * _leaky_grad(head_in), encoder, cache["enc_acts"],
+                                    0, scratch, to_input=False)
 
-    pairs = [*g_encoder, g_mu, g_logvar, *g_decoder]
-    return [g for pair in pairs for g in pair], (total, recon, kl)
+
+def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha: float):
+    """Analytic gradients of the batch-mean loss, each a fresh array in the
+    canonical parameter order, and the losses: returns (grads, losses)."""
+    cache = _forward_batch(model, frames, eps)
+    losses = _batch_losses(frames, cache, alpha)
+    grads = [None] * len(model.params)
+    for i, g in _backward_walk(model, frames, eps, alpha, cache):
+        grads[i] = g
+    return grads, losses
 
 
 @dataclass
@@ -324,40 +348,49 @@ def _flat_view(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def adam_step(params: list, grads: list, state: AdamState, learning_rate: float):
-    """One bias-corrected Adam update, in place; increments state.step once.
+def _bias_corrections(step: int) -> tuple:
+    return 1.0 - _ADAM_BETA1 ** step, 1.0 - _ADAM_BETA2 ** step
 
-    Each tensor is walked in blocks of _ADAM_BLOCK elements through two
+
+def _adam_update(p, g, m, v, learning_rate: float, correction1: float, correction2: float):
+    """One tensor's bias-corrected Adam update, in place.
+
+    The tensor is walked in blocks of _ADAM_BLOCK elements through two
     block-sized work arrays, so no parameter-sized temporary is made.
     Every element still gets the textbook operations in the textbook
     order, with no scalars folded together, so the result equals the
-    unblocked update bit for bit. Params and moments must be C-contiguous;
-    grads are read in the parameter dtype.
+    unblocked update bit for bit. p, m and v must be C-contiguous; g is
+    read in p's dtype.
     """
+    g = np.asarray(g, dtype=p.dtype)
+    if g.shape != p.shape:
+        raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    p, g, m, v = _flat_view(p), g.reshape(-1), _flat_view(m), _flat_view(v)
+    work_a, work_b = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
+    for start in range(0, p.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+        a, b = work_a[: pb.size], work_b[: pb.size]
+        mb *= _ADAM_BETA1
+        mb += np.multiply(1.0 - _ADAM_BETA1, gb, out=a)
+        vb *= _ADAM_BETA2
+        np.multiply(gb, gb, out=a)
+        vb += np.multiply(1.0 - _ADAM_BETA2, a, out=a)
+        m_hat = np.divide(mb, correction1, out=a)
+        v_hat = np.divide(vb, correction2, out=b)
+        denom = np.add(np.sqrt(v_hat, out=b), _ADAM_EPS, out=b)
+        pb -= np.divide(np.multiply(learning_rate, m_hat, out=a), denom, out=a)
+
+
+def adam_step(params: list, grads: list, state: AdamState, learning_rate: float):
+    """One bias-corrected Adam update of every tensor, in place (see
+    _adam_update); increments state.step once."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params/grads/state length mismatch")
     state.step += 1
-    correction1 = 1.0 - _ADAM_BETA1 ** state.step
-    correction2 = 1.0 - _ADAM_BETA2 ** state.step
+    corrections = _bias_corrections(state.step)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=p.dtype)
-        if g.shape != p.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        p, g, m, v = _flat_view(p), g.reshape(-1), _flat_view(m), _flat_view(v)
-        work_a, work_b = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
-        for start in range(0, p.size, _ADAM_BLOCK):
-            block = slice(start, start + _ADAM_BLOCK)
-            pb, gb, mb, vb = p[block], g[block], m[block], v[block]
-            a, b = work_a[: pb.size], work_b[: pb.size]
-            mb *= _ADAM_BETA1
-            mb += np.multiply(1.0 - _ADAM_BETA1, gb, out=a)
-            vb *= _ADAM_BETA2
-            np.multiply(gb, gb, out=a)
-            vb += np.multiply(1.0 - _ADAM_BETA2, a, out=a)
-            m_hat = np.divide(mb, correction1, out=a)
-            v_hat = np.divide(vb, correction2, out=b)
-            denom = np.add(np.sqrt(v_hat, out=b), _ADAM_EPS, out=b)
-            pb -= np.divide(np.multiply(learning_rate, m_hat, out=a), denom, out=a)
+        _adam_update(p, g, m, v, learning_rate, *corrections)
     return params, state
 
 
@@ -389,10 +422,15 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
 
     Frames, parameters, Adam moments, activations and gradients are all
     float32, the checkpoint dtype, so the trained tensors are stored as
-    they are. Gradients are written into one set of arrays allocated per
-    call. One seeded generator drives initialization, the per-epoch
-    shuffle, and one fresh eps row per window per visit (drawn in float64,
-    then rounded), so identical inputs give byte-identical checkpoints.
+    they are. Each step runs the forward pass and the losses, raises
+    NonFiniteLossError before any update, then walks the layers backward
+    and applies each tensor's Adam update as soon as its gradient is
+    formed. Every gradient is written into one scratch buffer the size of
+    the largest tensor, allocated once per call, so no parameter-sized set
+    of gradients is held. One seeded generator drives initialization, the
+    per-epoch shuffle, and one fresh eps row per window per visit (drawn in
+    float64, then rounded), so identical inputs give byte-identical
+    checkpoints.
     """
     arrays = [dataset] if isinstance(dataset, np.ndarray) else [np.asarray(a) for a in dataset]
     if not arrays or sum(len(a) for a in arrays) == 0:
@@ -411,7 +449,7 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     model = init_model(hyper, rng=rng, dtype=np.float32)
     params = model.params
     state = AdamState.zeros_like(params)
-    grads = [np.empty_like(p) for p in params]
+    scratch = np.empty(max(p.size for p in params), dtype=np.float32)
     batch_buf = np.empty((min(hyper.batch_size, n), hyper.window_size), dtype=np.float32)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
 
@@ -427,10 +465,15 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
             for j, (k, i) in enumerate(zip(owner.tolist(), (rows - starts[owner]).tolist())):
                 batch[j] = arrays[k][i]
             eps = rng.standard_normal((len(batch), hyper.latent_dim)).astype(np.float32)
-            _, (total, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha, grads)
+            cache = _forward_batch(model, batch, eps)
+            total, recon, kl = _batch_losses(batch, cache, hyper.alpha)
             if not math.isfinite(total):
                 raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
-            adam_step(params, grads, state, hyper.learning_rate)
+            state.step += 1
+            corrections = _bias_corrections(state.step)
+            for i, g in _backward_walk(model, batch, eps, hyper.alpha, cache, scratch):
+                _adam_update(params[i], g, state.m[i], state.v[i], hyper.learning_rate,
+                             *corrections)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)

@@ -8,7 +8,8 @@ synthesis blends, decodes and joins the path a block of windows at a
 time, inference activations are computed in place, the training step
 keeps activations instead of pre-activations and forms no frame
 gradient, training gathers each batch from the arrays it is given and
-writes gradients into arrays allocated once, checkpoint tensors are
+updates each tensor as soon as the backward walk has formed its gradient
+in one scratch buffer, checkpoint tensors are
 views of one read buffer, WAV payloads
 are written without copies, and frame features square into a reused
 buffer. None of that may change a single bit: each reference below is
@@ -135,8 +136,9 @@ def reference_train_float64(frames, hyper):
         for start in range(0, n, hyper.batch_size):
             batch = frames[order[start : start + hyper.batch_size]]
             eps = rng.standard_normal((len(batch), hyper.latent_dim))
-            grads, (_, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha)
-            adam_step(params, grads, state, hyper.learning_rate)
+            grads, (_, recon, kl) = reference_backward_batch(model, batch, eps, hyper.alpha)
+            state.step += 1
+            reference_adam_step(params, grads, state.m, state.v, state.step, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
@@ -144,7 +146,8 @@ def reference_train_float64(frames, hyper):
 
 
 def reference_train(dataset, hyper):
-    """train as it was: one concatenated float32 copy, a fresh gradient list per step."""
+    """train as it was: one concatenated float32 copy, the gradients of the whole
+    step in a fresh list, then the textbook Adam update of every tensor."""
     arrays = [dataset] if isinstance(dataset, np.ndarray) else [np.asarray(a) for a in dataset]
     if not arrays or sum(len(a) for a in arrays) == 0:
         raise EmptyDatasetError("training needs at least one window")
@@ -171,10 +174,11 @@ def reference_train(dataset, hyper):
             batch_idx = order[start : start + hyper.batch_size]
             batch = frames[batch_idx]
             eps = rng.standard_normal((len(batch), hyper.latent_dim)).astype(np.float32)
-            grads, (total, recon, kl) = _backward_batch(model, batch, eps, hyper.alpha)
+            grads, (total, recon, kl) = reference_backward_batch(model, batch, eps, hyper.alpha)
             if not math.isfinite(total):
                 raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
-            adam_step(params, grads, state, hyper.learning_rate)
+            state.step += 1
+            reference_adam_step(params, grads, state.m, state.v, state.step, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
@@ -739,17 +743,43 @@ class TestTrainingMatchesReference:
         assert peak < frame_bytes, (peak, frame_bytes)
 
     def test_every_step_writes_the_same_gradient_arrays(self, monkeypatch):
-        steps = []
+        # every gradient that reaches an update lies at the head of one scratch
+        # buffer, allocated once per call and no larger than the largest tensor
+        updates = []
+        update = vae_module._adam_update
 
-        def spy(params, grads, state, learning_rate):
-            steps.append(list(grads))
-            return adam_step(params, grads, state, learning_rate)
+        def spy(p, g, *rest):
+            updates.append((p, g.base, g.__array_interface__["data"][0]))
+            assert g.dtype == p.dtype == np.float32 and g.shape == p.shape
+            return update(p, g, *rest)
 
-        monkeypatch.setattr(vae_module, "adam_step", spy)
+        monkeypatch.setattr(vae_module, "_adam_update", spy)
         train(_views([0.3, 0.2]), self.HYPER)
-        assert len(steps) == self.HYPER.epochs * 11  # 163 windows in batches of 16
-        assert all(g is first for step in steps for g, first in zip(step, steps[0]))
-        assert len({id(g) for g in steps[0]}) == len(steps[0])
+        n_params = len(vae_module._param_shapes(self.HYPER))
+        assert len(updates) == self.HYPER.epochs * 11 * n_params  # 163 windows, batches of 16
+        for step in range(0, len(updates), n_params):  # each tensor once a step
+            assert len({id(p) for p, _, _ in updates[step : step + n_params]}) == n_params
+        scratch = updates[0][1]
+        assert all(base is scratch for _, base, _ in updates)
+        assert {address for _, _, address in updates} == {scratch.__array_interface__["data"][0]}
+        assert scratch.nbytes == max(p.nbytes for p, _, _ in updates[:n_params])
+
+    def test_traced_peak_holds_no_gradient_set(self):
+        # params and both Adam moments are 3P; a set of gradients beside them
+        # would be a fourth P, where the fused step holds one tensor's worth
+        hyper = VaeHyperParams(window_size=1024, latent_dim=256, hidden_sizes=(512,), epochs=1,
+                               batch_size=16, sample_rate=8000)
+        windows = _views([1.024], window_size=1024, hop=256)[0]
+        assert len(windows) == 29
+        tensor_bytes = [4 * math.prod(shape) for shape in vae_module._param_shapes(hyper)]
+        tracemalloc.start()
+        try:
+            train(windows, hyper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 3 * sum(tensor_bytes) + 2 * max(tensor_bytes)
+        assert peak < bound, (peak, bound)
 
 
 class TestSomMatchesReference:

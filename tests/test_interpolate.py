@@ -497,6 +497,14 @@ class TestExportLatents:
             export_latents(iter([]), tmp_path / "x.csv")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("second_width", [3, 1], ids=["wider", "narrower"])
+    def test_blocks_of_another_latent_width_write_nothing(self, tmp_path, second_width):
+        blocks = [self._path(n=4, m=2), self._path(n=4, m=2), self._path(n=3, m=second_width)]
+        with pytest.raises(ShapeMismatchError,
+                           match=f"latent block 2 is {second_width} wide, block 0 is 2 wide"):
+            export_latents(iter(blocks), tmp_path / "mix.csv")
+        assert not list(tmp_path.iterdir())
+
     def test_reparse_recovers_float32_values(self, tmp_path):
         path = self._path(n=3, m=8)
         out = tmp_path / "latents.csv"

@@ -259,11 +259,10 @@ class TestBackward:
                 raise AssertionError("formed the gradient at the frames")
 
         rng = np.random.default_rng(0)
-        acts = [rng.standard_normal((5, 4)), rng.standard_normal((5, 3))]
-        grads = [[None, None]]
-        upstream = rng.standard_normal((5, 3))
-        _backward_layers(upstream, [[Untransposable(), None]], acts, grads, to_input=False)
-        assert [g.shape for g in grads[0]] == [(4, 3), (3,)]
+        acts = [rng.standard_normal((5, 4))]
+        d_pre = rng.standard_normal((5, 3))
+        walk = _backward_layers(d_pre, [[Untransposable(), None]], acts, 0, None, to_input=False)
+        assert [(i, g.shape) for i, g in walk] == [(0, (4, 3)), (1, (3,))]
 
     def test_matches_finite_differences(self, tiny_hyper):
         report = gradient_check(tiny_hyper, tolerance=1e-3, n_samples=120, seed=3)
@@ -415,6 +414,18 @@ class TestTrain:
             with pytest.raises(NonFiniteLossError):
                 train(_sine_windows(), hyper)
 
+    def test_nonfinite_loss_raises_before_any_update(self, small_hyper, monkeypatch):
+        # the step checks its loss before its backward walk updates any tensor
+        updates = []
+        monkeypatch.setattr(vae_module, "_adam_update", lambda *args: updates.append(args))
+        windows = _sine_windows()
+        windows[0, 0] = np.nan
+        hyper = replace(small_hyper, batch_size=len(windows))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLossError, match="epoch 1"):
+                train(windows, hyper)
+        assert updates == []
+
 
 class TestFloat32Training:
     """Training is float32 throughout; only the gradient checker is float64."""
@@ -434,13 +445,18 @@ class TestFloat32Training:
 
     def test_trained_tensors_are_float32(self, small_hyper, monkeypatch):
         seen = set()
+        forward, update = vae_module._forward_batch, vae_module._adam_update
 
-        def spy(model, frames, eps, alpha, buffers):
-            grads, losses = _backward_batch(model, frames, eps, alpha, buffers)
-            seen.update(a.dtype for a in (frames, eps, *grads))
-            return grads, losses
+        def forward_spy(model, frames, eps):
+            seen.update(a.dtype for a in (frames, eps))
+            return forward(model, frames, eps)
 
-        monkeypatch.setattr(vae_module, "_backward_batch", spy)
+        def update_spy(p, g, *rest):
+            seen.add(g.dtype)  # every gradient that reaches an update
+            return update(p, g, *rest)
+
+        monkeypatch.setattr(vae_module, "_forward_batch", forward_spy)
+        monkeypatch.setattr(vae_module, "_adam_update", update_spy)
         ckpt = train(_sine_windows(), small_hyper)
         assert seen == {np.dtype(np.float32)}
         for tensors in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
