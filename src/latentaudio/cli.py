@@ -141,6 +141,7 @@ def _read_config(path, command: str, fields) -> dict:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ConfigMismatchError(f"{path}: {exc}") from None
+    first_line = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -148,6 +149,11 @@ def _read_config(path, command: str, fields) -> dict:
         key, sep, raw = line.partition("=")
         if not sep:
             raise ConfigMismatchError(f"{path}:{line_no}: expected key=value")
+        if key in first_line:
+            raise ConfigMismatchError(
+                f"{path}:{line_no}: key {key!r} is set again (first on line {first_line[key]})"
+            )
+        first_line[key] = line_no
         if key == "command":
             if raw != command:
                 raise ConfigMismatchError(

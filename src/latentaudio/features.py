@@ -20,7 +20,7 @@ from .exceptions import TooShortError
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Thumbnail recipe; the thumbnail dimension is 2x the per-frame count.
+    """Thumbnail recipe; a thumbnail has 2 x (n_mfcc + centroid + rms) entries.
 
     Buffers are resampled to sample_rate before analysis so thumbnails
     from mixed-rate corpora stay comparable.
@@ -42,14 +42,6 @@ class FeatureConfig:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    @property
-    def per_frame_count(self) -> int:
-        return self.n_mfcc + int(self.centroid) + int(self.rms)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.per_frame_count
-
 
 @dataclass(frozen=True)
 class Thumbnail:
@@ -65,9 +57,6 @@ class Thumbnail:
         if not np.isfinite(features).all():
             raise ValueError("thumbnail features must be finite")
         object.__setattr__(self, "features", features)
-
-    def __len__(self) -> int:
-        return len(self.features)
 
 
 def _hz_to_mel(hz):
@@ -124,7 +113,8 @@ def _spectral_tables(sample_rate: int, frame_size: int, n_mels: int, n_mfcc: int
 
 
 def frame_features(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Per-frame feature matrix (N, per_frame_count): MFCCs, centroid, RMS.
+    """Per-frame feature matrix, one row per frame: the MFCCs, then the
+    centroid and the RMS where config asks for them.
 
     frames may be any (N, frame_size) array, a strided view included; it
     is converted to float64 (one copy, none for float64) and not modified.

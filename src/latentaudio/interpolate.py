@@ -177,9 +177,12 @@ def _encode_block(model: VaeModel, frames: np.ndarray, align: int, with_logvar=T
 
 
 def _number(item: str, text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"curve item {item!r} is not a finite number")
+        raise ValueError(f"item {item!r} is not a finite number")
     return value
 
 
@@ -189,8 +192,10 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
     Forms: "const:<c>", "lin:<a>:<b>", "sine:p=<period>,ph=<phase>,
     a=<amplitude>,o=<offset>" (all optional, value = o + a*sin(2*pi*i/p
     + ph)), "bp:<idx>=<val>,..." (piecewise-linear breakpoints). Values
-    land in [-1, 1] by clamping. A number that is not finite, or a spec
-    whose arithmetic overflows float64, is a ValueError, not a warning.
+    land in [-1, 1] by clamping. A malformed spec, a number that does not
+    parse or is not finite, a breakpoint index given twice, or a spec whose
+    arithmetic overflows float64 is a ValueError naming the spec, not a
+    warning.
     """
     if length < 1:
         raise ValueError(f"curve length must be >= 1, got {length}")
@@ -205,6 +210,8 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
             raise FloatingPointError
     except FloatingPointError:
         raise ValueError(f"curve {spec!r} overflows float64 over {length} windows") from None
+    except ValueError as exc:
+        raise ValueError(f"curve {spec!r}: {exc}") from None
     return InterpolationCurve(values)
 
 
@@ -226,15 +233,17 @@ def _curve_values(kind: str, body: str, length: int) -> np.ndarray:
         i = np.arange(length)
         return params["o"] + params["a"] * np.sin(2.0 * np.pi * i / params["p"] + params["ph"])
     if kind == "bp":
-        points = []
+        points = {}
         for item in filter(None, body.split(",")):
             idx_s, _, val_s = item.partition("=")
-            points.append((_number(item, idx_s), _number(item, val_s)))
+            idx = _number(item, idx_s)
+            if idx in points:
+                raise ValueError(f"breakpoint index {idx:g} is given twice")
+            points[idx] = _number(item, val_s)
         if not points:
             raise ValueError("breakpoint spec needs at least one index=value pair")
-        points.sort()
-        xs, ys = zip(*points)
-        return np.interp(np.arange(length), xs, ys)
+        xs = sorted(points)
+        return np.interp(np.arange(length), xs, [points[x] for x in xs])
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
@@ -483,19 +492,19 @@ def render_extended(
     return _render(model, n_windows, rows, mode, crossfade)
 
 
-def export_latents(path, file) -> int:
+def export_latents(blocks, file) -> int:
     """Write one CSV row per window to the file path, atomically: index, mu
     entries, logvar entries. Return the row count.
 
-    path is a LatentPath, or consecutive LatentPaths of one path (as
-    encode_blocks yields them), each written as it arrives and formatted
-    _CSV_ROWS rows at a time. Values are float32 printed to 9 significant
-    digits, which parse back to the same float32; an empty (0, M) path
-    writes just the header. No block at all is a ValueError, and a block
-    whose latent width differs from the first block's a ShapeMismatchError;
-    either writes nothing.
+    blocks is an iterable of consecutive LatentPaths of one path (as
+    encode_blocks yields them; [path] for a whole path), each written as
+    it arrives and formatted _CSV_ROWS rows at a time. Values are float32
+    printed to 9 significant digits, which parse back to the same float32;
+    an empty (0, M) path writes just the header. No block at all is a
+    ValueError, and a block whose latent width differs from the first
+    block's a ShapeMismatchError; either writes nothing.
     """
-    blocks = iter([path] if isinstance(path, LatentPath) else path)
+    blocks = iter(blocks)
     first = next(blocks, None)
     if first is None:
         raise ValueError(f"{file}: no latent blocks to export; nothing was written")

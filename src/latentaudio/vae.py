@@ -11,10 +11,10 @@ activations only, and its backward walk forms no frame gradient. It
 gathers each batch from the arrays it was given, views included, into
 one buffer. Each training step is fused: the backward walk hands over
 each tensor's gradient as soon as it has made its last read of the
-tensor, and the tensor's Adam update runs then, before the walk goes on
-(after LOMO, Lv et al., arXiv:2306.09782). Every gradient is written
-into one scratch buffer the size of the largest tensor, so training
-holds no parameter-sized set of gradients.
+tensor, and adam_step, the one Adam update, runs on that tensor then,
+before the walk goes on (after LOMO, Lv et al., arXiv:2306.09782). Every
+gradient is written into one scratch buffer the size of the largest
+tensor, so training holds no parameter-sized set of gradients.
 
 Training, checkpoints and inference are all float32. Only the gradient
 checker runs in float64, on a model it builds for itself, so that finite
@@ -158,9 +158,6 @@ class LatentStats:
             )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "logvar", logvar)
-
-    def __len__(self) -> int:
-        return len(self.mu)
 
 
 def _param_shapes(hyper: VaeHyperParams) -> list:
@@ -348,12 +345,9 @@ def _flat_view(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _bias_corrections(step: int) -> tuple:
-    return 1.0 - _ADAM_BETA1 ** step, 1.0 - _ADAM_BETA2 ** step
-
-
-def _adam_update(p, g, m, v, learning_rate: float, correction1: float, correction2: float):
-    """One tensor's bias-corrected Adam update, in place.
+def adam_step(p, g, m, v, step: int, learning_rate: float) -> None:
+    """One tensor's bias-corrected Adam update at optimizer step `step`
+    (counted from 1), in place on p and its moments m and v.
 
     The tensor is walked in blocks of _ADAM_BLOCK elements through two
     block-sized work arrays, so no parameter-sized temporary is made.
@@ -365,6 +359,7 @@ def _adam_update(p, g, m, v, learning_rate: float, correction1: float, correctio
     g = np.asarray(g, dtype=p.dtype)
     if g.shape != p.shape:
         raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    correction1, correction2 = 1.0 - _ADAM_BETA1 ** step, 1.0 - _ADAM_BETA2 ** step
     p, g, m, v = _flat_view(p), g.reshape(-1), _flat_view(m), _flat_view(v)
     work_a, work_b = np.empty((2, min(p.size, _ADAM_BLOCK)), dtype=p.dtype)
     for start in range(0, p.size, _ADAM_BLOCK):
@@ -380,18 +375,6 @@ def _adam_update(p, g, m, v, learning_rate: float, correction1: float, correctio
         v_hat = np.divide(vb, correction2, out=b)
         denom = np.add(np.sqrt(v_hat, out=b), _ADAM_EPS, out=b)
         pb -= np.divide(np.multiply(learning_rate, m_hat, out=a), denom, out=a)
-
-
-def adam_step(params: list, grads: list, state: AdamState, learning_rate: float):
-    """One bias-corrected Adam update of every tensor, in place (see
-    _adam_update); increments state.step once."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError("params/grads/state length mismatch")
-    state.step += 1
-    corrections = _bias_corrections(state.step)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        _adam_update(p, g, m, v, learning_rate, *corrections)
-    return params, state
 
 
 @dataclass
@@ -424,10 +407,10 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     float32, the checkpoint dtype, so the trained tensors are stored as
     they are. Each step runs the forward pass and the losses, raises
     NonFiniteLossError before any update, then walks the layers backward
-    and applies each tensor's Adam update as soon as its gradient is
-    formed. Every gradient is written into one scratch buffer the size of
-    the largest tensor, allocated once per call, so no parameter-sized set
-    of gradients is held. One seeded generator drives initialization, the
+    and runs adam_step on each tensor as soon as its gradient is formed.
+    Every gradient is written into one scratch buffer the size of the
+    largest tensor, allocated once per call, so no parameter-sized set of
+    gradients is held. One seeded generator drives initialization, the
     per-epoch shuffle, and one fresh eps row per window per visit (drawn in
     float64, then rounded), so identical inputs give byte-identical
     checkpoints.
@@ -470,10 +453,8 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
             if not math.isfinite(total):
                 raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
             state.step += 1
-            corrections = _bias_corrections(state.step)
             for i, g in _backward_walk(model, batch, eps, hyper.alpha, cache, scratch):
-                _adam_update(params[i], g, state.m[i], state.v[i], hyper.learning_rate,
-                             *corrections)
+                adam_step(params[i], g, state.m[i], state.v[i], state.step, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -23,6 +24,7 @@ from latentaudio import (
 )
 from latentaudio import audio
 from latentaudio.audio import MAX_FLOAT32_SAMPLES, write_wav
+from latentaudio.cli import main as cli_main
 
 
 # bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUIDs for PCM and IEEE float
@@ -197,6 +199,22 @@ class TestWavCodec:
         path.write_bytes(raw)
         with pytest.raises(MalformedWavError):
             load_wav(path)
+
+    def test_fmt_chunk_too_small(self, tmp_path, capsys):
+        # 14 bytes: the fmt fields up to block align, without bits per sample
+        fmt = struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)
+        payload = b"\x00\x00" * 4
+        chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        chunks += b"data" + struct.pack("<I", len(payload)) + payload
+        path = tmp_path.resolve() / "x.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        message = f"{path}: fmt chunk too small (14 bytes)"
+        with pytest.raises(MalformedWavError, match=re.escape(message)):
+            load_wav(path)
+        out = tmp_path / "m.ckpt"
+        assert cli_main(["train", "--dataset-dir", str(tmp_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("channels, rate", [(0, 8000), (1, 0)])
     def test_invalid_fmt_fields(self, tmp_path, channels, rate):

@@ -308,6 +308,21 @@ class TestSynth:
         assert "'nan=1' is not a finite number" in err and "Warning" not in err
         assert not out.exists() and not (tmp_path / "x.wav.cfg").exists()
 
+    @pytest.mark.parametrize("curve, message", [
+        ("lin:0", "curve 'lin:0': item '' is not a finite number"),
+        ("const:", "curve 'const:': item '' is not a finite number"),
+        ("bp:a", "curve 'bp:a': item 'a' is not a finite number"),
+        ("bp:0=1,0=0,4=1", "curve 'bp:0=1,0=0,4=1': breakpoint index 0 is given twice"),
+    ])
+    def test_malformed_curve_is_usage_error_naming_the_spec(
+        self, checkpoint, corpus, tmp_path, capsys, curve, message
+    ):
+        out = tmp_path / "x.wav"
+        assert _synth("meso", checkpoint, corpus, out, "--curve", curve) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "x.wav.cfg").exists()
+
     @pytest.mark.parametrize("strategy, flag, value", [
         ("meso", "--hop", "3"), ("meso", "--range", "2"), ("step", "--curve", "x"),
         ("step", "--hop", "3"), ("extend", "--range", "2"), ("extend", "--step", "0.1"),
@@ -595,6 +610,19 @@ class TestConfigHandling:
                      "--dataset-dir", str(corpus), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert f"{bad}:2: expected key=value" in capsys.readouterr().err
+
+    def test_key_set_twice_names_it_and_both_lines(self, checkpoint, corpus, tmp_path, capsys):
+        out = tmp_path / "x.wav"
+        assert _synth("meso", checkpoint, corpus, out) == 0
+        lines = (tmp_path / "x.wav.cfg").read_text().splitlines()
+        first = 1 + next(i for i, line in enumerate(lines) if line.startswith("curve="))
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("\n".join([*lines, "curve=const:1"]) + "\n")
+        out.unlink()
+        assert main(["synth", "meso", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{len(lines) + 1}: key 'curve' is set again (first on line {first})" in err
+        assert not out.exists()
 
     def test_undecodable_config_names_its_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -1212,7 +1240,7 @@ class TestExportLatents:
                      "--input", str(wav), "--out", str(out), "--hop", "32"]) == 0
         assert "recipe=2" in (tmp_path / "latents.csv.cfg").read_text().splitlines()
         model = model_from_checkpoint(load_checkpoint(checkpoint))
-        export_latents(encode_audio(model, resample(load_wav(wav), RATE), 32), tmp_path / "w.csv")
+        export_latents([encode_audio(model, resample(load_wav(wav), RATE), 32)], tmp_path / "w.csv")
         assert out.read_bytes() == (tmp_path / "w.csv").read_bytes()
 
     @pytest.mark.parametrize("value", ["0", "3"])

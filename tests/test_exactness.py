@@ -598,17 +598,17 @@ class TestAdamMatchesReference:
         state = AdamState.zeros_like(params)
         for step in range(1, 5):
             grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
-            adam_step(params, grads, state, 1e-3)
+            for p, g, m, v in zip(params, grads, state.m, state.v):
+                adam_step(p, g, m, v, step, 1e-3)
             reference_adam_step(ref_params, grads, ref_m, ref_v, step, 1e-3)
         for got, want in zip(params + state.m + state.v, ref_params + ref_m + ref_v):
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
     def test_non_contiguous_params_rejected(self):
-        params = [np.zeros((4, 6))[:, ::2]]
-        state = AdamState(m=[np.zeros((4, 3))], v=[np.zeros((4, 3))])
-        with pytest.raises(ValueError):
-            adam_step(params, [np.ones((4, 3))], state, 1e-3)
+        p = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(p, np.ones((4, 3)), np.zeros((4, 3)), np.zeros((4, 3)), 1, 1e-3)
 
 
 class TestFloat32TrainingMatchesFloat64Reference:
@@ -746,23 +746,25 @@ class TestTrainingMatchesReference:
         # every gradient that reaches an update lies at the head of one scratch
         # buffer, allocated once per call and no larger than the largest tensor
         updates = []
-        update = vae_module._adam_update
+        update = vae_module.adam_step
 
-        def spy(p, g, *rest):
-            updates.append((p, g.base, g.__array_interface__["data"][0]))
+        def spy(p, g, m, v, step, learning_rate):
+            updates.append((p, g.base, g.__array_interface__["data"][0], step))
             assert g.dtype == p.dtype == np.float32 and g.shape == p.shape
-            return update(p, g, *rest)
+            return update(p, g, m, v, step, learning_rate)
 
-        monkeypatch.setattr(vae_module, "_adam_update", spy)
+        monkeypatch.setattr(vae_module, "adam_step", spy)
         train(_views([0.3, 0.2]), self.HYPER)
         n_params = len(vae_module._param_shapes(self.HYPER))
         assert len(updates) == self.HYPER.epochs * 11 * n_params  # 163 windows, batches of 16
-        for step in range(0, len(updates), n_params):  # each tensor once a step
-            assert len({id(p) for p, _, _ in updates[step : step + n_params]}) == n_params
+        for start in range(0, len(updates), n_params):  # each tensor once a step, steps from 1
+            step_updates = updates[start : start + n_params]
+            assert len({id(p) for p, _, _, _ in step_updates}) == n_params
+            assert {step for _, _, _, step in step_updates} == {start // n_params + 1}
         scratch = updates[0][1]
-        assert all(base is scratch for _, base, _ in updates)
-        assert {address for _, _, address in updates} == {scratch.__array_interface__["data"][0]}
-        assert scratch.nbytes == max(p.nbytes for p, _, _ in updates[:n_params])
+        assert all(base is scratch for _, base, _, _ in updates)
+        assert {address for _, _, address, _ in updates} == {scratch.__array_interface__["data"][0]}
+        assert scratch.nbytes == max(p.nbytes for p, _, _, _ in updates[:n_params])
 
     def test_traced_peak_holds_no_gradient_set(self):
         # params and both Adam moments are 3P; a set of gradients beside them
@@ -1344,7 +1346,7 @@ class TestLatentExportRoundTrip:
         mu[0, :6] = [0.0, -0.0, info.max, -info.max, info.tiny, info.smallest_subnormal]
         bits = rng.integers(0, 0x7F800000, (20, 16), dtype=np.uint32)  # random finite patterns
         logvar = bits.view(np.float32) * np.float32(-1) ** np.arange(16, dtype=np.float32)
-        export_latents(LatentPath(mu, logvar), tmp_path / "latents.csv")
+        export_latents([LatentPath(mu, logvar)], tmp_path / "latents.csv")
         rows = (tmp_path / "latents.csv").read_text().splitlines()[1:]
         assert len(rows) == 20
         for i, row in enumerate(rows):

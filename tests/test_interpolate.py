@@ -160,6 +160,13 @@ class TestGenerateCurve:
         ("sine:q=1", "unknown sine parameter 'q'"),
         ("sine:p=0", "sine period must be nonzero"),
         ("bp:", "breakpoint spec needs at least one index=value pair"),
+        ("lin:0", "curve 'lin:0': item '' is not a finite number"),
+        ("const:", "curve 'const:': item '' is not a finite number"),
+        ("bp:a", "curve 'bp:a': item 'a' is not a finite number"),
+        ("bp:0=x", "curve 'bp:0=x': item '0=x' is not a finite number"),
+        # a sort would order a repeated index's points by value, not spec order
+        ("bp:0=1,0=0,4=1", "curve 'bp:0=1,0=0,4=1': breakpoint index 0 is given twice"),
+        ("bp:0=0,2.5=1,7=0,2.50=0", "breakpoint index 2.5 is given twice"),
     ])
     def test_malformed_spec(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -482,14 +489,14 @@ class TestExportLatents:
         return LatentPath(mu, logvar)
 
     def test_row_and_field_counts(self, tmp_path):
-        export_latents(self._path(n=4, m=8), tmp_path / "latents.csv")
+        export_latents([self._path(n=4, m=8)], tmp_path / "latents.csv")
         lines = (tmp_path / "latents.csv").read_text().strip().split("\n")
         assert len(lines) == 5
         assert lines[0].split(",")[:2] == ["idx", "mu_0"]
         assert all(len(line.split(",")) == 1 + 8 + 8 for line in lines)
 
     def test_empty_path_writes_header_only(self, tmp_path):
-        export_latents(LatentPath(np.zeros((0, 2)), np.zeros((0, 2))), tmp_path / "latents.csv")
+        export_latents([LatentPath(np.zeros((0, 2)), np.zeros((0, 2)))], tmp_path / "latents.csv")
         assert (tmp_path / "latents.csv").read_text() == "idx,mu_0,mu_1,lv_0,lv_1\n"
 
     def test_no_blocks_is_value_error_and_writes_nothing(self, tmp_path):
@@ -508,7 +515,7 @@ class TestExportLatents:
     def test_reparse_recovers_float32_values(self, tmp_path):
         path = self._path(n=3, m=8)
         out = tmp_path / "latents.csv"
-        export_latents(path, out)
+        export_latents([path], out)
         rows = out.read_text().strip().split("\n")[1:]
         for i, row in enumerate(rows):
             fields = row.split(",")

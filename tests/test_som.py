@@ -349,7 +349,7 @@ class TestSomPersistence:
     def test_feature_config_survives(self, tmp_path):
         cfg = FeatureConfig(sample_rate=22050, frame_size=1024, hop=512, n_mfcc=10, n_mels=20)
         rng = np.random.default_rng(1)
-        thumbs = _thumbs(rng.standard_normal((12, cfg.dimension)))
+        thumbs = _thumbs(rng.standard_normal((12, 2 * (10 + 2))))  # 10 MFCCs, centroid, RMS
         som = train_som(thumbs, width=2, height=2, epochs=3, seed=0, feature_config=cfg)
         path = tmp_path / "m.som"
         save_som(som, path)

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import make_sine
 from latentaudio import (
-    AdamState,
     EmptyDatasetError,
     LatentStats,
     NonFiniteLossError,
@@ -289,49 +288,42 @@ class TestBackward:
 
 
 class TestAdam:
+    @staticmethod
+    def _tensor(*values):
+        """A parameter tensor and its zeroed first and second moments."""
+        p = np.array(values)
+        return p, np.zeros_like(p), np.zeros_like(p)
+
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = [np.array([1.5, -2.0])]
-        state = AdamState.zeros_like(params)
-        adam_step(params, [np.zeros(2)], state, 1e-2)
-        assert np.array_equal(params[0], [1.5, -2.0])
-        assert state.step == 1
+        p, m, v = self._tensor(1.5, -2.0)
+        adam_step(p, np.zeros(2), m, v, 1, 1e-2)
+        assert np.array_equal(p, [1.5, -2.0])
 
     def test_moments_decay_under_zero_gradient(self):
-        params = [np.array([1.0])]
-        state = AdamState.zeros_like(params)
-        adam_step(params, [np.array([1.0])], state, 1e-4)
-        m1, v1 = state.m[0].copy(), state.v[0].copy()
-        adam_step(params, [np.array([0.0])], state, 1e-4)
-        assert np.allclose(state.m[0], 0.9 * m1)
-        assert np.allclose(state.v[0], 0.999 * v1)
+        p, m, v = self._tensor(1.0)
+        adam_step(p, np.array([1.0]), m, v, 1, 1e-4)
+        m1, v1 = m.copy(), v.copy()
+        adam_step(p, np.array([0.0]), m, v, 2, 1e-4)
+        assert np.allclose(m, 0.9 * m1)
+        assert np.allclose(v, 0.999 * v1)
 
     def test_first_step_hand_oracle(self):
-        params = [np.array([1.0])]
-        state = AdamState.zeros_like(params)
-        adam_step(params, [np.array([1.0])], state, 1e-4)
-        assert params[0][0] == pytest.approx(1.0 - ADAM_FIRST_STEP, abs=1e-12)
+        p, m, v = self._tensor(1.0)
+        adam_step(p, np.array([1.0]), m, v, 1, 1e-4)
+        assert p[0] == pytest.approx(1.0 - ADAM_FIRST_STEP, abs=1e-12)
 
     def test_second_identical_step_hand_oracle(self):
         # with g = 1 twice, both bias-corrected moments stay exactly 1
-        params = [np.array([1.0])]
-        state = AdamState.zeros_like(params)
-        adam_step(params, [np.array([1.0])], state, 1e-4)
-        after_first = params[0][0]
-        adam_step(params, [np.array([1.0])], state, 1e-4)
-        assert params[0][0] - after_first == pytest.approx(-ADAM_FIRST_STEP, abs=1e-12)
-        assert state.step == 2
-
-    def test_length_mismatch(self):
-        params = [np.zeros(2)]
-        state = AdamState.zeros_like(params)
-        with pytest.raises(ShapeMismatchError):
-            adam_step(params, [], state, 1e-4)
+        p, m, v = self._tensor(1.0)
+        adam_step(p, np.array([1.0]), m, v, 1, 1e-4)
+        after_first = p[0]
+        adam_step(p, np.array([1.0]), m, v, 2, 1e-4)
+        assert p[0] - after_first == pytest.approx(-ADAM_FIRST_STEP, abs=1e-12)
 
     def test_gradient_shape_mismatch(self):
-        params = [np.zeros(2)]
-        state = AdamState.zeros_like(params)
+        p, m, v = self._tensor(0.0, 0.0)
         with pytest.raises(ShapeMismatchError, match=r"gradient shape \(3,\) != parameter"):
-            adam_step(params, [np.zeros(3)], state, 1e-4)
+            adam_step(p, np.zeros(3), m, v, 1, 1e-4)
 
 
 class TestRecordChecks:
@@ -417,7 +409,7 @@ class TestTrain:
     def test_nonfinite_loss_raises_before_any_update(self, small_hyper, monkeypatch):
         # the step checks its loss before its backward walk updates any tensor
         updates = []
-        monkeypatch.setattr(vae_module, "_adam_update", lambda *args: updates.append(args))
+        monkeypatch.setattr(vae_module, "adam_step", lambda *args: updates.append(args))
         windows = _sine_windows()
         windows[0, 0] = np.nan
         hyper = replace(small_hyper, batch_size=len(windows))
@@ -445,7 +437,7 @@ class TestFloat32Training:
 
     def test_trained_tensors_are_float32(self, small_hyper, monkeypatch):
         seen = set()
-        forward, update = vae_module._forward_batch, vae_module._adam_update
+        forward, update = vae_module._forward_batch, vae_module.adam_step
 
         def forward_spy(model, frames, eps):
             seen.update(a.dtype for a in (frames, eps))
@@ -456,7 +448,7 @@ class TestFloat32Training:
             return update(p, g, *rest)
 
         monkeypatch.setattr(vae_module, "_forward_batch", forward_spy)
-        monkeypatch.setattr(vae_module, "_adam_update", update_spy)
+        monkeypatch.setattr(vae_module, "adam_step", update_spy)
         ckpt = train(_sine_windows(), small_hyper)
         assert seen == {np.dtype(np.float32)}
         for tensors in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
