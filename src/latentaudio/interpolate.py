@@ -13,16 +13,18 @@ decodes the blend back to audio:
     duration by window_size / hop.
 
 Blending is linear in mu and in sigma (not log-variance), weight on a
-and complement on b. Synthesis blends a block of at most _BLOCK windows
-at a time in float64 (so weights 0 and 1 reproduce the endpoint
-encodings bit-exactly), casts it to the model dtype, decodes it and
-joins its frames. Frame i of a window-W, crossfade-k join starts at
-sample i * (W - k); array passes ramp seams in frame order, so once block
-[i0, i1) is joined, every sample before i1 * (W - k) is final. A
-Rendering yields those samples block by block and carries only the k
-after them: the render_* functions hand it to a writer (the CLI streams
-it into the WAV, so memory is a few blocks), and the *_interpolate
-functions fill one AudioBuffer from it.
+and complement on b. Each strategy blends its paths a block of 2 to
+_BLOCK windows at a time, in float64 (so weights 0 and 1 reproduce the
+endpoint encodings bit-exactly), and hands the blocks to one decoder,
+which casts, decodes and joins them in order. A decoded row keeps its
+bits in any block of 2 to 256 rows, but not as a lone row. Frame i of a
+window-W, crossfade-k join starts at sample i * (W - k); array passes
+ramp seams in frame order, so once a block is joined, every sample
+before the next block's first frame is final. A Rendering yields those
+samples block by block and carries only the k after them: the render_*
+functions hand it to a writer (the CLI streams it into the WAV, so
+memory is a few blocks), and the *_interpolate functions fill one
+AudioBuffer from it.
 
 Encoding follows a numbered recipe, which synth and export-latents
 sidecars record. Recipe 2 (RECIPE, every new run) encodes at most _BLOCK
@@ -193,9 +195,9 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
     a=<amplitude>,o=<offset>" (all optional, value = o + a*sin(2*pi*i/p
     + ph)), "bp:<idx>=<val>,..." (piecewise-linear breakpoints). Values
     land in [-1, 1] by clamping. A malformed spec, a number that does not
-    parse or is not finite, a breakpoint index given twice, or a spec whose
-    arithmetic overflows float64 is a ValueError naming the spec, not a
-    warning.
+    parse or is not finite, a breakpoint index or sine parameter given twice,
+    or a spec whose arithmetic overflows float64 is a ValueError naming the
+    spec, not a warning.
     """
     if length < 1:
         raise ValueError(f"curve length must be >= 1, got {length}")
@@ -222,11 +224,14 @@ def _curve_values(kind: str, body: str, length: int) -> np.ndarray:
         start_s, _, end_s = body.partition(":")
         return np.linspace(_number(start_s, start_s), _number(end_s, end_s), length)
     if kind == "sine":
-        params = {"p": float(length), "ph": 0.0, "a": 1.0, "o": 0.0}
+        params, given = {"p": float(length), "ph": 0.0, "a": 1.0, "o": 0.0}, set()
         for item in filter(None, body.split(",")):
             key, _, val = item.partition("=")
             if key not in params:
                 raise ValueError(f"unknown sine parameter {key!r}")
+            if key in given:
+                raise ValueError(f"sine parameter {key!r} is given twice")
+            given.add(key)
             params[key] = _number(item, val)
         if params["p"] == 0:
             raise ValueError("sine period must be nonzero")
@@ -275,49 +280,54 @@ class Rendering:
         return AudioBuffer(out, self.sample_rate)
 
 
-def _render(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: int) -> Rendering:
-    """The join of the decoded rows as a Rendering; ValueError, before anything
-    is decoded, if it is longer than one float32 WAV holds."""
+def _render(model: VaeModel, n_rows: int, blocks, mode: SynthesisMode, k: int) -> Rendering:
+    """The join of the n_rows rows of blocks as a Rendering; ValueError, before
+    anything is decoded, if it is longer than one float32 WAV holds."""
     length = n_rows * (model.hyper.window_size - k) + k if n_rows else 0
     if length > MAX_FLOAT32_SAMPLES:
         raise ValueError(f"{length} output samples are more than one float32 WAV holds")
-    return Rendering(length, model.hyper.sample_rate, _decode_blocks(model, n_rows, rows, mode, k))
+    return Rendering(length, model.hyper.sample_rate, _decode_blocks(model, blocks, mode, k))
 
 
-def _decode_blocks(model: VaeModel, n_rows: int, rows, mode: SynthesisMode, k: int):
-    """Decode the rows(i, sampled) -> (means, stds or None) of a path; yield the join.
-
-    Blocks hold 2 to _BLOCK rows (BLAS decodes a lone row through gemv, with
-    other bits); eps continues one generator's stream. Frame i starts at i*s,
-    s = W - k; pass d = 0, 1, ... ramps, in every seam, the offsets t that lie
-    under d = ceil((k - t)/s) - 1 earlier seams. Block [i0, i1) yields samples
-    [i0*s, i1*s), which later frames no longer touch, and carries the k after
-    them into the next block; the last block yields them too.
-    """
-    if not n_rows:
-        return
-    s = model.hyper.window_size - k
+def _spans(n_rows: int):
+    """An n_rows path's decode blocks [i0, i1), as even as can be: 2 to _BLOCK
+    rows each, a lone row only when the path has one, none for an empty path."""
     n_blocks = -(-n_rows // _BLOCK)
-    bounds = [n_rows * j // n_blocks for j in range(n_blocks + 1)]
-    sampled = mode.kind == "sampled"
-    rng = np.random.default_rng(mode.seed) if sampled else None
+    for j in range(n_blocks):
+        yield n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks
+
+
+def _decode_blocks(model: VaeModel, blocks, mode: SynthesisMode, k: int):
+    """Decode the (means, stds or None) blocks of a path in order; yield the join.
+
+    A decoded row has the same bits in any block of 2 to 256 rows, but not as a
+    lone row (BLAS decodes it through gemv), so blocks come from _spans. eps
+    continues one generator's stream. Frame i starts at i*s, s = W - k; pass
+    d = 0, 1, ... ramps, in every seam, the offsets t that lie under
+    d = ceil((k - t)/s) - 1 earlier seams. A block of n rows yields its n*s
+    samples, which later frames no longer touch, and carries the k after them
+    into the next block; the last k are yielded after the last block.
+    """
+    s = model.hyper.window_size - k
+    rng = np.random.default_rng(mode.seed) if mode.kind == "sampled" else None
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
     tail = None
-    for i0, i1 in zip(bounds, bounds[1:]):
-        means, stds = rows(np.arange(i0, i1), sampled)
-        z = means + stds * rng.standard_normal(means.shape) if sampled else means
+    for means, stds in blocks:
+        z = means if rng is None else means + stds * rng.standard_normal(means.shape)
         frames = decode_frames(model, z.astype(model.dtype, copy=False))
-        n = i1 - i0
-        out = np.empty(n * s + k, dtype=model.dtype)  # samples [i0*s, i1*s + k)
+        n = len(frames)
+        out = np.empty(n * s + k, dtype=model.dtype)  # the block's samples and the k after
         out[k:].reshape(n, s)[:] = frames[:, k:]
-        out[:k] = frames[0, :k] if i0 == 0 else tail
-        j = 1 if i0 == 0 else 0  # frame 0 has no seam
+        out[:k] = frames[0, :k] if tail is None else tail
+        j = 1 if tail is None else 0  # frame 0 has no seam
         for d in range(-(-k // s)):
             lo, hi = max(k - (d + 1) * s, 0), k - d * s
             seams = out[lo : lo + n * s].reshape(n, s)[j:, : hi - lo]
             seams[...] = seams * (1 - ramp[lo:hi]) + frames[j:, lo:hi] * ramp[lo:hi]
         tail = out[n * s :]
-        yield out if i1 == n_rows else out[: n * s]
+        yield out[: n * s]
+    if tail is not None:
+        yield tail
 
 
 def decode_path(
@@ -342,43 +352,30 @@ def decode_path(
     if np.any(stds < 0):
         raise ValueError("stds must be entrywise >= 0")
     _check_crossfade(model, crossfade)
-    return _render(model, len(means), lambda i, _: (means[i], stds[i]), mode, crossfade).buffer()
+    blocks = ((means[i0:i1], stds[i0:i1]) for i0, i1 in _spans(len(means)))
+    return _render(model, len(means), blocks, mode, crossfade).buffer()
 
 
-def _path_rows(mu: np.ndarray, logvar):
-    """stats(i, sampled) -> (mu, logvar or None) of windows i % N of a whole path;
-    logvar may be None when nothing samples."""
-    return lambda i, sampled: (mu[i % len(mu)], logvar[i % len(mu)] if sampled else None)
-
-
-def _frame_rows(model: VaeModel, frames: np.ndarray):
-    """stats(i, sampled) of the consecutive windows i of frames, encoded when asked for."""
-    return lambda i, sampled: _encode_block(model, frames[i[0] : i[-1] + 1], _ROW_ALIGN, sampled)
-
-
-def _blend_rows(stats_a, stats_b, weight):
-    """rows for _decode_blocks: row i blends stats_a(i) and stats_b(i), weight(i)
-    on a; sigma floored. Only sampled rows read the sigmas, so only they ask
-    for and exponentiate a block's logvar. LoudInputError names the input and
-    window of the first sigma that is not finite, before a weight of 0 times
-    inf turns it into a NaN of no input."""
-
-    def rows(i, sampled):
-        w = weight(i)[:, None]
-        (mu_a, logvar_a), (mu_b, logvar_b) = stats_a(i, sampled), stats_b(i, sampled)
-        means = w * mu_a + (1.0 - w) * mu_b
-        if not sampled:
-            return means, None
-        with np.errstate(over="ignore"):  # the error below is the diagnosis
-            sigmas = [np.exp(logvar_a / 2), np.exp(logvar_b / 2)]
-        for index, sigma in enumerate(sigmas):
-            bad = ~np.isfinite(sigma).all(axis=1)
-            if bad.any():  # stepwise's first segment holds every window, so i is one
-                raise LoudInputError(index, int(i[bad.argmax()]))
-        stds = w * sigmas[0] + (1.0 - w) * sigmas[1]
-        return means, np.maximum(stds, _SIGMA_FLOOR)
-
-    return rows
+def _blend(path_a, path_b, rows, w, first: int, sampled: bool):
+    """The (means, stds or None) of rows of two (mu, logvar or None) paths,
+    weight w (one per row) on a and 1 - w on b, in float64; sigma floored.
+    Only sampled rows read the logvars, and so only they exponentiate them.
+    LoudInputError names the input and window (first + the row's place) of
+    the first sigma that is not finite, before a weight of 0 times inf turns
+    it into a NaN of no input."""
+    w = w[:, None]
+    (mu_a, logvar_a), (mu_b, logvar_b) = path_a, path_b
+    means = w * mu_a[rows] + (1.0 - w) * mu_b[rows]
+    if not sampled:
+        return means, None
+    with np.errstate(over="ignore"):  # the error below is the diagnosis
+        sigmas = [np.exp(logvar_a[rows] / 2), np.exp(logvar_b[rows] / 2)]
+    for index, sigma in enumerate(sigmas):
+        bad = ~np.isfinite(sigma).all(axis=1)
+        if bad.any():  # stepwise's first segment holds every window, so it names one
+            raise LoudInputError(index, first + int(bad.argmax()))
+    stds = w * sigmas[0] + (1.0 - w) * sigmas[1]
+    return means, np.maximum(stds, _SIGMA_FLOOR)
 
 
 def stepwise_interpolate(
@@ -419,12 +416,13 @@ def render_stepwise(
     # small epsilon so ratios like 0.8/0.2 land on their exact integer
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
     _check_crossfade(model, crossfade)
-    path_a, path_b = (_encode_path(model, x, model.hyper.window_size, recipe,
-                                   mode.kind == "sampled") for x in truncate_pair(a, b))
-    n_windows = len(path_a[0])
-    rows = _blend_rows(_path_rows(*path_a), _path_rows(*path_b),
-                       lambda i: i // n_windows * step_s)
-    return _render(model, n_segments * n_windows, rows, mode, crossfade)
+    sampled = mode.kind == "sampled"
+    paths = [_encode_path(model, x, model.hyper.window_size, recipe, sampled)
+             for x in truncate_pair(a, b)]
+    n = len(paths[0][0])  # row i is window i % n of both paths, weight i // n * step_s on a
+    blocks = (_blend(*paths, np.arange(i0, i1) % n, np.arange(i0, i1) // n * step_s, i0, sampled)
+              for i0, i1 in _spans(n_segments * n))
+    return _render(model, n_segments * n, blocks, mode, crossfade)
 
 
 def meso_interpolate(
@@ -482,14 +480,21 @@ def render_extended(
         raise CurveLengthMismatchError(
             f"curve has {len(curve)} values but the inputs give {n_windows} windows"
         )
+    sampled = mode.kind == "sampled"
     if recipe < 2:
-        stats = [_path_rows(*_encode_path(model, x, hop, recipe, mode.kind == "sampled"))
-                 for x in pair]
-    else:  # each decode block's windows of both inputs, encoded as the decoder reaches them
-        stats = [_frame_rows(model, frame_view(x.samples, model.hyper.window_size, hop))
-                 for x in pair]
-    rows = _blend_rows(*stats, lambda i: curve.values[i])
-    return _render(model, n_windows, rows, mode, crossfade)
+        paths = [_encode_path(model, x, hop, recipe, sampled) for x in pair]
+    else:
+        frames = [frame_view(x.samples, model.hyper.window_size, hop) for x in pair]
+
+    def blocks():
+        for i0, i1 in _spans(n_windows):
+            if recipe < 2:
+                yield _blend(*paths, slice(i0, i1), curve.values[i0:i1], i0, sampled)
+            else:  # the block's windows of both inputs, encoded as the decoder reaches them
+                stats = [_encode_block(model, f[i0:i1], _ROW_ALIGN, sampled) for f in frames]
+                yield _blend(*stats, slice(None), curve.values[i0:i1], i0, sampled)
+
+    return _render(model, n_windows, blocks(), mode, crossfade)
 
 
 def export_latents(blocks, file) -> int:

@@ -326,19 +326,6 @@ def _backward_batch(model: VaeModel, frames: np.ndarray, eps: np.ndarray, alpha:
     return grads, losses
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
-
-    m: list
-    v: list
-    step: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: list) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
-
-
 def _flat_view(a: np.ndarray) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("adam_step updates arrays in place and needs them C-contiguous")
@@ -431,7 +418,8 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
     rng = np.random.default_rng(hyper.seed)
     model = init_model(hyper, rng=rng, dtype=np.float32)
     params = model.params
-    state = AdamState.zeros_like(params)
+    adam_m, adam_v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    step = 0
     scratch = np.empty(max(p.size for p in params), dtype=np.float32)
     batch_buf = np.empty((min(hyper.batch_size, n), hyper.window_size), dtype=np.float32)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
@@ -452,15 +440,15 @@ def train(dataset, hyper: VaeHyperParams) -> Checkpoint:
             total, recon, kl = _batch_losses(batch, cache, hyper.alpha)
             if not math.isfinite(total):
                 raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
-            state.step += 1
+            step += 1
             for i, g in _backward_walk(model, batch, eps, hyper.alpha, cache, scratch):
-                adam_step(params[i], g, state.m[i], state.v[i], state.step, hyper.learning_rate)
+                adam_step(params[i], g, adam_m[i], adam_v[i], step, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
 
-    return Checkpoint(hyper=hyper, params=params, adam_m=state.m, adam_v=state.v,
-                      adam_step_count=state.step, loss_history=history.astype(np.float32))
+    return Checkpoint(hyper=hyper, params=params, adam_m=adam_m, adam_v=adam_v,
+                      adam_step_count=step, loss_history=history.astype(np.float32))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> VaeModel:

@@ -313,6 +313,7 @@ class TestSynth:
         ("const:", "curve 'const:': item '' is not a finite number"),
         ("bp:a", "curve 'bp:a': item 'a' is not a finite number"),
         ("bp:0=1,0=0,4=1", "curve 'bp:0=1,0=0,4=1': breakpoint index 0 is given twice"),
+        ("sine:p=4,p=8", "curve 'sine:p=4,p=8': sine parameter 'p' is given twice"),
     ])
     def test_malformed_curve_is_usage_error_naming_the_spec(
         self, checkpoint, corpus, tmp_path, capsys, curve, message

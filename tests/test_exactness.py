@@ -10,7 +10,7 @@ keeps activations instead of pre-activations and forms no frame
 gradient, training gathers each batch from the arrays it is given and
 updates each tensor as soon as the backward walk has formed its gradient
 in one scratch buffer, checkpoint tensors are
-views of one read buffer, WAV payloads
+each read into their own array, WAV payloads
 are written without copies, and frame features square into a reused
 buffer. None of that may change a single bit: each reference below is
 the plain numpy code the kernel replaced, and results must be
@@ -42,7 +42,6 @@ from hypothesis import strategies as st
 
 from helpers import float32_model, make_noise
 from latentaudio import (
-    AdamState,
     AudioBuffer,
     Checkpoint,
     Cluster,
@@ -88,7 +87,7 @@ from latentaudio.cli import main as cli_main
 from latentaudio.container import MAGIC_LEN, read_container, write_container
 from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
 from latentaudio.interpolate import (
-    _SIGMA_FLOOR, _blend_rows, _path_rows, render_extended, render_stepwise,
+    _SIGMA_FLOOR, _blend, _decode_blocks, render_extended, render_stepwise,
 )
 from latentaudio.som import _LR_FLOOR_FACTOR, _RADIUS_FLOOR, _quantization_error
 from latentaudio.vae import (
@@ -126,7 +125,8 @@ def reference_train_float64(frames, hyper):
     rng = np.random.default_rng(hyper.seed)
     model = init_model(hyper, rng=rng)
     params = model.params
-    state = AdamState.zeros_like(params)
+    adam_m, adam_v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    step = 0
     n = len(frames)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
     for epoch in range(hyper.epochs):
@@ -137,8 +137,8 @@ def reference_train_float64(frames, hyper):
             batch = frames[order[start : start + hyper.batch_size]]
             eps = rng.standard_normal((len(batch), hyper.latent_dim))
             grads, (_, recon, kl) = reference_backward_batch(model, batch, eps, hyper.alpha)
-            state.step += 1
-            reference_adam_step(params, grads, state.m, state.v, state.step, hyper.learning_rate)
+            step += 1
+            reference_adam_step(params, grads, adam_m, adam_v, step, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
@@ -162,7 +162,8 @@ def reference_train(dataset, hyper):
     rng = np.random.default_rng(hyper.seed)
     model = init_model(hyper, rng=rng, dtype=np.float32)
     params = model.params
-    state = AdamState.zeros_like(params)
+    adam_m, adam_v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    step = 0
     n = len(frames)
     history = np.zeros((hyper.epochs, 2), dtype=np.float64)
 
@@ -177,14 +178,14 @@ def reference_train(dataset, hyper):
             grads, (total, recon, kl) = reference_backward_batch(model, batch, eps, hyper.alpha)
             if not math.isfinite(total):
                 raise NonFiniteLossError(f"loss became non-finite at epoch {epoch + 1}")
-            state.step += 1
-            reference_adam_step(params, grads, state.m, state.v, state.step, hyper.learning_rate)
+            step += 1
+            reference_adam_step(params, grads, adam_m, adam_v, step, hyper.learning_rate)
             recon_sum += recon * len(batch)
             kl_sum += kl * len(batch)
         history[epoch] = (recon_sum / n, kl_sum / n)
 
-    return Checkpoint(hyper=hyper, params=params, adam_m=state.m, adam_v=state.v,
-                      adam_step_count=state.step, loss_history=history.astype(np.float32))
+    return Checkpoint(hyper=hyper, params=params, adam_m=adam_m, adam_v=adam_v,
+                      adam_step_count=step, loss_history=history.astype(np.float32))
 
 
 def reference_train_som(data, width, height, epochs, lr0, radius0, seed):
@@ -595,13 +596,14 @@ class TestAdamMatchesReference:
         ref_params = [p.copy() for p in params]
         ref_m = [np.zeros_like(p) for p in params]
         ref_v = [np.zeros_like(p) for p in params]
-        state = AdamState.zeros_like(params)
+        got_m = [np.zeros_like(p) for p in params]
+        got_v = [np.zeros_like(p) for p in params]
         for step in range(1, 5):
             grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
-            for p, g, m, v in zip(params, grads, state.m, state.v):
+            for p, g, m, v in zip(params, grads, got_m, got_v):
                 adam_step(p, g, m, v, step, 1e-3)
             reference_adam_step(ref_params, grads, ref_m, ref_v, step, 1e-3)
-        for got, want in zip(params + state.m + state.v, ref_params + ref_m + ref_v):
+        for got, want in zip(params + got_m + got_v, ref_params + ref_m + ref_v):
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
@@ -888,15 +890,16 @@ class TestBlendMatchesReference:
         mu_a, lv_a, mu_b, lv_b = rng.standard_normal((4, self.N_WINDOWS, m)).astype(np.float32)
         ref_a = ReferencePath(LatentStats(mu, lv) for mu, lv in zip(mu_a, lv_a))
         ref_b = ReferencePath(LatentStats(mu, lv) for mu, lv in zip(mu_b, lv_b))
-        return _path_rows(mu_a, lv_a), _path_rows(mu_b, lv_b), ref_a, ref_b
+        return (mu_a, lv_a), (mu_b, lv_b), ref_a, ref_b
 
     @pytest.mark.parametrize("m", [8, 256])
     @pytest.mark.parametrize("segments", [1, 2, 21])
     def test_stepwise_segments(self, m, segments):
-        stats_a, stats_b, ref_a, ref_b = self._stats(m)
+        path_a, path_b, ref_a, ref_b = self._stats(m)
         sweep = np.arange(segments) * 0.05
-        rows = _blend_rows(stats_a, stats_b, lambda i: i // self.N_WINDOWS * 0.05)
-        means, stds = rows(np.arange(segments * self.N_WINDOWS), True)
+        i = np.arange(segments * self.N_WINDOWS)
+        means, stds = _blend(path_a, path_b, i % self.N_WINDOWS, i // self.N_WINDOWS * 0.05, 0,
+                             True)
         want_means, want_stds = reference_blend(
             reference_tile_path(ref_a, segments), reference_tile_path(ref_b, segments),
             np.repeat(sweep, self.N_WINDOWS),
@@ -906,20 +909,20 @@ class TestBlendMatchesReference:
 
     @pytest.mark.parametrize("m", [8, 256])
     def test_per_window_curve(self, m):
-        stats_a, stats_b, ref_a, ref_b = self._stats(m)
+        path_a, path_b, ref_a, ref_b = self._stats(m)
         curve = InterpolationCurve(np.sin(np.arange(self.N_WINDOWS) / 2.0))
-        rows = _blend_rows(stats_a, stats_b, lambda i: curve.values[i])
-        means, stds = rows(np.arange(self.N_WINDOWS), True)
+        means, stds = _blend(path_a, path_b, slice(0, self.N_WINDOWS), curve.values, 0, True)
         want_means, want_stds = reference_blend(ref_a, ref_b, curve.values)
         assert np.array_equal(means, want_means)
         assert np.array_equal(stds, want_stds)
 
     def test_mean_only_rows_skip_stds(self):
-        stats_a, stats_b, ref_a, ref_b = self._stats(8)
-        rows = _blend_rows(stats_a, stats_b, lambda i: i * 0.1)
-        means, stds = rows(np.arange(self.N_WINDOWS), False)
+        (mu_a, _), (mu_b, _), ref_a, ref_b = self._stats(8)
+        # mean mode encodes no logvar, and the blend asks for none
+        weights = np.arange(self.N_WINDOWS) * 0.1
+        means, stds = _blend((mu_a, None), (mu_b, None), slice(None), weights, 0, False)
         assert stds is None
-        want_means, _ = reference_blend(ref_a, ref_b, np.arange(self.N_WINDOWS) * 0.1)
+        want_means, _ = reference_blend(ref_a, ref_b, weights)
         assert np.array_equal(means, want_means)
 
     def test_unequal_shapes_rejected(self):
@@ -1138,6 +1141,42 @@ def test_recipe_2_bits_do_not_depend_on_the_block_partition(shape, data, windows
         got = extended_interpolate(model, a, b, curve, mode, hop, crossfade)
         want = decode_path(model, means, stds, mode, crossfade)
     assert same_bytes(got.samples, want.samples)
+
+
+@st.composite
+def _decode_partitions(draw, n):
+    """Cut points 0 = c0 < c1 < ... = n (n >= 2), blocks of 2 to 256 rows: no lone row."""
+    cuts = [0]
+    while cuts[-1] < n:
+        left = n - cuts[-1]
+        size = draw(st.integers(2, min(256, left)))
+        if left - size == 1:  # a lone last row: take it too, or leave two
+            size = left if left <= 256 else size - 1
+        cuts.append(cuts[-1] + size)
+    return cuts
+
+
+@pytest.mark.parametrize("shape", ["48-wide", "default"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), rows=st.integers(2, 600), seed=st.integers(0, 2**16),
+       sampled=st.booleans(), fade=st.sampled_from(["0", "1", "W/2 + 1", "W - 1"]))
+def test_decoded_bits_do_not_depend_on_the_block_partition(shape, data, rows, seed, sampled,
+                                                             fade):
+    """The rule synthesis rests on: a decoded row has the same bits in any block of
+    2 to 256 rows, so the decoder's join of any such partition, eps stream and
+    carried seams included, is the bytes of decode_path's render."""
+    model = _partition_model(shape)
+    width = model.hyper.window_size
+    crossfade = {"0": 0, "1": 1, "W/2 + 1": width // 2 + 1, "W - 1": width - 1}[fade]
+    rng = np.random.default_rng(seed)
+    means = 3.0 * rng.standard_normal((rows, model.hyper.latent_dim))
+    stds = rng.uniform(0.0, 2.0, means.shape)
+    mode = SynthesisMode.sampled(seed) if sampled else SynthesisMode.mean_only()
+    cuts = data.draw(_decode_partitions(rows))
+    blocks = ((means[i0:i1], stds[i0:i1] if sampled else None) for i0, i1 in zip(cuts, cuts[1:]))
+    got = np.concatenate(list(_decode_blocks(model, blocks, mode, crossfade)))
+    want = decode_path(model, means, stds, mode, crossfade)
+    assert same_bytes(got, want.samples)
 
 
 class TestInferenceMatchesReference:

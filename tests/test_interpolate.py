@@ -167,6 +167,9 @@ class TestGenerateCurve:
         # a sort would order a repeated index's points by value, not spec order
         ("bp:0=1,0=0,4=1", "curve 'bp:0=1,0=0,4=1': breakpoint index 0 is given twice"),
         ("bp:0=0,2.5=1,7=0,2.50=0", "breakpoint index 2.5 is given twice"),
+        # the last value would win silently
+        ("sine:p=4,p=8", "curve 'sine:p=4,p=8': sine parameter 'p' is given twice"),
+        ("sine:a=1,ph=0,a=1", "sine parameter 'a' is given twice"),
     ])
     def test_malformed_spec(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
