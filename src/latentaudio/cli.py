@@ -184,6 +184,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigMismatchError(f"missing required option {_flag(f)}")
         if f.ftype == "path" and values[f.name] is not None:
             values[f.name] = str(Path(values[f.name]).resolve())
+    out = values.get("out")
+    if out is not None:  # refused here, before the command spends its work
+        if os.path.isdir(out):
+            raise ConfigMismatchError(f"--out {out} is a directory")
+        if not os.path.isdir(os.path.dirname(out)):
+            raise ConfigMismatchError(
+                f"--out {out}: {os.path.dirname(out)} is not an existing directory")
     return values
 
 

@@ -55,7 +55,9 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
     (0o666 less the umask); a rewritten one keeps its permission bits, but
     not its owner, group or hard links. Nothing is fsynced. A path that
     exists but is no regular file (/dev/null, a pipe) is written in place:
-    renaming over it would replace the device or pipe with a file.
+    renaming over it would replace the device or pipe with a file. If the
+    temp file cannot be made, the OSError (same errno, so same subclass)
+    names path.
     """
     try:
         old_mode = os.stat(path).st_mode
@@ -67,7 +69,10 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         return
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the caller's path, not the temp file's
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         if old_mode is not None:
             os.chmod(tmp, stat.S_IMODE(old_mode))

@@ -60,7 +60,9 @@ class ConfigMismatchError(LatentAudioError):
     """Thumbnail and map built from different feature recipes, or a CLI
     configuration that does not hold together: a malformed or unknown
     config key, a sidecar of another command, a value outside its
-    choices, a missing required option or a malformed --unit."""
+    choices, a missing required option, a malformed --unit, or an --out
+    that is a directory or whose parent is not an existing directory
+    (refused before the command runs, so nothing is written)."""
 
 
 class EmptySpecError(LatentAudioError):

@@ -27,15 +27,16 @@ memory is a few blocks), and the *_interpolate functions fill one
 AudioBuffer from it.
 
 Encoding follows a numbered recipe, which synth and export-latents
-sidecars record. Recipe 2 (RECIPE, every new run) encodes at most _BLOCK
-windows at a time, copied out of the input and zero-padded to a multiple
-of 8 rows: so padded, a row's bits do not depend on the rows beside it,
-while a batch of fewer than 8 rows, or of every window of a long input,
-can give other bits. meso and extend encode each decode block's windows
-as the decoder reaches them; stepwise cycles over its paths, so it keeps
-them whole. Recipe 1 is one unpadded batch of every window through the
-same block encoder, as runs made before recipe 2 encoded, so that their
-sidecars regenerate bit-exactly. Mean mode runs the mu head only.
+sidecars record. _encoded, the one encode loop, yields an input's
+latents on the decoder's _spans blocks. Recipe 2 (RECIPE, every new run)
+encodes each block when it is reached, copied out of the input and
+zero-padded to a multiple of 8 rows: so padded, a row's bits do not
+depend on the rows beside it, while a batch of fewer than 8 rows, or of
+every window of a long input, can give other bits. stepwise cycles over
+its paths, so it joins them whole. Recipe 1 is one unpadded batch of
+every window through the same block encoder, as runs made before recipe
+2 encoded, so that their sidecars regenerate bit-exactly. Mean mode runs
+the mu head only.
 """
 
 from __future__ import annotations
@@ -137,34 +138,39 @@ def encode_audio(model: VaeModel, buffer: AudioBuffer, hop: int) -> LatentPath:
 
     The buffer must already be at the model's sample rate; the caller
     owns resampling. Windows are encoded by recipe 2 (module docstring);
-    encode_blocks(..., recipe=1) yields recipe 1's path as its one block.
+    encode_blocks(..., recipe=1) yields recipe 1's path in blocks.
     """
     return LatentPath(*_encode_path(model, buffer, hop, RECIPE))
 
 
 def encode_blocks(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = RECIPE
                   ) -> Iterator[LatentPath]:
-    """encode_audio's path as consecutive LatentPaths, each encoded when it is
-    reached: _BLOCK windows at a time under recipe 2, one path under recipe 1."""
+    """encode_audio's path as consecutive LatentPaths, one per _spans block,
+    each encoded when it is reached (recipe 1: all at the first block)."""
     return (LatentPath(*stats) for stats in _encoded(model, buffer, hop, recipe))
 
 
 def _encoded(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int, with_logvar=True):
-    """Yield (mu, logvar or None) for runs of consecutive windows of buffer,
-    each run one _encode_block batch of the recipe's shape."""
+    """Yield (mu, logvar or None) for each _spans block of buffer's windows:
+    under recipe 2 one _encode_block batch, padded to a multiple of
+    _ROW_ALIGN rows, made when the block is reached; under recipe 1 a slice
+    of one unpadded batch of every window, made at the first block."""
     frames = frame_view(buffer.samples, model.hyper.window_size, hop)
-    rows, align = (_BLOCK, _ROW_ALIGN) if recipe >= 2 else (len(frames), 1)
-    for i in range(0, len(frames), rows):
-        yield _encode_block(model, frames[i : i + rows], align, with_logvar)
+    whole = None
+    for i0, i1 in _spans(len(frames)):
+        if recipe >= 2:
+            yield _encode_block(model, frames[i0:i1], _ROW_ALIGN, with_logvar)
+            continue
+        if whole is None:
+            whole = _encode_block(model, frames, 1, with_logvar)
+        mu, logvar = whole
+        yield mu[i0:i1], None if logvar is None else logvar[i0:i1]
 
 
 def _encode_path(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int,
                  with_logvar=True):
-    """_encoded's runs joined into one (mu, logvar or None) pair."""
-    runs = list(_encoded(model, buffer, hop, recipe, with_logvar))
-    if len(runs) == 1:
-        return runs[0]
-    mu, logvar = zip(*runs)
+    """_encoded's blocks joined into one (mu, logvar or None) pair."""
+    mu, logvar = zip(*_encoded(model, buffer, hop, recipe, with_logvar))
     return np.concatenate(mu), np.concatenate(logvar) if with_logvar else None
 
 
@@ -302,17 +308,20 @@ def _decode_blocks(model: VaeModel, blocks, mode: SynthesisMode, k: int):
 
     A decoded row has the same bits in any block of 2 to 256 rows, but not as a
     lone row (BLAS decodes it through gemv), so blocks come from _spans. eps
-    continues one generator's stream. Frame i starts at i*s, s = W - k; pass
-    d = 0, 1, ... ramps, in every seam, the offsets t that lie under
-    d = ceil((k - t)/s) - 1 earlier seams. A block of n rows yields its n*s
-    samples, which later frames no longer touch, and carries the k after them
-    into the next block; the last k are yielded after the last block.
+    continues one generator's stream, made after the first block arrives, so
+    numpy.random's import does not land on a recipe-1 whole-path encode. Frame
+    i starts at i*s, s = W - k; pass d = 0, 1, ... ramps, in every seam, the
+    offsets t that lie under d = ceil((k - t)/s) - 1 earlier seams. A block of
+    n rows yields its n*s samples, which later frames no longer touch, and
+    carries the k after them into the next block; the last k are yielded after
+    the last block.
     """
     s = model.hyper.window_size - k
-    rng = np.random.default_rng(mode.seed) if mode.kind == "sampled" else None
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
-    tail = None
+    tail = rng = None
     for means, stds in blocks:
+        if tail is None and mode.kind == "sampled":  # the first block is made by now
+            rng = np.random.default_rng(mode.seed)
         z = means if rng is None else means + stds * rng.standard_normal(means.shape)
         frames = decode_frames(model, z.astype(model.dtype, copy=False))
         n = len(frames)
@@ -471,8 +480,7 @@ def render_extended(
     recipe: int = RECIPE,
 ) -> Rendering:
     """extended_interpolate's output (meso_interpolate's at hop = window size)
-    as a Rendering: checked now, encoded and decoded as it is read (recipe 1
-    encodes both paths now)."""
+    as a Rendering: checked now, encoded and decoded as it is read."""
     _check_crossfade(model, crossfade)
     pair = truncate_pair(a, b)
     n_windows = window_count(len(pair[0]), model.hyper.window_size, hop)
@@ -481,20 +489,10 @@ def render_extended(
             f"curve has {len(curve)} values but the inputs give {n_windows} windows"
         )
     sampled = mode.kind == "sampled"
-    if recipe < 2:
-        paths = [_encode_path(model, x, hop, recipe, sampled) for x in pair]
-    else:
-        frames = [frame_view(x.samples, model.hyper.window_size, hop) for x in pair]
-
-    def blocks():
-        for i0, i1 in _spans(n_windows):
-            if recipe < 2:
-                yield _blend(*paths, slice(i0, i1), curve.values[i0:i1], i0, sampled)
-            else:  # the block's windows of both inputs, encoded as the decoder reaches them
-                stats = [_encode_block(model, f[i0:i1], _ROW_ALIGN, sampled) for f in frames]
-                yield _blend(*stats, slice(None), curve.values[i0:i1], i0, sampled)
-
-    return _render(model, n_windows, blocks(), mode, crossfade)
+    streams = [_encoded(model, x, hop, recipe, sampled) for x in pair]
+    blocks = (_blend(*stats, slice(None), curve.values[i0:i1], i0, sampled)
+              for (i0, i1), *stats in zip(_spans(n_windows), *streams))
+    return _render(model, n_windows, blocks, mode, crossfade)
 
 
 def export_latents(blocks, file) -> int:

@@ -708,6 +708,45 @@ class TestCommandContract:
             assert sidecar.read_text().splitlines()[0] == f"command={case.removesuffix(' --out')}"
 
 
+class TestBadOut:
+    """An --out that is a directory, or whose parent is not an existing directory,
+    is refused before the command runs: exit 2 naming the path, nothing written."""
+
+    @staticmethod
+    def _files(*directories):
+        return {p: p.read_bytes() if p.is_file() else None
+                for d in directories for p in sorted(d.rglob("*"))}
+
+    @pytest.mark.parametrize("kind", ["missing-parent", "directory"])
+    @pytest.mark.parametrize("case", ["train", "som build", "synth meso", "export-latents",
+                                      "som clusters --out"])
+    def test_refused_before_anything_is_written(self, case, kind, checkpoint, corpus, som_map,
+                                                tmp_path, capsys):
+        out = tmp_path / "missing" / "artifact" if kind == "missing-parent" else tmp_path / "dir"
+        if kind == "directory":
+            out.mkdir()
+        watched = (tmp_path, corpus, checkpoint.parent, som_map.parent)
+        before = self._files(*watched)
+        assert main(_contract_argv(case, checkpoint, corpus, som_map, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out.resolve()) in captured.err
+        assert ("is a directory" if kind == "directory" else "not an existing directory") \
+            in captured.err
+        assert self._files(*watched) == before
+
+    def test_train_is_not_reached(self, corpus, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", never)
+        for out in (tmp_path / "missing" / "m.ckpt", tmp_path):
+            argv = ["train", "--dataset-dir", str(corpus), "--out", str(out), *TRAIN_FLAGS]
+            assert main(argv) == 2
+            assert str(out.resolve()) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 def test_closed_stdout_exits_1_without_an_error_line(som_map, corpus):
     """A reader that has gone (| head, | true) is no input error."""
     read_end, write_end = os.pipe()

@@ -318,6 +318,16 @@ def test_atomic_write_writes_through_a_pipe(tmp_path):
     assert os.listdir(tmp_path) == ["pipe"]
 
 
+def test_atomic_write_into_a_missing_directory_names_the_target(tmp_path):
+    # the temp file cannot be made: the error names the path asked for, not the temp file
+    path = tmp_path / "missing" / "artifact.bin"
+    with pytest.raises(FileNotFoundError) as info:
+        with atomic_write(path) as fh:
+            fh.write(b"never")
+    assert info.value.filename == str(path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_container_write_keeps_previous_container(tmp_path):
     path = tmp_path / "c.bin"
     write_container(path, MAGIC, {"k": "v"}, _sample_tensors())

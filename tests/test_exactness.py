@@ -87,7 +87,7 @@ from latentaudio.cli import main as cli_main
 from latentaudio.container import MAGIC_LEN, read_container, write_container
 from latentaudio.features import _spectral_tables, dct_ii_matrix, frame_features
 from latentaudio.interpolate import (
-    _SIGMA_FLOOR, _blend, _decode_blocks, render_extended, render_stepwise,
+    _SIGMA_FLOOR, _blend, _decode_blocks, _spans, render_extended, render_stepwise,
 )
 from latentaudio.som import _LR_FLOOR_FACTOR, _RADIUS_FLOOR, _quantization_error
 from latentaudio.vae import (
@@ -1065,10 +1065,14 @@ class TestBlockwiseSynthesisMatchesReference:
     # 748 windows: at this shape one batch of them encodes to other bits than blocks do
     @pytest.mark.parametrize("windows,hop", [(1, 48), (17, 16), (748, 16)])
     def test_recipe_1_encode_blocks_is_one_batch(self, model, small_blocks, windows, hop):
+        # the decoder's blocks, sliced out of one batch of every window
         a, _ = self._pair(windows, hop)
-        (got,) = encode_blocks(model, a, hop, recipe=1)
+        blocks = list(encode_blocks(model, a, hop, recipe=1))
+        assert [len(p) for p in blocks] == [i1 - i0 for i0, i1 in _spans(windows)]
         want = reference_encode_whole(model, a, hop)
-        assert same_bytes(got.mu, want.mu) and same_bytes(got.logvar, want.logvar)
+        got_mu, got_logvar = (np.concatenate([getattr(p, f) for p in blocks])
+                              for f in ("mu", "logvar"))
+        assert same_bytes(got_mu, want.mu) and same_bytes(got_logvar, want.logvar)
 
     # 700 windows: at this shape one batch of them encodes to other bits than blocks do
     @pytest.mark.parametrize("windows,hop", [(1, 48), (17, 48), (17, 16), (700, 16)])
@@ -1123,7 +1127,7 @@ def _partitions(draw, n):
 def test_recipe_2_bits_do_not_depend_on_the_block_partition(shape, data, windows, hop_den,
                                                               block, sampled, crossfade):
     """Any partition into padded blocks of at most 256 windows gives each window's
-    latents, and so the render, the bits of encode_audio's 256-row blocks."""
+    latents, and so the render, the bits of encode_audio's _spans blocks."""
     model = _partition_model(shape)
     width = model.hyper.window_size
     hop = width // hop_den

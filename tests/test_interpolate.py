@@ -83,8 +83,9 @@ class TestEncodeAudio:
 
 
     def test_recipe_1_batch_is_the_only_copy_of_the_windows(self):
-        # recipe 1 encodes every window in one unpadded batch: one float32 copy of
-        # the windows, beside which only the encoder's activations are allocated
+        # recipe 1 encodes every window in one unpadded batch at the first block and
+        # yields its slices: one float32 copy of the windows, beside which only the
+        # encoder's activations are allocated
         hidden, latent = 32, 8
         model = float32_model(VaeHyperParams(window_size=256, latent_dim=latent,
                                              hidden_sizes=(hidden,), sample_rate=8000))
@@ -95,12 +96,39 @@ class TestEncodeAudio:
         activation_bytes = n * (2 * hidden + 2 * latent) * 4
         tracemalloc.start()
         try:
-            (path,) = encode_blocks(model, buf, 64, recipe=1)
+            rows = sum(len(block) for block in encode_blocks(model, buf, 64, recipe=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(path) == n > 2000
+        assert rows == n > 2000
         assert peak <= frame_bytes + activation_bytes + 64 * 1024, (peak, frame_bytes)
+
+    @pytest.mark.parametrize("recipe", [1, 2])
+    def test_every_encode_is_cut_on_the_decoders_spans(self, model, monkeypatch, recipe):
+        # 20 windows at _BLOCK 16: _spans gives [10, 10], fixed 16-row runs [16, 4];
+        # recipe 1 is one batch of all 20 rows per input
+        monkeypatch.setattr(interpolate_module, "_BLOCK", 16)
+        encode_block, rows = interpolate_module._encode_block, []
+
+        def spy(model, frames, align, with_logvar=True):
+            rows.append(len(frames))
+            return encode_block(model, frames, align, with_logvar)
+
+        monkeypatch.setattr(interpolate_module, "_encode_block", spy)
+        a, b = (make_noise(seconds=20 * 64 / 8000, rate=8000, seed=seed) for seed in (1, 2))
+        assert window_count(len(a), 64, 64) == window_count(len(b), 64, 64) == 20
+        mode, curve = SynthesisMode.sampled(3), InterpolationCurve(np.linspace(0, 1, 20))
+        runs = {
+            "encode_blocks": (1, lambda: list(encode_blocks(model, a, 64, recipe))),
+            "render_stepwise": (2, lambda: interpolate_module.render_stepwise(
+                model, a, b, 0.5, 0.5, mode, recipe=recipe).buffer()),
+            "render_extended": (2, lambda: interpolate_module.render_extended(
+                model, a, b, curve, mode, 64, recipe=recipe).buffer()),
+        }
+        for name, (inputs, run) in runs.items():
+            rows.clear()
+            run()
+            assert rows == ([10, 10] if recipe == 2 else [20]) * inputs, name
 
 
 class TestGenerateCurve:
