@@ -191,6 +191,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not os.path.isdir(os.path.dirname(out)):
             raise ConfigMismatchError(
                 f"--out {out}: {os.path.dirname(out)} is not an existing directory")
+        # main writes the sidecar, and train its loss log, beside out
+        for path in [out + ".cfg"] + ([out + _LOSS_LOG] if args.cmd_name == "train" else []):
+            if os.path.isdir(path):
+                raise ConfigMismatchError(f"--out {out}: {path} is a directory")
     return values
 
 
@@ -232,6 +236,7 @@ TRAIN_FIELDS = (
                                          "alpha": "KL weight"}),
     Field("hop", "int", 256, help="training window hop"),
 )
+_LOSS_LOG = ".loss.txt"  # train's loss history, beside the checkpoint
 
 
 def _cmd_train(cfg: dict) -> str:
@@ -242,7 +247,7 @@ def _cmd_train(cfg: dict) -> str:
         sets.append(frame_view(buf.samples, hyper.window_size, cfg["hop"]))
     ckpt = train(sets, hyper)
     save_checkpoint(ckpt, cfg["out"])
-    loss_path = cfg["out"] + ".loss.txt"
+    loss_path = cfg["out"] + _LOSS_LOG
     with atomic_write(loss_path, "w", encoding="utf-8") as fh:
         for epoch, (recon, kl) in enumerate(ckpt.loss_history, start=1):
             fh.write(f"{epoch} {recon} {kl}\n")
@@ -290,18 +295,20 @@ def _cmd_synth(strategy: str, cfg: dict) -> str:
     b = _load_input(cfg["in2"], model.hyper, cfg["normalize"])
 
     if strategy == "step":
-        out = render_stepwise(model, a, b, cfg["range"], cfg["step"], mode, cfg["crossfade"],
-                              cfg["recipe"])
+        length, blocks = render_stepwise(model, a, b, cfg["range"], cfg["step"], mode,
+                                         cfg["crossfade"], cfg["recipe"])
     else:
         hop = cfg.get("hop", model.hyper.window_size)  # meso has no hop: windows abut
         count = window_count(min(len(a), len(b)), model.hyper.window_size, hop)
         curve = generate_curve(cfg["curve"], count)
-        out = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"], cfg["recipe"])
+        length, blocks = render_extended(model, a, b, curve, mode, hop, cfg["crossfade"],
+                                         cfg["recipe"])
+    rate = model.hyper.sample_rate
     try:  # each block is decoded as the writer reaches it: memory holds a few, not the output
-        write_wav(out.blocks, out.length, out.sample_rate, cfg["out"])
+        write_wav(blocks, length, rate, cfg["out"])
     except LoudInputError as exc:  # name the input by its path
         raise LoudInputError(exc.index, exc.window, cfg[("in1", "in2")[exc.index]]) from None
-    return f"wrote {cfg['out']}: {out.length / out.sample_rate:.2f} s at {out.sample_rate} Hz"
+    return f"wrote {cfg['out']}: {length / rate:.2f} s at {rate} Hz"
 
 
 # ---------------------------------------------------------------- som

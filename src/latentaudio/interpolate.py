@@ -16,15 +16,16 @@ Blending is linear in mu and in sigma (not log-variance), weight on a
 and complement on b. Each strategy blends its paths a block of 2 to
 _BLOCK windows at a time, in float64 (so weights 0 and 1 reproduce the
 endpoint encodings bit-exactly), and hands the blocks to one decoder,
-which casts, decodes and joins them in order. A decoded row keeps its
-bits in any block of 2 to 256 rows, but not as a lone row. Frame i of a
-window-W, crossfade-k join starts at sample i * (W - k); array passes
-ramp seams in frame order, so once a block is joined, every sample
-before the next block's first frame is final. A Rendering yields those
-samples block by block and carries only the k after them: the render_*
-functions hand it to a writer (the CLI streams it into the WAV, so
-memory is a few blocks), and the *_interpolate functions fill one
-AudioBuffer from it.
+which casts, decodes and joins them in order; a block with stds is
+sampled (mean mode encodes no logvar, so it has none). A decoded row
+keeps its bits in any block of 2 to 256 rows, but not as a lone row.
+Frame i of a window-W, crossfade-k join starts at sample i * (W - k);
+array passes ramp seams in frame order, so once a block is joined, every
+sample before the next block's first frame is final. The decoder yields
+those samples block by block and carries only the k after them: the
+render_* functions return (length, those blocks) for a writer (the CLI
+streams them into the WAV, so memory is a few blocks), and the
+*_interpolate functions fill one AudioBuffer from them.
 
 Encoding follows a numbered recipe, which synth and export-latents
 sidecars record. _encoded, the one encode loop, yields an input's
@@ -263,66 +264,54 @@ def _check_crossfade(model: VaeModel, crossfade: int) -> None:
         raise ValueError(f"crossfade must be in [0, {model.hyper.window_size}), got {crossfade}")
 
 
-@dataclass(frozen=True)
-class Rendering:
-    """Synthesized audio of a known length, made as its blocks are iterated.
-
-    blocks yields 1-D arrays of the model dtype, in output order, whose
-    lengths sum to length. Iterating runs the decoder, and it can be done
-    once.
-    """
-
-    length: int
-    sample_rate: int
-    blocks: Iterator[np.ndarray]
-
-    def buffer(self) -> AudioBuffer:
-        """Every block, in one float32 buffer."""
-        out = np.empty(self.length, dtype=np.float32)
-        end = 0
-        for block in self.blocks:
-            out[end : end + len(block)] = block
-            end += len(block)
-        return AudioBuffer(out, self.sample_rate)
-
-
-def _render(model: VaeModel, n_rows: int, blocks, mode: SynthesisMode, k: int) -> Rendering:
-    """The join of the n_rows rows of blocks as a Rendering; ValueError, before
-    anything is decoded, if it is longer than one float32 WAV holds."""
+def _render(model: VaeModel, n_rows: int, blocks, seed, k: int):
+    """(length, the join of the n_rows rows of blocks, in sample blocks); ValueError,
+    before anything is encoded or decoded, if it is longer than one float32 WAV holds."""
     length = n_rows * (model.hyper.window_size - k) + k if n_rows else 0
     if length > MAX_FLOAT32_SAMPLES:
         raise ValueError(f"{length} output samples are more than one float32 WAV holds")
-    return Rendering(length, model.hyper.sample_rate, _decode_blocks(model, blocks, mode, k))
+    return length, _decode_blocks(model, blocks, seed, k)
+
+
+def _fill(model: VaeModel, length: int, blocks) -> AudioBuffer:
+    """The length samples of blocks, in one float32 buffer at the model's rate."""
+    out = np.empty(length, dtype=np.float32)
+    end = 0
+    for block in blocks:
+        out[end : end + len(block)] = block
+        end += len(block)
+    return AudioBuffer(out, model.hyper.sample_rate)
 
 
 def _spans(n_rows: int):
     """An n_rows path's decode blocks [i0, i1), as even as can be: 2 to _BLOCK
-    rows each, a lone row only when the path has one, none for an empty path."""
+    rows each, a lone row only when the path has one, none for an empty path
+    (for _BLOCK >= 3: at 2, an odd path gets a lone row, which BLAS decodes by gemv)."""
     n_blocks = -(-n_rows // _BLOCK)
     for j in range(n_blocks):
         yield n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks
 
 
-def _decode_blocks(model: VaeModel, blocks, mode: SynthesisMode, k: int):
+def _decode_blocks(model: VaeModel, blocks, seed, k: int):
     """Decode the (means, stds or None) blocks of a path in order; yield the join.
 
     A decoded row has the same bits in any block of 2 to 256 rows, but not as a
-    lone row (BLAS decodes it through gemv), so blocks come from _spans. eps
-    continues one generator's stream, made after the first block arrives, so
-    numpy.random's import does not land on a recipe-1 whole-path encode. Frame
-    i starts at i*s, s = W - k; pass d = 0, 1, ... ramps, in every seam, the
-    offsets t that lie under d = ceil((k - t)/s) - 1 earlier seams. A block of
-    n rows yields its n*s samples, which later frames no longer touch, and
-    carries the k after them into the next block; the last k are yielded after
-    the last block.
+    lone row (BLAS decodes it through gemv), so blocks come from _spans. A block
+    with stds is sampled: its eps continue the stream of one generator seeded by
+    seed, made when the first such block arrives, so numpy.random's import does
+    not land on a recipe-1 whole-path encode. Frame i starts at i*s, s = W - k;
+    pass d = 0, 1, ... ramps, in every seam, the offsets t that lie under
+    d = ceil((k - t)/s) - 1 earlier seams. A block of n rows yields its n*s
+    samples, which later frames no longer touch, and carries the k after them
+    into the next block; the last k are yielded after the last block.
     """
     s = model.hyper.window_size - k
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
     tail = rng = None
     for means, stds in blocks:
-        if tail is None and mode.kind == "sampled":  # the first block is made by now
-            rng = np.random.default_rng(mode.seed)
-        z = means if rng is None else means + stds * rng.standard_normal(means.shape)
+        if stds is not None and rng is None:  # the block is made by now
+            rng = np.random.default_rng(seed)
+        z = means if stds is None else means + stds * rng.standard_normal(means.shape)
         frames = decode_frames(model, z.astype(model.dtype, copy=False))
         n = len(frames)
         out = np.empty(n * s + k, dtype=model.dtype)  # the block's samples and the k after
@@ -361,21 +350,22 @@ def decode_path(
     if np.any(stds < 0):
         raise ValueError("stds must be entrywise >= 0")
     _check_crossfade(model, crossfade)
-    blocks = ((means[i0:i1], stds[i0:i1]) for i0, i1 in _spans(len(means)))
-    return _render(model, len(means), blocks, mode, crossfade).buffer()
+    blocks = ((means[i0:i1], stds[i0:i1] if mode.kind == "sampled" else None)
+              for i0, i1 in _spans(len(means)))
+    return _fill(model, *_render(model, len(means), blocks, mode.seed, crossfade))
 
 
-def _blend(path_a, path_b, rows, w, first: int, sampled: bool):
+def _blend(path_a, path_b, rows, w, first: int):
     """The (means, stds or None) of rows of two (mu, logvar or None) paths,
     weight w (one per row) on a and 1 - w on b, in float64; sigma floored.
-    Only sampled rows read the logvars, and so only they exponentiate them.
+    Paths encoded for mean mode have no logvar, and give no stds.
     LoudInputError names the input and window (first + the row's place) of
     the first sigma that is not finite, before a weight of 0 times inf turns
     it into a NaN of no input."""
     w = w[:, None]
     (mu_a, logvar_a), (mu_b, logvar_b) = path_a, path_b
     means = w * mu_a[rows] + (1.0 - w) * mu_b[rows]
-    if not sampled:
+    if logvar_a is None:
         return means, None
     with np.errstate(over="ignore"):  # the error below is the diagnosis
         sigmas = [np.exp(logvar_a[rows] / 2), np.exp(logvar_b[rows] / 2)]
@@ -403,7 +393,7 @@ def stepwise_interpolate(
     as one path and concatenated in sweep order. Weights above 1 (when
     range_r > 1) extrapolate rather than clamp.
     """
-    return render_stepwise(model, a, b, range_r, step_s, mode, crossfade).buffer()
+    return _fill(model, *render_stepwise(model, a, b, range_r, step_s, mode, crossfade))
 
 
 def render_stepwise(
@@ -415,9 +405,9 @@ def render_stepwise(
     mode: SynthesisMode,
     crossfade: int = 0,
     recipe: int = RECIPE,
-) -> Rendering:
-    """stepwise_interpolate's output as a Rendering: the inputs are encoded
-    and every argument is checked now, the blocks are decoded as they are read."""
+):
+    """stepwise_interpolate's output as (length, its sample blocks): checked now,
+    both inputs encoded whole at the first block, decoded as the blocks are read."""
     if not 0 < step_s < math.inf:
         raise BadStepError(f"step must be finite and > 0, got {step_s}")
     if not 0 <= range_r / step_s < math.inf:
@@ -425,13 +415,16 @@ def render_stepwise(
     # small epsilon so ratios like 0.8/0.2 land on their exact integer
     n_segments = int(math.floor(range_r / step_s + 1e-9)) + 1
     _check_crossfade(model, crossfade)
-    sampled = mode.kind == "sampled"
-    paths = [_encode_path(model, x, model.hyper.window_size, recipe, sampled)
-             for x in truncate_pair(a, b)]
-    n = len(paths[0][0])  # row i is window i % n of both paths, weight i // n * step_s on a
-    blocks = (_blend(*paths, np.arange(i0, i1) % n, np.arange(i0, i1) // n * step_s, i0, sampled)
-              for i0, i1 in _spans(n_segments * n))
-    return _render(model, n_segments * n, blocks, mode, crossfade)
+    pair, width = truncate_pair(a, b), model.hyper.window_size
+    n = window_count(len(pair[0]), width, width)
+
+    def blocks():  # row i: window i % n of both paths, weight i // n * step_s on a
+        paths = [_encode_path(model, x, width, recipe, mode.kind == "sampled") for x in pair]
+        for i0, i1 in _spans(n_segments * n):
+            rows = np.arange(i0, i1)
+            yield _blend(*paths, rows % n, rows // n * step_s, i0)
+
+    return _render(model, n_segments * n, blocks(), mode.seed, crossfade)
 
 
 def meso_interpolate(
@@ -466,7 +459,7 @@ def extended_interpolate(
     stretches by that factor (4x at the 1024/256 defaults). hop equal to
     window_size degenerates to meso_interpolate.
     """
-    return render_extended(model, a, b, curve, mode, hop, crossfade).buffer()
+    return _fill(model, *render_extended(model, a, b, curve, mode, hop, crossfade))
 
 
 def render_extended(
@@ -478,9 +471,9 @@ def render_extended(
     hop: int = 256,
     crossfade: int = 0,
     recipe: int = RECIPE,
-) -> Rendering:
+):
     """extended_interpolate's output (meso_interpolate's at hop = window size)
-    as a Rendering: checked now, encoded and decoded as it is read."""
+    as (length, its sample blocks): checked now, encoded and decoded as it is read."""
     _check_crossfade(model, crossfade)
     pair = truncate_pair(a, b)
     n_windows = window_count(len(pair[0]), model.hyper.window_size, hop)
@@ -488,11 +481,10 @@ def render_extended(
         raise CurveLengthMismatchError(
             f"curve has {len(curve)} values but the inputs give {n_windows} windows"
         )
-    sampled = mode.kind == "sampled"
-    streams = [_encoded(model, x, hop, recipe, sampled) for x in pair]
-    blocks = (_blend(*stats, slice(None), curve.values[i0:i1], i0, sampled)
+    streams = [_encoded(model, x, hop, recipe, mode.kind == "sampled") for x in pair]
+    blocks = (_blend(*stats, slice(None), curve.values[i0:i1], i0)
               for (i0, i1), *stats in zip(_spans(n_windows), *streams))
-    return _render(model, n_windows, blocks, mode, crossfade)
+    return _render(model, n_windows, blocks, mode.seed, crossfade)
 
 
 def export_latents(blocks, file) -> int:

@@ -735,6 +735,30 @@ class TestBadOut:
             in captured.err
         assert self._files(*watched) == before
 
+    @pytest.mark.parametrize("case, beside", [
+        *((case, ".cfg") for case in CONTRACT_CASES if case not in ("som clusters", "bench")),
+        ("train", ".loss.txt"),
+    ])
+    def test_a_directory_where_a_file_beside_out_goes_is_refused(
+            self, case, beside, checkpoint, corpus, som_map, tmp_path, capsys):
+        # main writes <out>.cfg after every command with an out, train <out>.loss.txt
+        out = tmp_path / "artifact"
+        blocked = tmp_path / ("artifact" + beside)
+        blocked.mkdir()
+        watched = (tmp_path, corpus, checkpoint.parent, som_map.parent)
+        before = self._files(*watched)
+        assert main(_contract_argv(case, checkpoint, corpus, som_map, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{blocked.resolve()} is a directory" in captured.err
+        assert self._files(*watched) == before
+
+    def test_only_train_writes_a_loss_log(self, checkpoint, corpus, som_map, tmp_path):
+        out = tmp_path / "artifact"
+        (tmp_path / "artifact.loss.txt").mkdir()
+        assert main(_contract_argv("synth meso", checkpoint, corpus, som_map, out)) == 0
+        assert out.is_file() and (tmp_path / "artifact.cfg").is_file()
+
     def test_train_is_not_reached(self, corpus, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("train ran")

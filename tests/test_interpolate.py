@@ -120,10 +120,10 @@ class TestEncodeAudio:
         mode, curve = SynthesisMode.sampled(3), InterpolationCurve(np.linspace(0, 1, 20))
         runs = {
             "encode_blocks": (1, lambda: list(encode_blocks(model, a, 64, recipe))),
-            "render_stepwise": (2, lambda: interpolate_module.render_stepwise(
-                model, a, b, 0.5, 0.5, mode, recipe=recipe).buffer()),
-            "render_extended": (2, lambda: interpolate_module.render_extended(
-                model, a, b, curve, mode, 64, recipe=recipe).buffer()),
+            "render_stepwise": (2, lambda: interpolate_module._fill(model, *interpolate_module
+                .render_stepwise(model, a, b, 0.5, 0.5, mode, recipe=recipe))),
+            "render_extended": (2, lambda: interpolate_module._fill(model, *interpolate_module
+                .render_extended(model, a, b, curve, mode, 64, recipe=recipe))),
         }
         for name, (inputs, run) in runs.items():
             rows.clear()
@@ -447,6 +447,22 @@ class TestChecksBeforeWork:
         with pytest.raises(ValueError, match="more than one float32 WAV holds"):
             extended_interpolate(model, *pair, generate_curve("lin:0:1", n), mode, 2)
 
+    @pytest.mark.parametrize("recipe", [1, 2])
+    @pytest.mark.parametrize("mode", [MEAN, SynthesisMode.sampled(1)], ids=["mean", "sampled"])
+    def test_step_output_longer_than_a_wav_rejected_before_encoding(self, model, pair,
+                                                                    monkeypatch, mode, recipe):
+        encode_block, encoded = interpolate_module._encode_block, []
+
+        def spy(model, frames, *args):
+            encoded.append(len(frames))
+            return encode_block(model, frames, *args)
+
+        monkeypatch.setattr(interpolate_module, "_encode_block", spy)
+        # 1e6 segments of the pair's 25 windows
+        with pytest.raises(ValueError, match="more than one float32 WAV holds"):
+            interpolate_module.render_stepwise(model, *pair, 1.0, 1e-6, mode, recipe=recipe)
+        assert encoded == []
+
 
 class TestExtended:
     def test_duration_law_exact(self, model, pair):
@@ -508,7 +524,7 @@ class TestLoudInput:
                 model, *inputs, generate_curve("const:1", n), mode, 16, recipe=recipe)
         monkeypatch.setattr(interpolate_module, "decode_frames", no_decode)
         with pytest.raises(LoudInputError) as info:
-            rendering.buffer()
+            interpolate_module._fill(model, *rendering)
         assert (info.value.index, info.value.window) == (index, window)
         assert str(info.value).startswith(f"input {'ab'[index]}: window {window} encodes to a "
                                           "non-finite sigma")
