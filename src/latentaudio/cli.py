@@ -191,6 +191,11 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not os.path.isdir(os.path.dirname(out)):
             raise ConfigMismatchError(
                 f"--out {out}: {os.path.dirname(out)} is not an existing directory")
+        # the files the command reads, resolved, so a symlink and its target compare equal
+        reads = [(_flag(f), values[f.name]) for f in fields if f.ftype == "path"]
+        for flag, path in reads + [("--config", args.config and str(Path(args.config).resolve()))]:
+            if path == out and flag != "--out":
+                raise ConfigMismatchError(f"--out and {flag} both name {out}")
         # main writes the sidecar, and train its loss log, beside out
         for path in [out + ".cfg"] + ([out + _LOSS_LOG] if args.cmd_name == "train" else []):
             if os.path.isdir(path):

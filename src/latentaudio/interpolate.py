@@ -95,24 +95,6 @@ class LatentPath:
 
 
 @dataclass(frozen=True)
-class InterpolationCurve:
-    """Per-window blend weights, clamped into [-1, 1] on construction."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or len(values) < 1:
-            raise ValueError("curve needs a 1-D, nonempty value sequence")
-        if not np.isfinite(values).all():
-            raise ValueError("curve values must be finite")
-        object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class SynthesisMode:
     """How latents are realized: posterior means, or seeded sampling."""
 
@@ -195,8 +177,18 @@ def _number(item: str, text: str) -> float:
     return value
 
 
-def generate_curve(spec: str, length: int) -> InterpolationCurve:
-    """Build a curve of the given length from a compact text spec.
+def _weights(curve) -> np.ndarray:
+    """curve, a 1-D nonempty sequence of finite weights, as float64 clamped into [-1, 1]."""
+    values = np.asarray(curve, dtype=np.float64)
+    if values.ndim != 1 or len(values) < 1:
+        raise ValueError("curve needs a 1-D, nonempty value sequence")
+    if not np.isfinite(values).all():
+        raise ValueError("curve values must be finite")
+    return np.clip(values, -1.0, 1.0)
+
+
+def generate_curve(spec: str, length: int) -> np.ndarray:
+    """The float64 weights of a curve of the given length, from a compact text spec.
 
     Forms: "const:<c>", "lin:<a>:<b>", "sine:p=<period>,ph=<phase>,
     a=<amplitude>,o=<offset>" (all optional, value = o + a*sin(2*pi*i/p
@@ -221,7 +213,7 @@ def generate_curve(spec: str, length: int) -> InterpolationCurve:
         raise ValueError(f"curve {spec!r} overflows float64 over {length} windows") from None
     except ValueError as exc:
         raise ValueError(f"curve {spec!r}: {exc}") from None
-    return InterpolationCurve(values)
+    return _weights(values)
 
 
 def _curve_values(kind: str, body: str, length: int) -> np.ndarray:
@@ -269,7 +261,10 @@ def _render(model: VaeModel, n_rows: int, blocks, seed, k: int):
     before anything is encoded or decoded, if it is longer than one float32 WAV holds."""
     length = n_rows * (model.hyper.window_size - k) + k if n_rows else 0
     if length > MAX_FLOAT32_SAMPLES:
-        raise ValueError(f"{length} output samples are more than one float32 WAV holds")
+        digits = str(length)  # stepwise's count can pass float64's range: no float formats it
+        count = digits if len(digits) <= 15 else f"about {digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+        raise ValueError(f"{count} output samples are more than one float32 WAV holds "
+                         f"({MAX_FLOAT32_SAMPLES})")
     return length, _decode_blocks(model, blocks, seed, k)
 
 
@@ -431,14 +426,14 @@ def meso_interpolate(
     model: VaeModel,
     a: AudioBuffer,
     b: AudioBuffer,
-    curve: InterpolationCurve,
+    curve,
     mode: SynthesisMode,
     crossfade: int = 0,
 ) -> AudioBuffer:
     """Blend per window under a weight curve; duration matches the inputs.
 
-    Windows are non-overlapping, so the output is as long as the
-    truncated inputs rounded down to whole windows.
+    Windows are non-overlapping, so the output is as long as the truncated inputs rounded
+    down to whole windows. curve is any 1-D sequence of finite weights, clamped into [-1, 1].
     """
     return extended_interpolate(model, a, b, curve, mode, model.hyper.window_size, crossfade)
 
@@ -447,7 +442,7 @@ def extended_interpolate(
     model: VaeModel,
     a: AudioBuffer,
     b: AudioBuffer,
-    curve: InterpolationCurve,
+    curve,
     mode: SynthesisMode,
     hop: int = 256,
     crossfade: int = 0,
@@ -466,7 +461,7 @@ def render_extended(
     model: VaeModel,
     a: AudioBuffer,
     b: AudioBuffer,
-    curve: InterpolationCurve,
+    curve,
     mode: SynthesisMode,
     hop: int = 256,
     crossfade: int = 0,
@@ -475,6 +470,7 @@ def render_extended(
     """extended_interpolate's output (meso_interpolate's at hop = window size)
     as (length, its sample blocks): checked now, encoded and decoded as it is read."""
     _check_crossfade(model, crossfade)
+    curve = _weights(curve)
     pair = truncate_pair(a, b)
     n_windows = window_count(len(pair[0]), model.hyper.window_size, hop)
     if len(curve) != n_windows:
@@ -482,7 +478,7 @@ def render_extended(
             f"curve has {len(curve)} values but the inputs give {n_windows} windows"
         )
     streams = [_encoded(model, x, hop, recipe, mode.kind == "sampled") for x in pair]
-    blocks = (_blend(*stats, slice(None), curve.values[i0:i1], i0)
+    blocks = (_blend(*stats, slice(None), curve[i0:i1], i0)
               for (i0, i1), *stats in zip(_spans(n_windows), *streams))
     return _render(model, n_windows, blocks, mode.seed, crossfade)
 

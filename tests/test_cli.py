@@ -12,6 +12,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -283,6 +284,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists() and not (tmp_path / "x.wav.cfg").exists()
+
+    @pytest.mark.parametrize("sweep", [["--step", "1e-300"], ["--range", "1e307", "--step", "0.1"]])
+    def test_overlong_step_output_is_one_short_line(self, checkpoint, corpus, tmp_path, capsys,
+                                                    sweep):
+        out = tmp_path / "o.wav"
+        assert _synth("step", checkpoint, corpus, out, *sweep) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "more than one float32 WAV holds" in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
     def test_mean_synthesis_creates_no_generator(self, checkpoint, corpus, tmp_path, monkeypatch):
         # only sampled mode draws eps; on NumPy 2 a process that never asks for a
@@ -752,6 +763,33 @@ class TestBadOut:
         assert captured.out == ""
         assert f"{blocked.resolve()} is a directory" in captured.err
         assert self._files(*watched) == before
+
+    @pytest.mark.filterwarnings("ignore")  # 4 x 1 s corpus sits below the duration band
+    @pytest.mark.parametrize("case, flag", [
+        ("synth step", "--in1"), ("synth meso", "--in2"), ("synth extend", "--checkpoint"),
+        ("export-latents", "--input"), ("export-latents", "--checkpoint"),
+        ("som clusters --out", "--map"), ("som concat", "--map"), ("synth meso", "--config"),
+    ])
+    def test_an_out_that_names_an_input_is_refused(self, case, flag, checkpoint, corpus,
+                                                   som_map, tmp_path, capsys):
+        # copies, so that a command that wrote over its input would spoil no other test
+        inputs = tmp_path / "inputs"
+        shutil.copytree(corpus, inputs / "corpus")
+        shutil.copy(checkpoint, inputs / "model.ckpt")
+        shutil.copy(som_map, inputs / "map.som")
+        argv = _contract_argv(case, inputs / "model.ckpt", inputs / "corpus",
+                              inputs / "map.som", tmp_path / "artifact")
+        if flag == "--config":
+            (inputs / "run.cfg").write_text(f"command={case}\n")
+            argv += ["--config", str(inputs / "run.cfg")]
+        target = argv[argv.index(flag) + 1]
+        argv[argv.index("--out") + 1] = target
+        before = self._files(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--out and {flag} both name {target}" in captured.err
+        assert self._files(tmp_path) == before  # the input as it was, and no sidecar
 
     def test_only_train_writes_a_loss_log(self, checkpoint, corpus, som_map, tmp_path):
         out = tmp_path / "artifact"

@@ -49,7 +49,6 @@ from latentaudio import (
     EmptyDatasetError,
     FeatureConfig,
     FormatVersionMismatchError,
-    InterpolationCurve,
     LatentPath,
     LatentStats,
     NonFiniteLossError,
@@ -570,7 +569,7 @@ def reference_stepwise(model, a, b, range_r, step_s, mode, crossfade,
 def reference_extended(model, a, b, curve, mode, hop, crossfade, encode=reference_encode_blocks):
     a, b = truncate_pair(a, b)
     path_a, path_b = encode(model, a, hop), encode(model, b, hop)
-    means, stds = reference_array_blend(path_a, path_b, curve.values)
+    means, stds = reference_array_blend(path_a, path_b, np.clip(curve, -1, 1))
     return reference_decode_path(model, means, stds, mode, crossfade)
 
 
@@ -909,9 +908,9 @@ class TestBlendMatchesReference:
     @pytest.mark.parametrize("m", [8, 256])
     def test_per_window_curve(self, m):
         path_a, path_b, ref_a, ref_b = self._stats(m)
-        curve = InterpolationCurve(np.sin(np.arange(self.N_WINDOWS) / 2.0))
-        means, stds = _blend(path_a, path_b, slice(0, self.N_WINDOWS), curve.values, 0)
-        want_means, want_stds = reference_blend(ref_a, ref_b, curve.values)
+        curve = np.sin(np.arange(self.N_WINDOWS) / 2.0)
+        means, stds = _blend(path_a, path_b, slice(0, self.N_WINDOWS), curve, 0)
+        want_means, want_stds = reference_blend(ref_a, ref_b, curve)
         assert np.array_equal(means, want_means)
         assert np.array_equal(stds, want_stds)
 
@@ -988,7 +987,7 @@ class TestBlockwiseSynthesisMatchesReference:
     def test_extended_and_meso(self, model, small_blocks, windows, hop, mode, crossfade):
         a, b = self._pair(windows, hop)
         # weights outside [0, 1] extrapolate and drive some sigmas to the floor
-        curve = InterpolationCurve(1.5 * np.sin(np.arange(windows) * 0.7))
+        curve = 1.5 * np.sin(np.arange(windows) * 0.7)
         if hop == self.HYPER.window_size:
             got = meso_interpolate(model, a, b, curve, mode, crossfade)
         else:
@@ -1079,7 +1078,7 @@ class TestBlockwiseSynthesisMatchesReference:
     @pytest.mark.parametrize("crossfade", [0, 30])
     def test_recipe_1_extended_and_meso(self, model, windows, hop, mode, crossfade):
         a, b = self._pair(windows, hop)
-        curve = InterpolationCurve(1.5 * np.sin(np.arange(windows) * 0.7))
+        curve = 1.5 * np.sin(np.arange(windows) * 0.7)
         got = render_extended(model, a, b, curve, mode, hop, crossfade, recipe=1)
         want = reference_extended(model, a, b, curve, mode, hop, crossfade,
                                   encode=reference_encode_whole)
@@ -1137,8 +1136,8 @@ def test_recipe_2_bits_do_not_depend_on_the_block_partition(shape, data, windows
     want_a = encode_audio(model, a, hop)
     assert same_bytes(path_a.mu, want_a.mu) and same_bytes(path_a.logvar, want_a.logvar)
     mode = SynthesisMode.sampled(windows) if sampled else SynthesisMode.mean_only()
-    curve = InterpolationCurve(np.linspace(-0.5, 1.5, windows))
-    means, stds = reference_array_blend(path_a, path_b, curve.values)
+    curve = np.linspace(-0.5, 1.5, windows)
+    means, stds = reference_array_blend(path_a, path_b, np.clip(curve, -1, 1))
     # decode blocks of at most `block` rows; the render encodes each as it decodes it
     with mock.patch.object(interpolate_module, "_BLOCK", block):
         got = extended_interpolate(model, a, b, curve, mode, hop, crossfade)

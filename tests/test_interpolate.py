@@ -14,7 +14,6 @@ from latentaudio import (
     BadStepError,
     CurveLengthMismatchError,
     EmptySpecError,
-    InterpolationCurve,
     LatentPath,
     LoudInputError,
     ShapeMismatchError,
@@ -117,7 +116,7 @@ class TestEncodeAudio:
         monkeypatch.setattr(interpolate_module, "_encode_block", spy)
         a, b = (make_noise(seconds=20 * 64 / 8000, rate=8000, seed=seed) for seed in (1, 2))
         assert window_count(len(a), 64, 64) == window_count(len(b), 64, 64) == 20
-        mode, curve = SynthesisMode.sampled(3), InterpolationCurve(np.linspace(0, 1, 20))
+        mode, curve = SynthesisMode.sampled(3), np.linspace(0, 1, 20)
         runs = {
             "encode_blocks": (1, lambda: list(encode_blocks(model, a, 64, recipe))),
             "render_stepwise": (2, lambda: interpolate_module._fill(model, *interpolate_module
@@ -134,24 +133,24 @@ class TestEncodeAudio:
 class TestGenerateCurve:
     def test_constant(self):
         curve = generate_curve("const:1.0", 5)
-        assert np.array_equal(curve.values, np.ones(5))
+        assert np.array_equal(curve, np.ones(5))
 
     def test_linear(self):
         curve = generate_curve("lin:0:1", 3)
-        assert np.allclose(curve.values, [0.0, 0.5, 1.0])
+        assert np.allclose(curve, [0.0, 0.5, 1.0])
 
     def test_sine_clamps_to_unit_range(self):
         curve = generate_curve("sine:p=4,ph=0,a=2,o=0", 4)
-        assert np.allclose(curve.values, [0.0, 1.0, 0.0, -1.0], atol=1e-12)
+        assert np.allclose(curve, [0.0, 1.0, 0.0, -1.0], atol=1e-12)
 
     def test_sine_defaults_full_period(self):
         curve = generate_curve("sine:", 8)
-        assert np.allclose(curve.values, np.sin(2 * np.pi * np.arange(8) / 8))
+        assert np.allclose(curve, np.sin(2 * np.pi * np.arange(8) / 8))
 
     def test_breakpoints_match_interp_oracle(self):
         curve = generate_curve("bp:0=0,10=1,20=0", 21)
         expected = np.interp(np.arange(21), [0, 10, 20], [0, 1, 0])
-        assert np.allclose(curve.values, expected)
+        assert np.allclose(curve, expected)
 
     def test_empty_spec(self):
         with pytest.raises(EmptySpecError):
@@ -203,13 +202,6 @@ class TestGenerateCurve:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_curve(spec, 8)
 
-    @pytest.mark.parametrize("values, message", [
-        ([], "1-D, nonempty"), ([0.0, np.nan], "finite"), ([np.inf], "finite"),
-    ])
-    def test_curve_type_rejects_empty_or_non_finite(self, values, message):
-        with pytest.raises(ValueError, match=message):
-            InterpolationCurve(np.array(values))
-
     @settings(max_examples=60, deadline=None)
     @given(
         amplitude=st.floats(-5, 5, allow_nan=False),
@@ -218,14 +210,8 @@ class TestGenerateCurve:
     )
     def test_all_curves_stay_clamped(self, amplitude, offset, length):
         curve = generate_curve(f"sine:p=7,a={amplitude},o={offset}", length)
-        assert np.all(curve.values <= 1.0)
-        assert np.all(curve.values >= -1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(arrays(np.float64, 10, elements=st.floats(-100, 100, allow_nan=False)))
-    def test_curve_type_clamps_on_construction(self, values):
-        curve = InterpolationCurve(values)
-        assert np.all(np.abs(curve.values) <= 1.0)
+        assert np.all(curve <= 1.0)
+        assert np.all(curve >= -1.0)
 
 
 class TestDecodePath:
@@ -407,7 +393,7 @@ class TestMeso:
             path_b.logvar[0] / 2
         )
         direct = decode_path(model, expected_mu[None], expected_sigma[None], MEAN)
-        curved = meso_interpolate(model, a, b, InterpolationCurve([c]), MEAN)
+        curved = meso_interpolate(model, a, b, [c], MEAN)
         assert np.array_equal(curved.samples, direct.samples)
 
 
@@ -495,6 +481,60 @@ class TestExtended:
             extended_interpolate(
                 model, pair[0], pair[1], generate_curve("const:1", 2), MEAN, hop=16
             )
+
+
+class TestCurveIsItsWeights:
+    """A curve is any 1-D sequence of finite weights, clamped into [-1, 1] where it
+    is rendered; generate_curve returns that float64 array."""
+
+    @staticmethod
+    def _render(model, pair, curve, mode, hop):
+        if hop == model.hyper.window_size:
+            return meso_interpolate(model, *pair, curve, mode)
+        return extended_interpolate(model, *pair, curve, mode, hop)
+
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+    @pytest.mark.parametrize("hop", [64, 16], ids=["meso", "extend"])
+    def test_a_plain_sequence_renders_like_the_generated_curve(self, model, pair, hop, form):
+        n = window_count(min(map(len, pair)), 64, hop)
+        curve = generate_curve("sine:p=7,a=2", n)  # leaves [-1, 1] before the clamp
+        assert isinstance(curve, np.ndarray) and curve.dtype == np.float64
+        mode = SynthesisMode.sampled(2)
+        want = self._render(model, pair, curve, mode, hop)
+        got = self._render(model, pair, form(curve.tolist()), mode, hop)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda n: [], "curve needs a 1-D, nonempty value sequence"),
+        (lambda n: np.full((n, 1), 0.5), "curve needs a 1-D, nonempty value sequence"),
+        (lambda n: [0.5] * (n - 1) + [np.nan], "curve values must be finite"),
+        (lambda n: np.r_[np.inf, np.zeros(n - 1)], "curve values must be finite"),
+    ], ids=["empty", "2-D", "nan", "inf"])
+    @pytest.mark.parametrize("hop", [64, 16], ids=["meso", "extend"])
+    def test_an_invalid_curve_is_refused_before_encoding(self, model, pair, monkeypatch, hop,
+                                                         make, message):
+        encode, encoded = interpolate_module.encode_frames, []
+
+        def spy(model, frames, *args):
+            encoded.append(len(frames))
+            return encode(model, frames, *args)
+
+        monkeypatch.setattr(interpolate_module, "encode_frames", spy)
+        n = window_count(min(map(len, pair)), 64, hop)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._render(model, pair, make(n), MEAN, hop)
+        assert encoded == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), hop=st.sampled_from([64, 16]), sampled=st.booleans())
+    def test_any_finite_curve_renders_like_its_clamp(self, model, pair, data, hop, sampled):
+        n = window_count(min(map(len, pair)), 64, hop)
+        curve = data.draw(arrays(np.float64, n,
+                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
+        mode = SynthesisMode.sampled(4) if sampled else MEAN
+        got = self._render(model, pair, curve, mode, hop)
+        want = self._render(model, pair, np.clip(curve, -1, 1), mode, hop)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 class TestLoudInput:
