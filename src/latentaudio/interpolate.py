@@ -27,6 +27,15 @@ render_* functions return (length, those blocks) for a writer (the CLI
 streams them into the WAV, so memory is a few blocks), and the
 *_interpolate functions fill one AudioBuffer from them.
 
+The matmuls run on a small pool of worker threads. _ahead hands each
+recipe-2 encode block and each decode block to the pool _AHEAD blocks
+ahead of the one this thread is joining, and this thread keeps all that
+depends on order: the eps draws from the one seeded generator, the blend,
+the seam join and the writer. So a render's bytes do not depend on the
+pool. The pool has as many workers as the CPUs the process may run on
+over the threads BLAS gives each call (taskset and the BLAS thread
+variables both lower it), at least 1.
+
 Encoding follows a numbered recipe, which synth and export-latents
 sidecars record. _encoded, the one encode loop, yields an input's
 latents on the decoder's _spans blocks. Recipe 2 (RECIPE, every new run)
@@ -42,8 +51,12 @@ the mu head only.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -62,7 +75,9 @@ from .vae import VaeModel, decode_frames, encode_frames
 
 RECIPE = 2  # the encoding recipe of new runs; a sidecar without one was made by recipe 1
 _SIGMA_FLOOR = 1e-6
-_BLOCK = 256  # windows encoded, blended and decoded at a time
+_BLOCK = 128  # windows encoded, blended and decoded at a time
+_AHEAD = 1  # blocks a pool stage runs past the one its reader holds
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _ROW_ALIGN = 8  # recipe-2 encode blocks are zero-padded to a multiple of this many rows
 _CSV_ROWS = 1024  # latent rows formatted at a time
 
@@ -136,14 +151,16 @@ def encode_blocks(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = 
 def _encoded(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int, with_logvar=True):
     """Yield (mu, logvar or None) for each _spans block of buffer's windows:
     under recipe 2 one _encode_block batch, padded to a multiple of
-    _ROW_ALIGN rows, made when the block is reached; under recipe 1 a slice
-    of one unpadded batch of every window, made at the first block."""
+    _ROW_ALIGN rows, made _AHEAD blocks ahead on the worker pool; under
+    recipe 1 a slice of one unpadded batch of every window, made at the
+    first block."""
     frames = frame_view(buffer.samples, model.hyper.window_size, hop)
+    if recipe >= 2:
+        yield from _ahead(lambda span: _encode_block(model, frames[slice(*span)], _ROW_ALIGN,
+                                                     with_logvar), _spans(len(frames)))
+        return
     whole = None
     for i0, i1 in _spans(len(frames)):
-        if recipe >= 2:
-            yield _encode_block(model, frames[i0:i1], _ROW_ALIGN, with_logvar)
-            continue
         if whole is None:
             whole = _encode_block(model, frames, 1, with_logvar)
         mu, logvar = whole
@@ -278,36 +295,142 @@ def _fill(model: VaeModel, length: int, blocks) -> AudioBuffer:
     return AudioBuffer(out, model.hyper.sample_rate)
 
 
+def _workers() -> int:
+    """The worker pool's size: the CPUs this process may run on over the threads
+    BLAS gives each call, at least 1. BLAS takes its count from the first of its
+    variables set to a positive number; with none set, it uses every CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in _BLAS_THREADS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+class _Task:
+    """fn(item), run once on a pool worker unless cancelled before it starts;
+    done is set either way."""
+
+    def __init__(self, fn, item):
+        self.fn, self.item, self.cancelled = fn, item, False
+        self.value = self.error = None
+        self.done = threading.Event()
+
+    def run(self) -> None:
+        if not self.cancelled:
+            try:
+                self.value = self.fn(self.item)
+            except BaseException as exc:  # raised on the reader's thread, by result()
+                self.error = exc
+        self.fn = self.item = None
+        self.done.set()
+
+    def result(self):
+        self.done.wait()
+        error, self.error = self.error, None  # the traceback holds run's frame: no cycle
+        if error is not None:
+            raise error
+        value, self.value = self.value, None
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int):
+    """submit(task) onto a pool of that many daemon threads, started at the first
+    call for that size: each worker runs the next task submitted, in submission
+    order. A forked child starts its own, as it inherits none of the threads."""
+    tasks, ready = collections.deque(), threading.Semaphore(0)
+
+    def work():
+        while True:
+            ready.acquire()
+            tasks.popleft().run()
+
+    for i in range(workers):
+        threading.Thread(target=work, name=f"latentaudio-{i}", daemon=True).start()
+
+    def submit(task: _Task) -> None:
+        tasks.append(task)
+        ready.release()
+
+    return submit
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _ahead(fn, items):
+    """Yield fn(item) for each of items, in order: items are read on the caller's
+    thread, and fn runs on the worker pool, up to _AHEAD items past the result the
+    caller holds. fn must not wait on the pool (a task that waits on a task behind
+    it in a full pool waits forever); items may. Closed, or raising (fn's error is
+    raised here), it cancels the calls not yet started and waits for the running
+    ones, so no work outlives the render."""
+    submit, pending = _pool(_workers()), collections.deque()
+    try:
+        for item in items:
+            pending.append(_Task(fn, item))
+            submit(pending[-1])
+            if len(pending) > _AHEAD:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for task in pending:
+            task.cancelled = True
+        for task in pending:
+            task.done.wait()
+
+
 def _spans(n_rows: int):
     """An n_rows path's decode blocks [i0, i1), as even as can be: 2 to _BLOCK
     rows each, a lone row only when the path has one, none for an empty path
-    (for _BLOCK >= 3: at 2, an odd path gets a lone row, which BLAS decodes by gemv)."""
+    (for _BLOCK >= 3: at 2, an odd path gets a lone row, which BLAS decodes by gemv).
+    A row keeps its bits in blocks of up to 256; _BLOCK is 128 so that a block
+    held by the reader and one running ahead take no more memory than one of 256."""
     n_blocks = -(-n_rows // _BLOCK)
     for j in range(n_blocks):
         yield n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks
+
+
+def _latents(model: VaeModel, blocks, seed):
+    """The z of each (means, stds or None) block, in the model's dtype: the means,
+    or, for a block with stds, means + stds * eps, its eps continuing the stream of
+    one generator seeded by seed. The generator is made when the first such block
+    arrives, so numpy.random's import does not land on a recipe-1 whole-path encode."""
+    rng = None
+    for means, stds in blocks:
+        if stds is None:
+            z = means
+        else:
+            if rng is None:  # the block is made by now
+                rng = np.random.default_rng(seed)
+            z = rng.standard_normal(means.shape)
+            z *= stds
+            z += means
+        del means, stds
+        z = z.astype(model.dtype, copy=False)  # the float64 z is dropped here
+        yield z
 
 
 def _decode_blocks(model: VaeModel, blocks, seed, k: int):
     """Decode the (means, stds or None) blocks of a path in order; yield the join.
 
     A decoded row has the same bits in any block of 2 to 256 rows, but not as a
-    lone row (BLAS decodes it through gemv), so blocks come from _spans. A block
-    with stds is sampled: its eps continue the stream of one generator seeded by
-    seed, made when the first such block arrives, so numpy.random's import does
-    not land on a recipe-1 whole-path encode. Frame i starts at i*s, s = W - k;
-    pass d = 0, 1, ... ramps, in every seam, the offsets t that lie under
-    d = ceil((k - t)/s) - 1 earlier seams. A block of n rows yields its n*s
-    samples, which later frames no longer touch, and carries the k after them
-    into the next block; the last k are yielded after the last block.
+    lone row (BLAS decodes it through gemv), so blocks come from _spans. The
+    blocks are read, and their eps drawn (_latents), on this thread; each block's
+    decode_frames runs on the worker pool, _AHEAD blocks ahead of the one being
+    joined here (_ahead). Frame i starts at i*s, s = W - k; pass d = 0, 1, ...
+    ramps, in every seam, the offsets t that lie under d = ceil((k - t)/s) - 1
+    earlier seams. A block of n rows yields its n*s samples, which later frames no
+    longer touch, and carries the k after them into the next block; the last k are
+    yielded after the last block.
     """
     s = model.hyper.window_size - k
     ramp = (np.arange(k, dtype=model.dtype) + 1) / (k + 1)
-    tail = rng = None
-    for means, stds in blocks:
-        if stds is not None and rng is None:  # the block is made by now
-            rng = np.random.default_rng(seed)
-        z = means if stds is None else means + stds * rng.standard_normal(means.shape)
-        frames = decode_frames(model, z.astype(model.dtype, copy=False))
+    tail = None
+    for frames in _ahead(lambda z: decode_frames(model, z), _latents(model, blocks, seed)):
         n = len(frames)
         out = np.empty(n * s + k, dtype=model.dtype)  # the block's samples and the k after
         out[k:].reshape(n, s)[:] = frames[:, k:]
@@ -318,6 +441,7 @@ def _decode_blocks(model: VaeModel, blocks, seed, k: int):
             seams = out[lo : lo + n * s].reshape(n, s)[j:, : hi - lo]
             seams[...] = seams * (1 - ramp[lo:hi]) + frames[j:, lo:hi] * ramp[lo:hi]
         tail = out[n * s :]
+        del frames  # while the reader holds the block, the frames are not held too
         yield out[: n * s]
     if tail is not None:
         yield tail
@@ -331,7 +455,8 @@ def decode_path(
     mean_only ignores stds; sampled draws one eps row per window from a
     single generator seeded by the mode, so equal seeds give identical
     audio. Frames are joined end-to-end (length = count * window_size)
-    unless a crossfade width is given.
+    unless a crossfade width is given. A mean that is not finite, or a std
+    that is negative or not finite, is a ValueError before anything is decoded.
     """
     means, stds = np.asarray(means), np.asarray(stds)
     if means.ndim != 2 or means.shape != stds.shape:
@@ -342,8 +467,10 @@ def decode_path(
         raise ShapeMismatchError(
             f"latent dim {means.shape[1]} != model's {model.hyper.latent_dim}"
         )
-    if np.any(stds < 0):
-        raise ValueError("stds must be entrywise >= 0")
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
+    if not (np.isfinite(stds) & (stds >= 0)).all():
+        raise ValueError("stds must be finite and entrywise >= 0")
     _check_crossfade(model, crossfade)
     blocks = ((means[i0:i1], stds[i0:i1] if mode.kind == "sampled" else None)
               for i0, i1 in _spans(len(means)))
@@ -359,7 +486,8 @@ def _blend(path_a, path_b, rows, w, first: int):
     it into a NaN of no input."""
     w = w[:, None]
     (mu_a, logvar_a), (mu_b, logvar_b) = path_a, path_b
-    means = w * mu_a[rows] + (1.0 - w) * mu_b[rows]
+    means = w * mu_a[rows]
+    means += (1.0 - w) * mu_b[rows]
     if logvar_a is None:
         return means, None
     with np.errstate(over="ignore"):  # the error below is the diagnosis
@@ -368,8 +496,9 @@ def _blend(path_a, path_b, rows, w, first: int):
         bad = ~np.isfinite(sigma).all(axis=1)
         if bad.any():  # stepwise's first segment holds every window, so it names one
             raise LoudInputError(index, first + int(bad.argmax()))
-    stds = w * sigmas[0] + (1.0 - w) * sigmas[1]
-    return means, np.maximum(stds, _SIGMA_FLOOR)
+    stds = w * sigmas[0]
+    stds += (1.0 - w) * sigmas[1]
+    return means, np.maximum(stds, _SIGMA_FLOOR, out=stds)
 
 
 def stepwise_interpolate(

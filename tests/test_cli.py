@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import zlib
@@ -470,17 +471,103 @@ class TestStreamedSynthesis:
                 raise ValueError("decoder failed")
             return real(model, z)
 
+        # one worker decodes the blocks in order, so the second call is the second block
+        monkeypatch.setattr(interpolate, "_workers", lambda: 1)
         monkeypatch.setattr(interpolate, "decode_frames", fail_on_second_block)
-        # 5 segments of 125 windows make 3 blocks; the first went to the temp file
+        # 5 segments of 125 windows make 5 blocks; the first went to the temp file
         assert _synth("step", checkpoint, corpus, out) == 2
         assert "decoder failed" in capsys.readouterr().err
-        assert len(listings) == 2
+        # the failing block, and at most the blocks the pool runs ahead of it
+        assert 2 <= len(listings) <= 2 + interpolate._AHEAD
         assert [name for name in listings[1] if name.startswith(".o.wav.")]
         if earlier is None:
             assert not list(tmp_path.iterdir())
         else:
             assert [p.name for p in tmp_path.iterdir()] == ["o.wav"]
             assert out.read_bytes() == earlier
+
+
+class TestAbortedRender:
+    """A render that fails part way, while the worker pool still holds its
+    blocks, exits 2 with its one error line and leaves no file behind; no
+    encode or decode runs once main has returned."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def spy(self, request, monkeypatch):
+        monkeypatch.setattr(interpolate, "_workers", lambda: request.param)
+        state = {"lock": threading.Lock(), "running": 0, "late": [], "returned": False,
+                 "decodes": 0, "workers": request.param}
+
+        def spied(name, fn):
+            def call(model, rows, *args):
+                with state["lock"]:
+                    if state["returned"]:
+                        state["late"].append(name)
+                    state["running"] += 1
+                try:
+                    time.sleep(0.002)  # the pool holds blocks when the render fails
+                    return fn(model, rows, *args)
+                finally:
+                    with state["lock"]:
+                        state["running"] -= 1
+            return call
+
+        for name in ("encode_frames", "decode_frames"):
+            monkeypatch.setattr(interpolate, name, spied(name, getattr(interpolate, name)))
+        return state
+
+    @staticmethod
+    def _main(spy, argv):
+        code = main(argv)
+        with spy["lock"]:
+            spy["returned"] = True
+            running = spy["running"]
+        # every task queued before now has left the pool once these have run
+        assert list(interpolate._ahead(lambda x: x, range(spy["workers"]))) == [
+            *range(spy["workers"])]
+        time.sleep(0.02)
+        assert (running, spy["late"]) == (0, [])
+        return code
+
+    def test_decode_failure(self, checkpoint, corpus, tmp_path, monkeypatch, capsys, spy):
+        decode = interpolate.decode_frames
+
+        def fail_on_third_call(model, z):
+            with spy["lock"]:
+                spy["decodes"] += 1
+                third = spy["decodes"] == 3
+            if third:
+                raise ValueError("decoder failed")
+            return decode(model, z)
+
+        monkeypatch.setattr(interpolate, "decode_frames", fail_on_third_call)
+        wavs = sorted(corpus.glob("*.wav"))
+        out = tmp_path / "out" / "x.wav"
+        out.parent.mkdir()
+        # 497 windows at hop 16: 4 encode blocks of each input, 4 decode blocks
+        argv = ["synth", "extend", "--checkpoint", str(checkpoint), "--in1", str(wavs[0]),
+                "--in2", str(wavs[1]), "--out", str(out), "--curve", "lin:0:1", "--hop", "16",
+                "--mode", "sample"]
+        assert self._main(spy, argv) == 2
+        assert capsys.readouterr().err == "error: decoder failed\n"
+        assert spy["decodes"] >= 3 and not list(out.parent.iterdir())
+
+    def test_loud_input_part_way(self, checkpoint, corpus, tmp_path, capsys, spy):
+        wavs = sorted(corpus.glob("*.wav"))
+        quiet = load_wav(wavs[1])
+        loud = quiet.samples.copy()
+        loud[300 * 16 + 3] = 1e37  # in windows 297-300 at hop 16: the third decode block
+        save_wav(AudioBuffer(loud, RATE), tmp_path / "loud.wav")
+        out = tmp_path / "out" / "x.wav"
+        out.parent.mkdir()
+        argv = ["synth", "extend", "--checkpoint", str(checkpoint), "--in1", str(wavs[0]),
+                "--in2", str(tmp_path / "loud.wav"), "--out", str(out), "--curve", "lin:0:1",
+                "--hop", "16", "--mode", "sample"]
+        assert self._main(spy, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {(tmp_path / 'loud.wav').resolve()}: window 297 encodes "
+                              "to a non-finite sigma in sample mode")
+        assert len(err.splitlines()) == 1 and not list(out.parent.iterdir())
 
 
 class TestNegativeSeed:

@@ -5,7 +5,8 @@ ones, assign_clusters searches every thumbnail in one pass, init_model walks one
 layers, the feature constants are built once per recipe, the latent
 blend works on (N, M) arrays instead of tuples of per-window stats,
 synthesis blends, decodes and joins the path a block of windows at a
-time, inference activations are computed in place, the training step
+time and runs each block's encode and decode on a pool of worker
+threads, inference activations are computed in place, the training step
 keeps activations instead of pre-activations and forms no frame
 gradient, training gathers each batch from the arrays it is given and
 updates each tensor as soon as the backward walk has formed its gradient
@@ -28,6 +29,7 @@ replaced, and the float32 run must stay within a stated tolerance of it.
 
 import dataclasses
 import functools
+import itertools
 import math
 import struct
 import tracemalloc
@@ -1083,6 +1085,62 @@ class TestBlockwiseSynthesisMatchesReference:
         want = reference_extended(model, a, b, curve, mode, hop, crossfade,
                                   encode=reference_encode_whole)
         self._assert_same(_fill(model, *got), want)
+
+
+class TestPooledSynthesisMatchesReference:
+    """Renders whose encode and decode blocks run on a pool of 1, 2 or 3 workers
+    against the serial whole-path reference: the pool changes no byte."""
+
+    HYPER = TestBlockwiseSynthesisMatchesReference.HYPER
+    W = HYPER.window_size
+    WINDOWS = 300  # 100 blocks of 3, 3 of 128 rows or fewer, 2 of 256 or fewer
+    # (hop, segments): stepwise sweeps 2 segments of 150 windows
+    SHAPES = {"step": (W, 2), "meso": (W, 1), "extend": (16, 1)}
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return float32_model(self.HYPER)
+
+    @pytest.mark.parametrize("recipe", [1, 2])
+    @pytest.mark.parametrize("crossfade", [0, 1, W // 2 + 1, W - 1], ids=["0", "1", "W/2+1", "W-1"])
+    @pytest.mark.parametrize("mode", TestBlockwiseSynthesisMatchesReference.MODES,
+                             ids=["mean", "sampled"])
+    @pytest.mark.parametrize("strategy", ["step", "meso", "extend"])
+    def test_every_pool_size_and_block(self, model, monkeypatch, strategy, mode, crossfade,
+                                       recipe):
+        hop, segments = self.SHAPES[strategy]
+        windows = self.WINDOWS // segments
+        n = self.W + (windows - 1) * hop
+        a, b = _noise(n, 1), _noise(n + 5, 2)
+        encode = reference_encode_whole if recipe == 1 else reference_encode_blocks
+        curve = 1.5 * np.sin(np.arange(windows) * 0.7)
+        if strategy == "step":
+            want = reference_stepwise(model, a, b, 1.0, 1.0, mode, crossfade, encode=encode)
+        else:
+            want = reference_extended(model, a, b, curve, mode, hop, crossfade, encode=encode)
+        for workers, block in itertools.product([1, 2, 3], [3, 128, 256]):
+            monkeypatch.setattr(interpolate_module, "_workers", lambda: workers)
+            monkeypatch.setattr(interpolate_module, "_BLOCK", block)
+            if strategy == "step":
+                got = render_stepwise(model, a, b, 1.0, 1.0, mode, crossfade, recipe)
+            else:
+                got = render_extended(model, a, b, curve, mode, hop, crossfade, recipe)
+            got = _fill(model, *got)
+            assert same_bytes(got.samples, want.samples), (workers, block)
+
+    @pytest.mark.parametrize("recipe", [1, 2])
+    def test_encode_blocks_of_every_pool_size_and_block(self, model, monkeypatch, recipe):
+        # export-latents' blocks
+        a = _noise(self.W + (self.WINDOWS - 1) * 16, 1)
+        want = (reference_encode_whole if recipe == 1 else reference_encode_blocks)(model, a, 16)
+        for workers, block in itertools.product([1, 2, 3], [3, 128, 256]):
+            monkeypatch.setattr(interpolate_module, "_workers", lambda: workers)
+            monkeypatch.setattr(interpolate_module, "_BLOCK", block)
+            blocks = list(encode_blocks(model, a, 16, recipe))
+            assert [len(p) for p in blocks] == [i1 - i0 for i0, i1 in _spans(self.WINDOWS)]
+            for field in ("mu", "logvar"):
+                got = np.concatenate([getattr(p, field) for p in blocks])
+                assert same_bytes(got, getattr(want, field)), (workers, block, field)
 
 
 @settings(max_examples=40, deadline=None)

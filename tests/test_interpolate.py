@@ -1,4 +1,8 @@
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -247,6 +251,23 @@ class TestDecodePath:
     def test_negative_stds_rejected(self, model):
         with pytest.raises(ValueError):
             decode_path(model, np.zeros((2, 8)), np.full((2, 8), -0.1), MEAN)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("means", np.inf), ("means", -np.inf), ("means", np.nan),
+        ("stds", np.inf), ("stds", np.nan), ("stds", -0.1),
+    ])
+    @pytest.mark.parametrize("mode", [MEAN, SynthesisMode.sampled(1)], ids=["mean", "sampled"])
+    def test_non_finite_latents_rejected_before_decoding(self, model, monkeypatch, field, bad,
+                                                         mode):
+        # a NaN std or an inf mean would decode to a whole window of NaN samples
+        def no_decode(*args):
+            raise AssertionError("decode_frames ran")
+
+        monkeypatch.setattr(interpolate_module, "decode_frames", no_decode)
+        latents = {"means": np.zeros((3, 8)), "stds": np.ones((3, 8))}
+        latents[field][1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            decode_path(model, latents["means"], latents["stds"], mode)
 
     def test_means_and_stds_of_different_shapes(self, model):
         with pytest.raises(ShapeMismatchError, match="must be equal 2-D shapes"):
@@ -610,3 +631,148 @@ class TestExportLatents:
             lv = np.array([np.float32(v) for v in fields[9:]])
             assert np.array_equal(mu, path.mu[i])
             assert np.array_equal(lv, path.logvar[i])
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread: its result, or its error, or a failure if it
+    has not returned within the given seconds (a deadlock hangs no test run)."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestPool:
+    """_ahead maps over a stream on the worker pool: results in order, at most
+    _AHEAD items past the one the reader holds, and no work once it is closed."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(interpolate_module, "_workers", lambda: request.param)
+        return request.param
+
+    class Calls:
+        """A spy fn: logs which items started, counts the calls running."""
+
+        def __init__(self, fail_at=None):
+            self.lock, self.started, self.running, self.fail_at = threading.Lock(), [], 0, fail_at
+
+        def __call__(self, item):
+            with self.lock:
+                self.started.append(item)
+                self.running += 1
+            try:
+                time.sleep(0.001 * (1 + item % 3))
+                if item == self.fail_at:
+                    raise ValueError(f"item {item} failed")
+                return item * item
+            finally:
+                with self.lock:
+                    self.running -= 1
+
+        def settled(self, workers):
+            """The items started once every task queued before now has left the pool."""
+            assert list(interpolate_module._ahead(lambda x: x, range(workers))) == [*range(workers)]
+            time.sleep(0.01)  # a call popped just before the last sentinel logs itself
+            return list(self.started)
+
+    @pytest.mark.parametrize("cpus, env, want", [
+        (4, {}, 1),  # BLAS uses every CPU
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "3"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (4, {"MKL_NUM_THREADS": "2"}, 2),
+        (4, {"OMP_NUM_THREADS": "1"}, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),  # the first one set
+        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),  # 0 is not set
+        (4, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset -c 0
+    ])
+    def test_workers_are_cpus_over_blas_threads(self, monkeypatch, cpus, env, want):
+        for var in interpolate_module._BLAS_THREADS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert interpolate_module._workers() == want
+
+    def test_results_in_order_and_at_most_ahead_started(self, workers):
+        # more workers than cores, and threads switched as often as they can be
+        calls, interval = self.Calls(), sys.getswitchinterval()
+
+        def consume():
+            got = []
+            for i, value in enumerate(interpolate_module._ahead(calls, range(200))):
+                with calls.lock:
+                    assert max(calls.started) <= i + interpolate_module._AHEAD
+                got.append(value)
+            return got
+
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _within(60, consume) == [i * i for i in range(200)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls.running == 0
+
+    def test_closed_part_way_runs_nothing_after(self, workers):
+        calls = self.Calls()
+
+        def read_two_and_close():  # item 2 sleeps longest: it runs at the close
+            results = interpolate_module._ahead(calls, range(50))
+            got = [next(results) for _ in range(2)]
+            results.close()
+            return got, calls.running
+
+        assert _within(30, read_two_and_close) == ([0, 1], 0)
+        assert len(calls.settled(workers)) <= 2 + interpolate_module._AHEAD
+
+    def test_an_error_is_raised_in_order_and_runs_nothing_after(self, workers):
+        calls, got = self.Calls(fail_at=5), []
+
+        def consume():
+            try:
+                for value in interpolate_module._ahead(calls, range(50)):
+                    got.append(value)
+            except ValueError as exc:
+                return str(exc), calls.running
+
+        assert _within(30, consume) == ("item 5 failed", 0)
+        assert got == [i * i for i in range(5)]
+        assert len(calls.settled(workers)) <= 6 + interpolate_module._AHEAD
+
+    def test_items_may_come_from_the_pool(self, workers):
+        # extend's decode reads blocks that its encode streams make on the same pool;
+        # only the reader's thread waits, so even one worker does not deadlock
+        inner = interpolate_module._ahead(lambda x: x + 1, range(100))
+        outer = interpolate_module._ahead(lambda x: 2 * x, inner)
+        assert _within(30, lambda: list(outer)) == [2 * (x + 1) for x in range(100)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_starts_its_own_workers(self, workers):
+        assert list(interpolate_module._ahead(lambda x: x + 1, range(4))) == [1, 2, 3, 4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads alive
+            pid = os.fork()
+        if pid == 0:  # the child: its pool must run, not wait on the parent's threads
+            ok = list(interpolate_module._ahead(lambda x: x + 1, range(4))) == [1, 2, 3, 4]
+            os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
