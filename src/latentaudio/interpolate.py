@@ -14,7 +14,7 @@ decodes the blend back to audio:
 
 Blending is linear in mu and in sigma (not log-variance), weight on a
 and complement on b. Each strategy blends its paths a block of 2 to
-_BLOCK windows at a time, in float64 (so weights 0 and 1 reproduce the
+_block() windows at a time, in float64 (so weights 0 and 1 reproduce the
 endpoint encodings bit-exactly), and hands the blocks to one decoder,
 which casts, decodes and joins them in order; a block with stds is
 sampled (mean mode encodes no logvar, so it has none). A decoded row
@@ -27,14 +27,16 @@ render_* functions return (length, those blocks) for a writer (the CLI
 streams them into the WAV, so memory is a few blocks), and the
 *_interpolate functions fill one AudioBuffer from them.
 
-The matmuls run on a small pool of worker threads. _ahead hands each
-recipe-2 encode block and each decode block to the pool _AHEAD blocks
-ahead of the one this thread is joining, and this thread keeps all that
-depends on order: the eps draws from the one seeded generator, the blend,
-the seam join and the writer. So a render's bytes do not depend on the
-pool. The pool has as many workers as the CPUs the process may run on
-over the threads BLAS gives each call (taskset and the BLAS thread
-variables both lower it), at least 1.
+The matmuls can run on a small pool of worker threads. The pool has as
+many workers as the CPUs the process may run on over the threads BLAS
+gives each call (taskset and the BLAS thread variables both lower it), at
+least 1. With two or more, _ahead hands each recipe-2 encode block and
+each decode block to the pool _AHEAD blocks ahead of the one this thread
+is joining, in blocks of _POOL_BLOCK rows; with one (BLAS already on
+every CPU), the blocks are _BLOCK rows and run on this thread, one at a
+time. This thread keeps all that depends on order: the eps draws from
+the one seeded generator, the blend, the seam join and the writer. So a
+render's bytes do not depend on the pool.
 
 Encoding follows a numbered recipe, which synth and export-latents
 sidecars record. _encoded, the one encode loop, yields an input's
@@ -75,9 +77,11 @@ from .vae import VaeModel, decode_frames, encode_frames
 
 RECIPE = 2  # the encoding recipe of new runs; a sidecar without one was made by recipe 1
 _SIGMA_FLOOR = 1e-6
-_BLOCK = 128  # windows encoded, blended and decoded at a time
+_BLOCK = 256  # windows encoded, blended and decoded at a time
+_POOL_BLOCK = 128  # the same when the blocks run ahead on two or more workers
 _AHEAD = 1  # blocks a pool stage runs past the one its reader holds
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+_OPENBLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_MKL_THREADS = ("MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _ROW_ALIGN = 8  # recipe-2 encode blocks are zero-padded to a multiple of this many rows
 _CSV_ROWS = 1024  # latent rows formatted at a time
 
@@ -151,9 +155,8 @@ def encode_blocks(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int = 
 def _encoded(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int, with_logvar=True):
     """Yield (mu, logvar or None) for each _spans block of buffer's windows:
     under recipe 2 one _encode_block batch, padded to a multiple of
-    _ROW_ALIGN rows, made _AHEAD blocks ahead on the worker pool; under
-    recipe 1 a slice of one unpadded batch of every window, made at the
-    first block."""
+    _ROW_ALIGN rows, made through _ahead; under recipe 1 a slice of one
+    unpadded batch of every window, made at the first block."""
     frames = frame_view(buffer.samples, model.hyper.window_size, hop)
     if recipe >= 2:
         yield from _ahead(lambda span: _encode_block(model, frames[slice(*span)], _ROW_ALIGN,
@@ -297,13 +300,26 @@ def _fill(model: VaeModel, length: int, blocks) -> AudioBuffer:
 
 def _workers() -> int:
     """The worker pool's size: the CPUs this process may run on over the threads
-    BLAS gives each call, at least 1. BLAS takes its count from the first of its
-    variables set to a positive number; with none set, it uses every CPU."""
+    numpy's BLAS gives each call, at least 1 and at most the 3 * (_AHEAD + 1)
+    calls a render's stages (two encodes and a decode) can have running.
+
+    OpenBLAS takes its count from the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive number, MKL from
+    MKL_NUM_THREADS or OMP_NUM_THREADS; with none set, or another BLAS, every
+    CPU is taken to be in use, and the pool is 1. A CPU quota (a container's
+    cgroup limit) is not read: where it is below the affinity mask, taskset or
+    the BLAS variables say how many CPUs there are."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # NumPy < 1.26 keeps its build info as module attributes
+        blas = str(vars(np.__config__))
+    names = (_OPENBLAS_THREADS if "openblas" in blas
+             else _MKL_THREADS if "mkl" in blas else ())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    for var in _BLAS_THREADS:
+    for var in names:
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
+            return min(max(1, cpus // int(value)), 3 * (_AHEAD + 1))
     return 1
 
 
@@ -338,7 +354,13 @@ class _Task:
 def _pool(workers: int):
     """submit(task) onto a pool of that many daemon threads, started at the first
     call for that size: each worker runs the next task submitted, in submission
-    order. A forked child starts its own, as it inherits none of the threads."""
+    order. A forked child starts its own, as it inherits none of the threads;
+    a process whose pool size changes keeps the old size's workers, idle.
+
+    This is not concurrent.futures.ThreadPoolExecutor because importing that
+    module (and logging, which it loads) takes about 6 ms and 0.5 MB of Python
+    objects, which would land inside the first pooled render of every synth
+    process, whose memory is otherwise its output plus a few blocks."""
     tasks, ready = collections.deque(), threading.Semaphore(0)
 
     def work():
@@ -363,11 +385,17 @@ if hasattr(os, "register_at_fork"):
 def _ahead(fn, items):
     """Yield fn(item) for each of items, in order: items are read on the caller's
     thread, and fn runs on the worker pool, up to _AHEAD items past the result the
-    caller holds. fn must not wait on the pool (a task that waits on a task behind
-    it in a full pool waits forever); items may. Closed, or raising (fn's error is
-    raised here), it cancels the calls not yet started and waits for the running
-    ones, so no work outlives the render."""
-    submit, pending = _pool(_workers()), collections.deque()
+    caller holds; with one worker, fn runs on the caller's thread when its result
+    is asked for, as a pool of one would only add a thread switch to each call.
+    fn must not wait on the pool (a task that waits on a task behind it in a full
+    pool waits forever); items may. Closed, or raising (fn's error is raised
+    here), it cancels the calls not yet started and waits for the running ones,
+    so no work outlives the render."""
+    workers = _workers()
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    submit, pending = _pool(workers), collections.deque()
     try:
         for item in items:
             pending.append(_Task(fn, item))
@@ -383,13 +411,22 @@ def _ahead(fn, items):
             task.done.wait()
 
 
+def _block() -> int:
+    """The rows of a block: _BLOCK on one worker, _POOL_BLOCK (at most _BLOCK) on
+    more, so that a block its reader holds and one running ahead take about the
+    memory one block of _BLOCK takes. A row keeps its bits in blocks of up to 256,
+    so the pool size does not change a render's bytes; smaller blocks cost more
+    per row, which only a second worker wins back."""
+    return _BLOCK if _workers() == 1 else min(_BLOCK, _POOL_BLOCK)
+
+
 def _spans(n_rows: int):
-    """An n_rows path's decode blocks [i0, i1), as even as can be: 2 to _BLOCK
+    """An n_rows path's decode blocks [i0, i1), as even as can be: 2 to _block()
     rows each, a lone row only when the path has one, none for an empty path
-    (for _BLOCK >= 3: at 2, an odd path gets a lone row, which BLAS decodes by gemv).
-    A row keeps its bits in blocks of up to 256; _BLOCK is 128 so that a block
-    held by the reader and one running ahead take no more memory than one of 256."""
-    n_blocks = -(-n_rows // _BLOCK)
+    (for a block of 3 or more: at 2, an odd path gets a lone row, which BLAS
+    decodes by gemv)."""
+    block = _block()
+    n_blocks = -(-n_rows // block)
     for j in range(n_blocks):
         yield n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks
 

@@ -471,14 +471,13 @@ class TestStreamedSynthesis:
                 raise ValueError("decoder failed")
             return real(model, z)
 
-        # one worker decodes the blocks in order, so the second call is the second block
+        # one worker decodes the blocks one at a time, on this thread
         monkeypatch.setattr(interpolate, "_workers", lambda: 1)
         monkeypatch.setattr(interpolate, "decode_frames", fail_on_second_block)
-        # 5 segments of 125 windows make 5 blocks; the first went to the temp file
+        # 5 segments of 125 windows make 3 blocks; the first went to the temp file
         assert _synth("step", checkpoint, corpus, out) == 2
         assert "decoder failed" in capsys.readouterr().err
-        # the failing block, and at most the blocks the pool runs ahead of it
-        assert 2 <= len(listings) <= 2 + interpolate._AHEAD
+        assert len(listings) == 2
         assert [name for name in listings[1] if name.startswith(".o.wav.")]
         if earlier is None:
             assert not list(tmp_path.iterdir())
@@ -495,6 +494,7 @@ class TestAbortedRender:
     @pytest.fixture(params=[1, 2, 3])
     def spy(self, request, monkeypatch):
         monkeypatch.setattr(interpolate, "_workers", lambda: request.param)
+        monkeypatch.setattr(interpolate, "_BLOCK", 128)  # the same blocks on any pool
         state = {"lock": threading.Lock(), "running": 0, "late": [], "returned": False,
                  "decodes": 0, "workers": request.param}
 

@@ -1013,7 +1013,7 @@ class TestBlockwiseSynthesisMatchesReference:
     @pytest.mark.parametrize("extra", [0, 1, 2])
     @pytest.mark.parametrize("mode", MODES, ids=["mean", "sampled"])
     def test_real_block_size(self, model, extra, mode):
-        block = interpolate_module._BLOCK
+        block = interpolate_module._block()
         a, b = self._pair(block + extra, self.HYPER.window_size)
         for crossfade in (7, 40):  # one pass, three chained passes
             for segments, (range_r, step_s) in ((1, (0.0, 1.0)), (2, (1.0, 1.0))):
@@ -1030,7 +1030,7 @@ class TestBlockwiseSynthesisMatchesReference:
         # at this shape BLAS decodes a lone row through gemv, with other bits
         model = float32_model(VaeHyperParams())
         rng = np.random.default_rng(5)
-        means = rng.standard_normal((interpolate_module._BLOCK + 1, model.hyper.latent_dim))
+        means = rng.standard_normal((interpolate_module._block() + 1, model.hyper.latent_dim))
         stds = rng.uniform(0.0, 1.0, means.shape)
         self._assert_same(decode_path(model, means, stds, mode, 100),
                           reference_decode_path(model, means, stds, mode, 100))
@@ -1089,7 +1089,8 @@ class TestBlockwiseSynthesisMatchesReference:
 
 class TestPooledSynthesisMatchesReference:
     """Renders whose encode and decode blocks run on a pool of 1, 2 or 3 workers
-    against the serial whole-path reference: the pool changes no byte."""
+    (1: on the calling thread) against the serial whole-path reference: the pool
+    changes no byte."""
 
     HYPER = TestBlockwiseSynthesisMatchesReference.HYPER
     W = HYPER.window_size
@@ -1121,6 +1122,7 @@ class TestPooledSynthesisMatchesReference:
         for workers, block in itertools.product([1, 2, 3], [3, 128, 256]):
             monkeypatch.setattr(interpolate_module, "_workers", lambda: workers)
             monkeypatch.setattr(interpolate_module, "_BLOCK", block)
+            monkeypatch.setattr(interpolate_module, "_POOL_BLOCK", block)
             if strategy == "step":
                 got = render_stepwise(model, a, b, 1.0, 1.0, mode, crossfade, recipe)
             else:
@@ -1136,6 +1138,7 @@ class TestPooledSynthesisMatchesReference:
         for workers, block in itertools.product([1, 2, 3], [3, 128, 256]):
             monkeypatch.setattr(interpolate_module, "_workers", lambda: workers)
             monkeypatch.setattr(interpolate_module, "_BLOCK", block)
+            monkeypatch.setattr(interpolate_module, "_POOL_BLOCK", block)
             blocks = list(encode_blocks(model, a, 16, recipe))
             assert [len(p) for p in blocks] == [i1 - i0 for i0, i1 in _spans(self.WINDOWS)]
             for field in ("mu", "logvar"):

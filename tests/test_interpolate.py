@@ -369,7 +369,7 @@ class TestStepwise:
             window_size=64, latent_dim=16, hidden_sizes=(16,), sample_rate=8000, seed=5
         )
         model = float32_model(hyper)
-        block = interpolate_module._BLOCK
+        block = interpolate_module._block()
         a, b = (make_noise(seconds=block * 64 / 8000, rate=8000, seed=s) for s in (1, 2))
         block_bytes = block * (64 * 4 + 16 * 8)  # float32 frames and float64 latents
         tracemalloc.start()
@@ -687,25 +687,33 @@ class TestPool:
             time.sleep(0.01)  # a call popped just before the last sentinel logs itself
             return list(self.started)
 
-    @pytest.mark.parametrize("cpus, env, want", [
-        (4, {}, 1),  # BLAS uses every CPU
-        (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
-        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-        (4, {"OPENBLAS_NUM_THREADS": "3"}, 1),
-        (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
-        (4, {"MKL_NUM_THREADS": "2"}, 2),
-        (4, {"OMP_NUM_THREADS": "1"}, 4),
-        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),  # the first one set
-        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),  # 0 is not set
-        (4, {"OPENBLAS_NUM_THREADS": "x"}, 1),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset -c 0
+    @pytest.mark.parametrize("blas, cpus, env, want", [
+        ("scipy-openblas", 4, {}, 1),  # BLAS uses every CPU
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "3"}, 1),
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ("scipy-openblas", 4, {"GOTO_NUM_THREADS": "2"}, 2),
+        ("scipy-openblas", 4, {"OMP_NUM_THREADS": "1"}, 4),
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ("scipy-openblas", 4, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+        ("scipy-openblas", 4, {"MKL_NUM_THREADS": "1"}, 1),  # not OpenBLAS's variable
+        ("scipy-openblas", 1, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # taskset -c 0
+        ("scipy-openblas", 64, {"OPENBLAS_NUM_THREADS": "1"}, 6),  # what 3 stages can run
+        ("mkl-sdl", 4, {"MKL_NUM_THREADS": "2"}, 2),
+        ("mkl-sdl", 4, {"OMP_NUM_THREADS": "1"}, 4),
+        ("mkl-sdl", 4, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # not MKL's variable
+        ("accelerate", 4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 1),
     ])
-    def test_workers_are_cpus_over_blas_threads(self, monkeypatch, cpus, env, want):
-        for var in interpolate_module._BLAS_THREADS:
+    def test_workers_are_cpus_over_blas_threads(self, monkeypatch, blas, cpus, env, want):
+        for var in {*interpolate_module._OPENBLAS_THREADS, *interpolate_module._MKL_THREADS}:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(np, "show_config",
+                            lambda mode: {"Build Dependencies": {"blas": {"name": blas}}})
         assert interpolate_module._workers() == want
 
     def test_results_in_order_and_at_most_ahead_started(self, workers):
