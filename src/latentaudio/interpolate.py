@@ -162,11 +162,8 @@ def _encoded(model: VaeModel, buffer: AudioBuffer, hop: int, recipe: int, with_l
         yield from _ahead(lambda span: _encode_block(model, frames[slice(*span)], _ROW_ALIGN,
                                                      with_logvar), _spans(len(frames)))
         return
-    whole = None
+    mu, logvar = _encode_block(model, frames, 1, with_logvar)
     for i0, i1 in _spans(len(frames)):
-        if whole is None:
-            whole = _encode_block(model, frames, 1, with_logvar)
-        mu, logvar = whole
         yield mu[i0:i1], None if logvar is None else logvar[i0:i1]
 
 
@@ -323,57 +320,40 @@ def _workers() -> int:
     return 1
 
 
-class _Task:
-    """fn(item), run once on a pool worker unless cancelled before it starts;
-    done is set either way."""
-
-    def __init__(self, fn, item):
-        self.fn, self.item, self.cancelled = fn, item, False
-        self.value = self.error = None
-        self.done = threading.Event()
-
-    def run(self) -> None:
-        if not self.cancelled:
-            try:
-                self.value = self.fn(self.item)
-            except BaseException as exc:  # raised on the reader's thread, by result()
-                self.error = exc
-        self.fn = self.item = None
-        self.done.set()
-
-    def result(self):
-        self.done.wait()
-        error, self.error = self.error, None  # the traceback holds run's frame: no cycle
-        if error is not None:
-            raise error
-        value, self.value = self.value, None
-        return value
-
-
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int):
-    """submit(task) onto a pool of that many daemon threads, started at the first
-    call for that size: each worker runs the next task submitted, in submission
-    order. A forked child starts its own, as it inherits none of the threads;
-    a process whose pool size changes keeps the old size's workers, idle.
+    """submit(fn, item) onto a pool of that many daemon threads, started at the
+    first call for that size; it returns the job's done queue. The pool keeps one
+    jobs queue: each worker takes the next (fn, item, done) from it, in submission
+    order, and puts (fn(item), None), or (None, the error fn raised), on done. A
+    forked child starts its own, as it inherits none of the threads; a process
+    whose pool size changes keeps the old size's workers, idle.
 
     This is not concurrent.futures.ThreadPoolExecutor because importing that
-    module (and logging, which it loads) takes about 6 ms and 0.5 MB of Python
-    objects, which would land inside the first pooled render of every synth
-    process, whose memory is otherwise its output plus a few blocks."""
-    tasks, ready = collections.deque(), threading.Semaphore(0)
+    module (and logging, which it loads) takes 7-10 ms with numpy loaded and
+    about 0.5 MB of Python objects, which would land inside the first pooled
+    render of every synth process; queue takes under 1 ms, and is imported here
+    so that importing the CLI does not load it."""
+    import queue
+
+    jobs = queue.SimpleQueue()
 
     def work():
         while True:
-            ready.acquire()
-            tasks.popleft().run()
+            fn, item, done = jobs.get()
+            try:
+                done.put((fn(item), None))
+            except BaseException as exc:  # raised on the reader's thread, by _ahead
+                done.put((None, exc))
+            del fn, item, done  # so no block is held between jobs
 
     for i in range(workers):
         threading.Thread(target=work, name=f"latentaudio-{i}", daemon=True).start()
 
-    def submit(task: _Task) -> None:
-        tasks.append(task)
-        ready.release()
+    def submit(fn, item):
+        done = queue.SimpleQueue()
+        jobs.put((fn, item, done))
+        return done
 
     return submit
 
@@ -387,10 +367,10 @@ def _ahead(fn, items):
     thread, and fn runs on the worker pool, up to _AHEAD items past the result the
     caller holds; with one worker, fn runs on the caller's thread when its result
     is asked for, as a pool of one would only add a thread switch to each call.
-    fn must not wait on the pool (a task that waits on a task behind it in a full
-    pool waits forever); items may. Closed, or raising (fn's error is raised
-    here), it cancels the calls not yet started and waits for the running ones,
-    so no work outlives the render."""
+    fn must not wait on the pool (a job that waits on a job behind it in a full
+    pool waits forever); items may. fn's error is raised here, in order. Closed,
+    or raising, it waits for the jobs it has submitted (at most _AHEAD + 1 with
+    the one it raises for), so no call outlives the render."""
     workers = _workers()
     if workers == 1:
         yield from map(fn, items)
@@ -398,17 +378,22 @@ def _ahead(fn, items):
     submit, pending = _pool(workers), collections.deque()
     try:
         for item in items:
-            pending.append(_Task(fn, item))
-            submit(pending[-1])
+            pending.append(submit(fn, item))
             if len(pending) > _AHEAD:
-                yield pending.popleft().result()
+                yield _result(pending.popleft())
         while pending:
-            yield pending.popleft().result()
+            yield _result(pending.popleft())
     finally:
-        for task in pending:
-            task.cancelled = True
-        for task in pending:
-            task.done.wait()
+        for done in pending:
+            done.get()
+
+
+def _result(done):
+    """The value a job put on done, or the error it raised, raised."""
+    value, error = done.get()
+    if error is not None:
+        raise error
+    return value
 
 
 def _block() -> int:

@@ -913,6 +913,33 @@ def test_closed_stdout_exits_1_without_an_error_line(som_map, corpus):
     assert "error:" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+def test_the_cli_and_a_pooled_render_load_no_logging(checkpoint, corpus, tmp_path):
+    """Importing the CLI loads no queue, and a render on a two-worker pool loads
+    neither concurrent.futures nor logging (which pytest itself has loaded, so
+    this runs in a fresh interpreter)."""
+    wavs = sorted(corpus.glob("*.wav"))
+    script = f"""
+import sys
+import threading
+import latentaudio.cli
+from latentaudio import interpolate
+print(sorted({{"queue", "concurrent.futures", "logging"}} & set(sys.modules)))
+interpolate._workers = lambda: 2
+code = latentaudio.cli.main(["synth", "extend", "--checkpoint", {str(checkpoint)!r},
+                             "--in1", {str(wavs[0])!r}, "--in2", {str(wavs[1])!r},
+                             "--out", {str(tmp_path / "x.wav")!r}, "--curve", "lin:0:1",
+                             "--hop", "16", "--mode", "sample"])
+pooled = any(t.name.startswith("latentaudio-") for t in threading.enumerate())
+print(code, pooled, sorted({{"concurrent.futures", "logging"}} & set(sys.modules)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 True []")
+
+
 class TestSomCommands:
     def test_build_writes_map_and_resolved_sidecar(self, som_map):
         assert som_map.exists()

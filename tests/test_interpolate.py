@@ -761,6 +761,21 @@ class TestPool:
         assert got == [i * i for i in range(5)]
         assert len(calls.settled(workers)) <= 6 + interpolate_module._AHEAD
 
+    def test_closed_before_an_error_is_read_raises_nothing(self, workers):
+        calls = self.Calls(fail_at=2)
+
+        def read_two_and_close():  # on a pool, item 2 is submitted: the close waits for it
+            results = interpolate_module._ahead(calls, range(50))
+            got = [next(results) for _ in range(2)]
+            results.close()
+            with calls.lock:
+                return got, calls.running, sorted(calls.started)
+
+        got, running, started = _within(30, read_two_and_close)
+        assert (got, running) == ([0, 1], 0)
+        assert started == [*range(2 + (workers > 1) * interpolate_module._AHEAD)]
+        assert sorted(calls.settled(workers)) == started
+
     def test_items_may_come_from_the_pool(self, workers):
         # extend's decode reads blocks that its encode streams make on the same pool;
         # only the reader's thread waits, so even one worker does not deadlock
